@@ -16,7 +16,7 @@ import time
 
 from . import __version__
 from .composition import compose
-from .cylinders import TimeBoundedCylinder, prob_cylinder_inductive, prob_cylinder_paths, prob_rect_cylinder, RectCylinder, RectStep, Interval
+from .cylinders import TimeBoundedCylinder, prob_cylinder_inductive, prob_cylinder_paths
 from .distributions import CompositionOperator, GridSpec
 from .errors import SmdpcheckError
 from .model import (
@@ -145,22 +145,8 @@ def _cmd_prob(args):
     m = _load_model(args.model)
     sch = _load_scheduler(args.scheduler, m) if args.scheduler else uniform_scheduler(m)
     word = _parse_word(args.word)
-    if args.engine == "paths":
-        value = prob_cylinder_paths(m, sch, m.initial, TimeBoundedCylinder(word, args.t))
-    elif args.engine == "inductive":
-        value = prob_cylinder_inductive(m, sch, m.initial, TimeBoundedCylinder(word, args.t))
-    else:
-        steps = tuple(
-            RectStep(frozenset([a]), (Interval(0.0, args.t if i == 0 else float("inf")),),
-                     frozenset(m.states))
-            for i, a in enumerate(word))
-        # rect engine bounds only per-step times; emulate the total bound by
-        # the one-step case, otherwise refuse
-        if len(word) > 1:
-            raise SmdpcheckError(
-                "--engine rect bounds each step separately; it supports single-letter words here. "
-                "Use --engine paths or inductive for time-bounded multi-step words.")
-        value = prob_rect_cylinder(m, sch, m.initial, RectCylinder(steps))
+    engine = prob_cylinder_paths if args.engine == "paths" else prob_cylinder_inductive
+    value = engine(m, sch, m.initial, TimeBoundedCylinder(word, args.t))
     report = rep.finish(result={"word": "".join(word), "t": args.t,
                                 "engine": args.engine, "probability": value})
     _emit(args, report, [f"{value:.6f}"])
@@ -337,7 +323,7 @@ def build_parser():
     sp.add_argument("--word", required=True,
                     help="one character per label, or comma-separated labels")
     sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--engine", choices=["paths", "inductive", "rect"], default="paths")
+    sp.add_argument("--engine", choices=["paths", "inductive"], default="paths")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_prob)
 

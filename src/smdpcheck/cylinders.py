@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -165,36 +165,58 @@ def _rect_rec(m, sch, s, steps, k):
 # path-enumeration engine
 
 
-def word_terms(m: Smdp, sch: Scheduler, start: str, word) -> Dict[Distribution, float]:
-    """Groups the state paths spelling `word` by their absorption-time law.
+def word_classes(m: Smdp, start: str, word) -> Dict[Tuple[Distribution, tuple], float]:
+    """Groups the state paths spelling `word` from `start` into scheduler-free classes.
 
-    Returns {convolved residence distribution: total effective weight}; the
-    grouping realizes prefix memoization, since commuting convolutions share
-    one canonical form.
+    Returns {(law, visit_counts): transition mass}.  `law` is the convolution
+    of the visited states' residences, `visit_counts[si * n_labels + ai]`
+    counts the steps that leave state si by label ai, and the mass sums the
+    products of transition probabilities over the class's paths.  Under a
+    memoryless scheduler sigma a path weighs its mass times the monomial
+    prod sigma[si, ai] ** count, so these classes are everything the
+    path-sum engines need.  Paths merge level by level on (current state,
+    law, counts); the law is carried forward in path order, because Dirac
+    shift sums depend on the order of their float additions.
     """
     m.state_index(start)
     for a in word:
         m.label_index(a)
+    n_l = len(m.labels)
+    level = {(start, Dirac(0.0), (0,) * (len(m.states) * n_l)): 1.0}
+    for a in word:
+        ai = m.label_index(a)
+        nxt: Dict[tuple, float] = {}
+        for (state, law, counts), mass in level.items():
+            row = m.succ(state, a)
+            if not row:
+                continue
+            law2 = convolve(law, m.residence_of(state))
+            k = m.state_index(state) * n_l + ai
+            counts2 = counts[:k] + (counts[k] + 1,) + counts[k + 1:]
+            for s2 in sorted(row, key=m.state_index):
+                p = row[s2]
+                if p > 0.0:
+                    key = (s2, law2, counts2)
+                    nxt[key] = nxt.get(key, 0.0) + mass * p
+        level = nxt
+    classes: Dict[Tuple[Distribution, tuple], float] = {}
+    for (_, law, counts), mass in level.items():
+        classes[(law, counts)] = classes.get((law, counts), 0.0) + mass
+    return classes
+
+
+def word_terms(m: Smdp, sch: Scheduler, start: str, word) -> Dict[Distribution, float]:
+    """Groups the state paths spelling `word` by their absorption-time law.
+
+    Returns {convolved residence distribution: total effective weight under
+    `sch`}; laws reached only by zero-weight paths are left out.
+    """
+    flat = sch.matrix(m).ravel().tolist()
     terms: Dict[Distribution, float] = {}
-
-    def rec(state, i, weight, dist):
-        if i == len(word):
-            terms[dist] = terms.get(dist, 0.0) + weight
-            return
-        a = word[i]
-        w_label = sch.weight(state, a)
-        if w_label <= 0.0:
-            return
-        row = m.succ(state, a)
-        if not row:
-            return
-        next_dist = convolve(dist, m.residence_of(state))
-        for s2 in sorted(row):
-            p = row[s2]
-            if p > 0.0:
-                rec(s2, i + 1, weight * w_label * p, next_dist)
-
-    rec(start, 0, 1.0, Dirac(0.0))
+    for (law, counts), mass in word_classes(m, start, word).items():
+        weight = mass * math.prod(w ** c for w, c in zip(flat, counts) if c)
+        if weight > 0.0:
+            terms[law] = terms.get(law, 0.0) + weight
     return terms
 
 
@@ -207,23 +229,7 @@ def prob_cylinder_paths(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylinder)
 
 def trace_probability(m: Smdp, sch: Scheduler, word) -> float:
     """Probability of emitting `word` with no time bound."""
-    m.state_index(m.initial)
-    for a in word:
-        m.label_index(a)
-
-    def rec(state, i, weight):
-        if i == len(word):
-            return weight
-        a = word[i]
-        w_label = sch.weight(state, a)
-        if w_label <= 0.0:
-            return 0.0
-        row = m.succ(state, a)
-        return _tree_sum(
-            rec(s2, i + 1, weight * w_label * row[s2])
-            for s2 in sorted(row) if row[s2] > 0.0)
-
-    return rec(m.initial, 0, 1.0)
+    return _tree_sum(word_terms(m, sch, m.initial, word).values())
 
 
 # ---------------------------------------------------------------------------

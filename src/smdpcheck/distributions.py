@@ -149,9 +149,6 @@ def phase_type(rates) -> Distribution:
 # ordering / rendering
 
 
-_KIND_RANK = {Dirac: 0, Exponential: 1, Uniform: 2, PhaseType: 3, Shifted: 4, MinMaxCdf: 5, NumericConvolution: 6}
-
-
 def sort_key(d: Distribution):
     """Total order on distributions; used to canonicalize commutative operands."""
     if isinstance(d, Dirac):
@@ -735,11 +732,7 @@ class GridSpec:
         return np.unique(np.concatenate(([0.0], lin, geo)))
 
     @staticmethod
-    def for_dominance(d1: Distribution, d2: Distribution, points: Optional[int] = None) -> "GridSpec":
-        if points is None:
-            import os
-
-            points = int(os.environ.get("SMDPCHECK_GRID_POINTS", "512"))
+    def for_dominance(d1: Distribution, d2: Distribution, points: int = 512) -> "GridSpec":
         hints = [h for h in (_rate_hint(d1), _rate_hint(d2)) if h is not None]
         t_rate = 20.0 / min(hints) if hints else 20.0
         t_supp = 2.0 * max(_support_hint(d1), _support_hint(d2))

@@ -12,11 +12,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from .composition import require_same_labels
-from .distributions import Dirac, GridSpec, cdf_eval, convolve, dominates
+from .cylinders import word_classes
+from .distributions import GridSpec, cdf_eval, dominates
 from .errors import SmdpcheckError
 from .model import Scheduler, Smdp
 
@@ -134,17 +136,14 @@ def _scheduler_products(m: Smdp, options, limit=None):
         yield np.array(combo, dtype=float)  # (n_states, n_labels)
 
 
-def _to_scheduler(m: Smdp, mat: np.ndarray) -> Scheduler:
-    return Scheduler.from_matrix(m, mat)
-
-
 # ---------------------------------------------------------------------------
 # word tables
 
 # For a fixed word, the cylinder probability is a polynomial in the scheduler
-# weights: each state path contributes (product of tau entries) * (product of
-# sigma(s)(a)^count) * F_conv(t).  The tables below freeze the exponents and
-# CDF rows so that evaluating a scheduler is a vectorized power-product.
+# weights: each path class of `word_classes` contributes (its transition mass)
+# * (product of sigma(s)(a)^count) * F_conv(t).  The tables below freeze the
+# exponents and CDF rows so that evaluating a scheduler is a vectorized
+# power-product.
 
 
 class _CdfCache:
@@ -162,65 +161,16 @@ class _CdfCache:
 
 class _FastWord:
     def __init__(self, m: Smdp, word: Tuple[str, ...], cache: _CdfCache):
-        n_s, n_l = len(m.states), len(m.labels)
-        exps, coeffs, rows = [], [], []
-
-        def rec(state, i, coeff, exp, dist):
-            if i == len(word):
-                exps.append(exp.copy())
-                coeffs.append(coeff)
-                rows.append(cache.row(dist))
-                return
-            a = word[i]
-            ai = m.label_index(a)
-            row = m.succ(state, a)
-            if not row:
-                return
-            si = m.state_index(state)
-            exp[si * n_l + ai] += 1
-            nxt = convolve(dist, m.residence_of(state))
-            for s2 in sorted(row, key=m.states.index):
-                p = row[s2]
-                if p > 0.0:
-                    rec(s2, i + 1, coeff * p, exp, nxt)
-            exp[si * n_l + ai] -= 1
-
-        rec(m.initial, 0, 1.0, np.zeros(n_s * n_l, dtype=np.int64), Dirac(0.0))
-        self.E = np.array(exps, dtype=np.int64) if exps else np.zeros((0, n_s * n_l), dtype=np.int64)
-        self.coeff = np.array(coeffs) if coeffs else np.zeros(0)
-        self.F = np.array(rows) if rows else np.zeros((0, len(cache.ts)))
+        classes = word_classes(m, m.initial, word)
+        n = len(classes)
+        self.E = np.array([counts for _, counts in classes], dtype=np.int64).reshape(
+            n, len(m.states) * len(m.labels))
+        self.coeff = np.array(list(classes.values()))
+        self.F = np.array([cache.row(law) for law, _ in classes]).reshape(n, len(cache.ts))
 
     def eval(self, flat: np.ndarray) -> np.ndarray:
-        if len(self.coeff) == 0:
-            return np.zeros(self.F.shape[1] if self.F.ndim == 2 else 0)
         powers = np.prod(flat[None, :] ** self.E, axis=1)
         return (powers * self.coeff) @ self.F
-
-
-def _slow_values(m: Smdp, sigma: np.ndarray, word, cache: _CdfCache) -> np.ndarray:
-    """Cylinder probabilities over the time grid for a fixed scheduler."""
-    acc = np.zeros(len(cache.ts))
-
-    def rec(state, i, weight, dist):
-        nonlocal acc
-        if i == len(word):
-            acc = acc + weight * cache.row(dist)
-            return
-        a = word[i]
-        w_label = sigma[m.state_index(state), m.label_index(a)]
-        if w_label <= 0.0:
-            return
-        row = m.succ(state, a)
-        if not row:
-            return
-        nxt = convolve(dist, m.residence_of(state))
-        for s2 in sorted(row, key=m.states.index):
-            p = row[s2]
-            if p > 0.0:
-                rec(s2, i + 1, weight * w_label * p, nxt)
-
-    rec(m.initial, 0, 1.0, Dirac(0.0))
-    return acc
 
 
 def _positive_words(m: Smdp, sigma: np.ndarray, depth: int):
@@ -309,17 +259,17 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
             f"({len(v_options)} options over {len(v.states)} states); "
             "increase the search step or reduce the model")
     candidates = list(_scheduler_products(u, u_options, limit=search.max_candidates))
-    fast_words: Dict[tuple, _FastWord] = {}
+    word_tables: Dict[tuple, Tuple[_FastWord, _FastWord]] = {}  # word -> (fast u, slow v)
 
     for sigma in _scheduler_products(v, v_options):
         words = list(_positive_words(v, sigma, depth))
         if not words:
             continue
-        slow = np.array([_slow_values(v, sigma, w, cache) for w in words])
         for w in words:
-            if w not in fast_words:
-                fast_words[w] = _FastWord(u, w, cache)
-        tables = [fast_words[w] for w in words]
+            if w not in word_tables:
+                word_tables[w] = (_FastWord(u, w, cache), _FastWord(v, w, cache))
+        tables = [word_tables[w][0] for w in words]
+        slow = np.array([word_tables[w][1].eval(sigma.ravel()) for w in words])
 
         cand_vals = np.array([[tb.eval(x.ravel()) for tb in tables] for x in candidates])
         cand_max = cand_vals.max(axis=0)  # (n_words, n_ts)
@@ -334,12 +284,12 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
                                   x0, search)
             if val < slow[wi, ti] - _SLACK:
                 witness = FtWitness(
-                    slow_scheduler=_to_scheduler(v, sigma),
+                    slow_scheduler=Scheduler.from_matrix(v, sigma),
                     word=format_word(words[wi]),
                     t=float(ts[ti]),
                     prob_fast=float(val),
                     prob_slow=float(slow[wi, ti]),
-                    fast_scheduler=_to_scheduler(u, x_best),
+                    fast_scheduler=Scheduler.from_matrix(u, x_best),
                     kind="per-cylinder-max",
                 )
         if witness is None:
@@ -355,12 +305,12 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
             vals = np.array([tb.eval(x_best.ravel()) for tb in tables])
             wi, ti = _first_true((vals - slow) <= margin + 1e-12)
             witness = FtWitness(
-                slow_scheduler=_to_scheduler(v, sigma),
+                slow_scheduler=Scheduler.from_matrix(v, sigma),
                 word=format_word(words[wi]),
                 t=float(ts[ti]),
                 prob_fast=float(vals[wi, ti]),
                 prob_slow=float(slow[wi, ti]),
-                fast_scheduler=_to_scheduler(u, x_best),
+                fast_scheduler=Scheduler.from_matrix(u, x_best),
                 kind="joint-best",
             )
         return FasterThanVerdict("Refuted", depth, grid, search, witness)
@@ -392,7 +342,8 @@ def _weight_function_exists(row1: Dict[str, float], row2: Dict[str, float], allo
     """Feasibility of a coupling with marginals row1/row2 supported on allowed.
 
     Decided by integer max-flow on masses quantized at 1e-9, so float
-    feasibility noise cannot flip the answer.
+    feasibility noise cannot flip the answer; the quantized total of a row
+    with mass at most one fits the int32 capacities that max-flow takes.
     """
     q1 = {s: _quantize(p) for s, p in row1.items() if _quantize(p) > 0}
     q2 = {s: _quantize(p) for s, p in row2.items() if _quantize(p) > 0}
@@ -401,18 +352,18 @@ def _weight_function_exists(row1: Dict[str, float], row2: Dict[str, float], allo
         return False
     if total1 == 0:
         return True
-    g = nx.DiGraph()
-    for s, q in q1.items():
-        g.add_edge("src", ("L", s), capacity=q)
-    for s2, q in q2.items():
-        g.add_edge(("R", s2), "snk", capacity=q)
-    for s in q1:
-        for s2 in q2:
-            if (s, s2) in allowed:
-                g.add_edge(("L", s), ("R", s2), capacity=total1)
-    if ("src" not in g) or ("snk" not in g):
-        return False
-    return nx.maximum_flow_value(g, "src", "snk") == total1
+    if len(q1) == 1 or len(q2) == 1:  # a lone state couples with every state on the other side
+        return all((s, s2) in allowed for s in q1 for s2 in q2)
+    # nodes: 0 = source, then row1's states, then row2's states, then the sink
+    left = {s: 1 + i for i, s in enumerate(q1)}
+    right = {s2: 1 + len(q1) + j for j, s2 in enumerate(q2)}
+    sink = 1 + len(q1) + len(q2)
+    edges = [(0, left[s], q) for s, q in q1.items()]
+    edges += [(right[s2], sink, q) for s2, q in q2.items()]
+    edges += [(left[s], right[s2], total1) for s in q1 for s2 in q2 if (s, s2) in allowed]
+    tails, heads, caps = zip(*edges)
+    graph = csr_matrix((np.array(caps, dtype=np.int32), (tails, heads)), shape=(sink + 1, sink + 1))
+    return maximum_flow(graph, 0, sink).flow_value == total1
 
 
 def simulates(u: Smdp, v: Smdp) -> RelationResult:

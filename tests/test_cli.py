@@ -57,15 +57,13 @@ def test_prob_engines(models, capsys):
 
 
 def test_prob_rect_engine(models, capsys):
-    code, report = run_json(capsys, "prob", "--model", models / "fig2_U.smdp",
-                            "--word", "a", "--t", "1.5", "--engine", "rect")
-    assert code == 0
-    import math
-    assert report["result"]["probability"] == pytest.approx(1 - math.exp(-3.0), abs=1e-12)
-    # rect bounds each step separately, so multi-letter words are rejected
-    code = main(["prob", "--model", str(models / "fig2_U.smdp"),
-                 "--word", "aa", "--t", "1.5", "--engine", "rect"])
-    assert code == 2
+    # rect cylinders bound each step separately, not the total time, so the
+    # time-bounded prob command offers no rect engine
+    with pytest.raises(SystemExit) as exc:
+        main(["prob", "--model", str(models / "fig2_U.smdp"),
+              "--word", "a", "--t", "1.5", "--engine", "rect"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'rect'" in capsys.readouterr().err
 
 
 def test_prob_with_scheduler(models, capsys):

@@ -1,5 +1,7 @@
 """Cylinder probability engines and their cross-checks."""
 
+import random
+
 import pytest
 
 from smdpcheck import corpus
@@ -12,10 +14,13 @@ from smdpcheck.cylinders import (
     prob_cylinder_paths,
     prob_rect_cylinder,
     trace_probability,
+    word_classes,
+    word_terms,
 )
 from smdpcheck.distributions import Exponential, PhaseType, cdf_eval, convolve_power
 from smdpcheck.errors import UnknownLabel, UnknownState
-from smdpcheck.model import Scheduler, dirac_scheduler, uniform_scheduler
+from smdpcheck.model import Scheduler, Smdp, dirac_scheduler, uniform_scheduler
+from tests_support import oracle_word_terms, random_two_label_model
 
 T_SATURATE = 1e6
 
@@ -150,6 +155,34 @@ def test_trace_probability(fig2_U, fig3_V):
     sch = Scheduler({"v0": {"a": q, "b": 1 - q}, "v1": {"a": 1.0}, "v2": {"b": 1.0}})
     assert trace_probability(fig3_V, sch, ("a",) * 3) == pytest.approx(q)
     assert trace_probability(fig3_V, sch, ("b", "a")) == 0.0
+
+
+def test_word_terms_match_path_enumeration():
+    """The merged forward kernel agrees with brute-force path enumeration."""
+    options = [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.3, 0.7)]
+    for seed in range(30):
+        rng = random.Random(seed)
+        m = random_two_label_model(rng, live_initial=True)
+        sch = Scheduler({s: dict(zip(m.labels, rng.choice(options))) for s in m.states})
+        for _ in range(3):
+            word = tuple(rng.choice(m.labels) for _ in range(rng.randint(1, 4)))
+            got = word_terms(m, sch, m.initial, word)
+            want = oracle_word_terms(m, sch, m.initial, word)
+            assert set(got) == set(want), (seed, word)
+            for law, weight in want.items():
+                assert got[law] == pytest.approx(weight, rel=0, abs=1e-12), (seed, word, law)
+
+
+def test_word_classes_merge_paths():
+    """2^16 paths of a branching ring collapse to a polynomial number of classes."""
+    states = [f"s{i}" for i in range(6)]
+    residence = {s: Exponential((1.0, 2.0, 3.0)[i % 3]) for i, s in enumerate(states)}
+    transitions = {(s, "a"): {states[(i + 1) % 6]: 0.5, states[(i + 2) % 6]: 0.5}
+                   for i, s in enumerate(states)}
+    m = Smdp(["a"], states, "s0", residence, transitions)
+    classes = word_classes(m, "s0", ("a",) * 16)
+    assert len(classes) < 2000
+    assert sum(classes.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- inductive engine ------------------------------------------------------------

@@ -10,6 +10,7 @@ from smdpcheck.distributions import Exponential
 from smdpcheck.errors import LabelMismatch
 from smdpcheck.relations import (
     SchedulerSearchSpec,
+    _weight_function_exists,
     bisimilar,
     equally_fast_bounded,
     faster_than_bounded,
@@ -176,6 +177,20 @@ def test_simulation_needs_matching_masses():
     b = Smdp(["a"], ["t0"], "t0", {"t0": Exponential(1.0)}, {("t0", "a"): {"t0": 1.0}})
     assert not simulates(a, b).holds
     assert not simulates(b, a).holds
+
+
+
+def test_coupling_feasibility():
+    """Weight functions by max-flow, and directly when one side has a single state."""
+    half = {"x": 0.5, "y": 0.5}
+    assert _weight_function_exists(half, {"p": 0.5, "q": 0.5}, {("x", "p"), ("y", "q")})
+    assert not _weight_function_exists(half, {"p": 0.5, "q": 0.5}, {("x", "p"), ("y", "p")})
+    row1, row2 = {"x": 0.3, "y": 0.7}, {"p": 0.6, "q": 0.4}
+    assert not _weight_function_exists(row1, row2, {("x", "p"), ("x", "q"), ("y", "q")})
+    assert _weight_function_exists(row1, row2, {("x", "p"), ("y", "p"), ("y", "q")})
+    assert not _weight_function_exists({"x": 1.0}, {"p": 0.5, "q": 0.5}, {("x", "p")})
+    assert _weight_function_exists({"x": 1.0}, {"p": 0.5, "q": 0.5}, {("x", "p"), ("x", "q")})
+    assert not _weight_function_exists(half, {"p": 0.5}, {("x", "p"), ("y", "p")})
 
 
 # --- bisimulation -----------------------------------------------------------------

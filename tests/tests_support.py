@@ -2,7 +2,7 @@
 
 import itertools
 
-from smdpcheck.distributions import Exponential, compose_residence, dominates
+from smdpcheck.distributions import Dirac, Exponential, compose_residence, convolve, dominates
 from smdpcheck.model import Smdp, has_deterministic_kernel
 
 
@@ -25,6 +25,26 @@ def random_two_label_model(rng, n_max=3, det=False, live_initial=False):
     if live_initial and (names[0], "a") not in trans:
         trans[(names[0], "a")] = {names[-1]: 1.0}
     return Smdp(["a", "b"], names, names[0], residence, trans)
+
+
+def oracle_word_terms(m, sch, start, word):
+    """Brute-force {absorption-time law: total weight} of the paths spelling `word`.
+
+    Enumerates every state sequence of length len(word) after `start`,
+    weighs it by scheduler weight times transition probability step by
+    step, and convolves the residences in path order.  Paths of zero
+    weight are left out.
+    """
+    terms = {}
+    for rest in itertools.product(m.states, repeat=len(word)):
+        path = (start,) + rest
+        weight, law = 1.0, Dirac(0.0)
+        for state, a, nxt in zip(path, word, rest):
+            weight *= sch.weight(state, a) * m.succ(state, a).get(nxt, 0.0)
+            law = convolve(law, m.residence_of(state))
+        if weight > 0.0:
+            terms[law] = terms.get(law, 0.0) + weight
+    return terms
 
 
 def lattice_points(n_labels, step=0.1):
