@@ -10,4 +10,4 @@ acceptance:
 	pytest tests/test_acceptance.py -v -s
 
 reproduce:
-	python3 -m smdpcheck.reproduce reproduce_report.json
+	PYTHONPATH=src python3 -m smdpcheck.reproduce reproduce_report.json

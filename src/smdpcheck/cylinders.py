@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .distributions import (
     Dirac,
@@ -260,6 +259,10 @@ def _conv_density_table(d: Distribution, G: np.ndarray, xs: np.ndarray) -> np.nd
     Richardson extrapolation until the correction drops below the tolerance;
     G is linearly interpolated onto the finer meshes.
     """
+    # imported here: scipy.signal is a third of the package's import time,
+    # and only the inductive engine needs it
+    from scipy.signal import fftconvolve
+
     t = float(xs[-1])
     n_coarse = len(xs) - 1
     prev = None

@@ -792,20 +792,36 @@ def dominates(d1: Distribution, d2: Distribution, grid: Optional[GridSpec] = Non
     return _grid_dominates(d1, d2, grid)
 
 
-def _grid_dominates(d1, d2, grid):
+def _grid_diffs(d1, d2, grid):
+    """(grid, ts, F1 - F2 on ts): the sampled difference both dominance checks read."""
     if grid is None:
         grid = GridSpec.for_dominance(d1, d2)
-    ts = [float(t) for t in grid.times()]
-    diffs = [cdf_eval(d1, t) - cdf_eval(d2, t) for t in ts]
-    first_neg = next((i for i, d in enumerate(diffs) if d < 0.0), None)
-    if first_neg is None:
+    ts = grid.times()
+    return grid, ts, cdf_vec(d1, ts) - cdf_vec(d2, ts)
+
+
+def _dominance_holds(d1: Distribution, d2: Distribution) -> bool:
+    """dominates(d1, d2).holds, without the search for a failure witness."""
+    rule = _analytic_dominance_rule(d1, d2)
+    if rule is not None:
+        return rule[0]
+    _, _, diffs = _grid_diffs(d1, d2, None)
+    return not (diffs < 0.0).any()
+
+
+def _grid_dominates(d1, d2, grid):
+    grid, ts, diffs = _grid_diffs(d1, d2, grid)
+    negative = np.flatnonzero(diffs < 0.0)
+    if negative.size == 0:
         return DominanceVerdict(
             "HoldsOnGrid", method=f"grid scan, {len(ts)} points, t_max={grid.t_max:g}")
-    crossing = _bisect_crossing(d1, d2, ts[first_neg - 1] if first_neg else 0.0, ts[first_neg])
-    # report the deepest violation; the refined crossing goes into the note
-    worst = min(range(len(ts)), key=lambda i: diffs[i])
+    first_neg = int(negative[0])
+    crossing = _bisect_crossing(d1, d2, float(ts[first_neg - 1]) if first_neg else 0.0,
+                                float(ts[first_neg]))
+    # report the deepest violation (its first occurrence); the refined crossing goes into the note
+    worst = int(diffs.argmin())
     return DominanceVerdict(
-        "FailsAtWitness", witness_t=ts[worst],
+        "FailsAtWitness", witness_t=float(ts[worst]),
         method=f"grid scan; CDFs cross near t={crossing:.9g}")
 
 

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import maximum_flow
 
 from .composition import require_same_labels
 from .cylinders import word_classes
-from .distributions import GridSpec, cdf_eval, dominates
+from .distributions import GridSpec, _dominance_holds, cdf_eval
 from .errors import SmdpcheckError
 from .model import Scheduler, Smdp
 
@@ -374,10 +374,14 @@ def simulates(u: Smdp, v: Smdp) -> RelationResult:
     the remaining relation.
     """
     require_same_labels(u, v)
+    holds: Dict[tuple, bool] = {}  # (v's law, u's law) -> dominance; many states share a law
     rel = set()
     for su in u.states:
         for sv in v.states:
-            if dominates(v.residence_of(sv), u.residence_of(su)).holds:
+            laws = (v.residence_of(sv), u.residence_of(su))
+            if laws not in holds:
+                holds[laws] = _dominance_holds(*laws)
+            if holds[laws]:
                 rel.add((su, sv))
     changed = True
     while changed:
@@ -406,17 +410,20 @@ def bisimilar(u: Smdp, v: Smdp) -> RelationResult:
 
     # initial partition by residence CDF equality
     reps: List[Tuple[object, int]] = []  # (distribution, block id)
+    block_of_law: Dict[object, int] = {}  # equal laws share a block without a dominance check
     block_of: Dict[Tuple[str, str], int] = {}
     for tag, s in union:
         d = model_of(tag).residence_of(s)
-        assigned = None
-        for rep_d, bid in reps:
-            if rep_d == d or (dominates(rep_d, d).holds and dominates(d, rep_d).holds):
-                assigned = bid
-                break
+        assigned = block_of_law.get(d)
         if assigned is None:
-            assigned = len(reps)
-            reps.append((d, assigned))
+            for rep_d, bid in reps:
+                if _dominance_holds(rep_d, d) and _dominance_holds(d, rep_d):
+                    assigned = bid
+                    break
+            if assigned is None:
+                assigned = len(reps)
+                reps.append((d, assigned))
+            block_of_law[d] = assigned
         block_of[(tag, s)] = assigned
 
     while True:

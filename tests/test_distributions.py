@@ -17,6 +17,7 @@ from smdpcheck.distributions import (
     PhaseType,
     Shifted,
     Uniform,
+    _dominance_holds,
     atom_mass,
     cdf_eval,
     cdf_vec,
@@ -29,6 +30,7 @@ from smdpcheck.distributions import (
     phase_type,
 )
 from smdpcheck.errors import UnsupportedComposition
+from tests_support import reference_dominates
 
 
 # --- independent oracles -----------------------------------------------------
@@ -321,6 +323,54 @@ def test_dominates_witness_reverifiable():
     v = dominates(Uniform(0.0, 10.0), Uniform(1.0, 2.0))
     assert v.outcome == "FailsAtWitness"
     assert cdf_eval(Uniform(0.0, 10.0), v.witness_t) < cdf_eval(Uniform(1.0, 2.0), v.witness_t)
+
+
+def _random_part(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Exponential(round(rng.uniform(0.2, 4.0), 2))
+    if kind == 1:
+        lo = round(rng.uniform(0.0, 1.0), 2)
+        return Uniform(lo, round(lo + rng.uniform(0.1, 2.0), 2))
+    if kind == 2:
+        return Dirac(round(rng.uniform(0.0, 2.0), 2))
+    return Shifted(Exponential(round(rng.uniform(0.2, 4.0), 2)), round(rng.uniform(0.05, 1.0), 2))
+
+
+def _random_law_pair(rng, part=_random_part):
+    """Two laws; in half of the pairs they share a part, so their CDFs touch."""
+    kinds = ("min", "max")
+    if rng.random() < 0.5:
+        return part(rng), part(rng)
+    a, b, c = part(rng), part(rng), part(rng)
+    left = MinMaxCdf(rng.choice(kinds), (a, b))
+    right = a if rng.random() < 0.3 else MinMaxCdf(rng.choice(kinds), (c, a))
+    return (left, right) if rng.random() < 0.5 else (right, left)
+
+
+def test_dominates_matches_scalar_scan():
+    rng = random.Random(20260)
+    pairs = [_random_law_pair(rng) for _ in range(400)]
+    outcomes = set()
+    for d1, d2 in pairs:
+        verdict = dominates(d1, d2)
+        assert verdict == reference_dominates(d1, d2), (d1, d2)
+        assert _dominance_holds(d1, d2) == verdict.holds
+        outcomes.add(verdict.outcome)
+    assert outcomes == {"HoldsAnalytic", "HoldsOnGrid", "FailsAtWitness"}
+
+
+def test_dominance_holds_matches_dominates_with_phase_type_parts():
+    def part(rng):
+        if rng.random() < 0.5:
+            return _random_part(rng)
+        rates = [round(rng.uniform(0.5, 3.0), 1) for _ in range(rng.randint(2, 3))]
+        return PhaseType(rates) if rng.random() < 0.7 else Shifted(PhaseType(rates), 0.25)
+
+    rng = random.Random(77)
+    for _ in range(60):
+        d1, d2 = _random_law_pair(rng, part)
+        assert _dominance_holds(d1, d2) == dominates(d1, d2).holds, (d1, d2)
 
 
 def test_grid_spec_validation():

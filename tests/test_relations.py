@@ -1,12 +1,14 @@
 """Faster-than checking, simulation, bisimulation."""
 
+import random
+
 import pytest
 
 from smdpcheck import corpus
 from smdpcheck.composition import compose
 from smdpcheck.cylinders import TimeBoundedCylinder, prob_cylinder_paths
 from smdpcheck.model import Smdp
-from smdpcheck.distributions import Exponential
+from smdpcheck.distributions import Exponential, Uniform
 from smdpcheck.errors import LabelMismatch
 from smdpcheck.relations import (
     SchedulerSearchSpec,
@@ -16,6 +18,7 @@ from smdpcheck.relations import (
     faster_than_bounded,
     simulates,
 )
+from tests_support import random_two_label_model, reference_bisimilar, reference_simulates
 
 
 @pytest.fixture(scope="module")
@@ -248,3 +251,30 @@ def test_incomparability_witnesses():
     assert faster_than_bounded(U, V, depth=8).outcome == "NotRefuted"
     assert not simulates(U, V).holds
     assert not bisimilar(U, V).holds
+
+
+def _uniform_context(rng):
+    """Two-label context whose states draw from two uniform laws, so composite states share laws."""
+    names = ["w0", "w1", "w2"]
+    lo = round(rng.uniform(0.1, 0.5), 2)
+    laws = [Uniform(0.0, 1.0), Uniform(lo, round(lo + rng.uniform(0.5, 1.5), 2))]
+    residence = {s: rng.choice(laws) for s in names}
+    trans = {(s, a): {t: 0.5 for t in rng.sample(names, 2)} for s in names for a in ("a", "b")}
+    return Smdp(["a", "b"], names, names[0], residence, trans)
+
+
+def test_relations_match_per_pair_dominance_on_uniform_composites():
+    """simulates/bisimilar check each pair of laws once; the verdicts are those of a per-state-pair check."""
+    rng = random.Random(4)
+    related = 0
+    for _ in range(12):
+        base = random_two_label_model(rng, live_initial=True)
+        a = compose(base, _uniform_context(rng), rng.choice(("min", "max")))
+        other = base if rng.random() < 0.5 else random_two_label_model(rng, live_initial=True)
+        b = compose(other, _uniform_context(rng), rng.choice(("min", "max")))
+        for left, right in ((a, b), (b, a), (a, a)):
+            sim, bis = simulates(left, right), bisimilar(left, right)
+            assert (sim.holds, sim.pairs) == reference_simulates(left, right)
+            assert (bis.holds, bis.pairs) == reference_bisimilar(left, right)
+            related += len(sim.pairs) + len(bis.pairs)
+    assert related > 100

@@ -2,8 +2,20 @@
 
 import itertools
 
-from smdpcheck.distributions import Dirac, Exponential, compose_residence, convolve, dominates
+from smdpcheck.distributions import (
+    Dirac,
+    DominanceVerdict,
+    Exponential,
+    GridSpec,
+    _analytic_dominance_rule,
+    _bisect_crossing,
+    cdf_eval,
+    compose_residence,
+    convolve,
+    dominates,
+)
 from smdpcheck.model import Smdp, has_deterministic_kernel
+from smdpcheck.relations import _quantize, _weight_function_exists
 
 
 def random_two_label_model(rng, n_max=3, det=False, live_initial=False):
@@ -140,3 +152,82 @@ def oracle_bounded_monotonicity(u, v, w, w2, op, n, tol=1e-9):
             if sum(need.values()) > 1.0 + tol:
                 return False
     return True
+
+
+def _scalar_grid_dominates(d1, d2, grid):
+    ts = [float(t) for t in grid.times()]
+    diffs = [cdf_eval(d1, t) - cdf_eval(d2, t) for t in ts]
+    first_neg = next((i for i, d in enumerate(diffs) if d < 0.0), None)
+    if first_neg is None:
+        return DominanceVerdict(
+            "HoldsOnGrid", method=f"grid scan, {len(ts)} points, t_max={grid.t_max:g}")
+    crossing = _bisect_crossing(d1, d2, ts[first_neg - 1] if first_neg else 0.0, ts[first_neg])
+    worst = min(range(len(ts)), key=lambda i: diffs[i])
+    return DominanceVerdict(
+        "FailsAtWitness", witness_t=ts[worst],
+        method=f"grid scan; CDFs cross near t={crossing:.9g}")
+
+
+def reference_dominates(d1, d2):
+    """`dominates` on its default grid, scanned point by point with scalar cdf_eval."""
+    grid = GridSpec.for_dominance(d1, d2)
+    rule = _analytic_dominance_rule(d1, d2)
+    if rule is None:
+        return _scalar_grid_dominates(d1, d2, grid)
+    holds, name = rule
+    if holds:
+        return DominanceVerdict("HoldsAnalytic", method=name)
+    for g in (grid, GridSpec.for_dominance(d1, d2, points=8192)):
+        verdict = _scalar_grid_dominates(d1, d2, g)
+        if verdict.outcome == "FailsAtWitness":
+            return DominanceVerdict("FailsAtWitness", witness_t=verdict.witness_t, method=name)
+    return DominanceVerdict("FailsAtWitness", witness_t=None, method=name)
+
+
+def reference_simulates(u, v):
+    """Greatest simulation fixpoint, calling `dominates` once per state pair."""
+    rel = {(su, sv) for su in u.states for sv in v.states
+           if dominates(v.residence_of(sv), u.residence_of(su)).holds}
+    changed = True
+    while changed:
+        changed = False
+        for su, sv in sorted(rel):
+            if not all(_weight_function_exists(u.succ(su, a), v.succ(sv, a), rel) for a in u.labels):
+                rel.discard((su, sv))
+                changed = True
+    return (u.initial, v.initial) in rel, tuple(sorted(rel))
+
+
+def reference_bisimilar(u, v):
+    """Partition refinement from blocks of two-way `dominates`, one call per state and block."""
+    union = [("L", u, s) for s in u.states] + [("R", v, s) for s in v.states]
+    reps = []
+    block = {}
+    for tag, m, s in union:
+        d = m.residence_of(s)
+        bid = next((b for rep, b in reps
+                    if rep == d or (dominates(rep, d).holds and dominates(d, rep).holds)), None)
+        if bid is None:
+            bid = len(reps)
+            reps.append((d, bid))
+        block[(tag, s)] = bid
+    while True:
+        keys = {}
+        for tag, m, s in union:
+            sig = []
+            for a in u.labels:
+                masses = {}
+                for s2, p in m.succ(s, a).items():
+                    if _quantize(p) > 0:
+                        b = block[(tag, s2)]
+                        masses[b] = masses.get(b, 0) + _quantize(p)
+                sig.append(tuple(sorted(masses.items())))
+            keys[(tag, s)] = (block[(tag, s)], tuple(sig))
+        ids = {}
+        new_block = {st: ids.setdefault(keys[st], len(ids)) for st in keys}
+        if new_block == block:
+            break
+        block = new_block
+    pairs = tuple(sorted((su, sv) for su in u.states for sv in v.states
+                         if block[("L", su)] == block[("R", sv)]))
+    return block[("L", u.initial)] == block[("R", v.initial)], pairs
