@@ -17,11 +17,8 @@ import numpy as np
 from .distributions import (
     Dirac,
     Distribution,
-    Exponential,
-    MinMaxCdf,
-    PhaseType,
     Shifted,
-    Uniform,
+    _scales,
     cdf_eval,
     cdf_vec,
     convolve,
@@ -235,23 +232,6 @@ def trace_probability(m: Smdp, sch: Scheduler, word) -> float:
 # inductive (grid-tabulation) engine
 
 
-def _max_rate_hint(d: Distribution) -> float:
-    """Largest curvature scale of the CDF; sizes the tabulation grid."""
-    if isinstance(d, Exponential):
-        return d.rate
-    if isinstance(d, PhaseType):
-        return max(d.rates)
-    if isinstance(d, Uniform):
-        return 2.0 / (d.hi - d.lo)
-    if isinstance(d, Shifted):
-        return _max_rate_hint(d.base)
-    if isinstance(d, MinMaxCdf):
-        return max(_max_rate_hint(p) for p in d.parts)
-    if isinstance(d, Dirac):
-        return 0.0
-    return 1.0
-
-
 def _conv_density_table(d: Distribution, G: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """(d * G)(x_j) for a density d and tabulated G, by refined trapezoid sums.
 
@@ -343,7 +323,7 @@ def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylin
         return _inductive_at_zero(m, sch, s, word, 0)
 
     if grid_points is None:
-        rate = max([1.0] + [_max_rate_hint(m.residence_of(x)) for x in m.states])
+        rate = max([1.0] + [_scales(m.residence_of(x))[1] for x in m.states])
         grid_points = int(min(max(1024, math.ceil(250.0 * rate * t)), 200_000))
     xs = np.linspace(0.0, t, grid_points + 1)
 

@@ -9,6 +9,8 @@ Stieltjes quadrature otherwise.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -187,43 +189,58 @@ def render(d: Distribution) -> str:
 
 
 # ---------------------------------------------------------------------------
-# phase-type CDF/pdf by truncated uniformization
+# phase-type CDF and density by truncated uniformization
 
 # The generator is the sequential bidiagonal chain over the rate multiset.
 # Uniformizing at the largest rate gives a substochastic jump matrix M with
 # M[i,i] = 1 - r_i/lam and M[i,i+1] = r_i/lam; the survival function is
-# sum_k Pois(k; lam*t) * |e_1 M^k|_1, truncated once the remaining Poisson
-# mass drops below _PHASE_EPS.  All terms are nonnegative, so the truncation
-# error bounds the absolute error.
-
-
-def _phase_row_iter(rates):
-    """Yields |e_1 M^k|_1 and the absorbing flux for k = 0, 1, 2, ..."""
-    n = len(rates)
-    lam = max(rates)
-    ratios = [r / lam for r in rates]
-    v = [0.0] * n
-    v[0] = 1.0
-    while True:
-        yield math.fsum(v), v[n - 1] * rates[n - 1]
-        nxt = [0.0] * n
-        for i in range(n):
-            nxt[i] += v[i] * (1.0 - ratios[i])
-            if i + 1 < n:
-                nxt[i + 1] += v[i] * ratios[i]
-        v = nxt
-
-
-def _phase_tail_negligible(rates, t):
-    # P(sum X_i > t) <= sum_i P(X_i > t/n); once that bound is below 1e-15
-    # the CDF is 1.0 to double precision.
-    n = len(rates)
-    return sum(math.exp(-min(700.0, r * t / n)) for r in rates) < 1e-15
-
+# sum_k Pois(k; lam*t) * |e_1 M^k|_1 and the density is the same series over
+# the absorbing flux (e_1 M^k)[n-1] * lam.  Each time point stops at the first
+# k whose Poisson mass reaches 1 - _PHASE_EPS; all terms are nonnegative, so
+# the truncation error bounds the absolute error.  The stop depends on lam*t
+# alone and each point is summed on its own, so a point's value does not
+# depend on the other points of the call: cdf_eval and _pdf are one-point
+# calls of the kernel that cdf_vec and pdf_vec use.
 
 # Above this value of lam*t the term-by-term series is too long; the matrix
 # form below covers the same uniformization at a reduced step plus squaring.
 _Q_DIRECT_LIMIT = 20000.0
+
+
+class _PhaseRows:
+    """|e_1 M^k|_1 and the absorbing flux (e_1 M^k)[n-1] * lam for k = 0, 1, ...
+
+    Kept per rate tuple as two float arrays, computed in pure Python and
+    extended, not recomputed, when a longer series asks for more.  The least
+    recently used tuples are dropped once more than `budget` rows (16 bytes
+    each) are held.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.held = 0
+        self.rows: "OrderedDict[tuple, tuple]" = OrderedDict()  # rates -> (surv, flux, e_1 M^len)
+
+    def __call__(self, rates, size: int):
+        surv, flux, v = self.rows.pop(rates, None) or (
+            array("d"), array("d"), [1.0] + [0.0] * (len(rates) - 1))
+        if len(surv) < size:
+            lam = rates[-1]
+            stay = [1.0 - r / lam for r in rates]
+            move = [r / lam for r in rates]
+            for _ in range(max(size, 2 * len(surv)) - len(surv)):
+                surv.append(math.fsum(v))
+                flux.append(v[-1] * lam)
+                self.held += 1
+                v = [v[0] * stay[0]] + [v[i] * stay[i] + v[i - 1] * move[i - 1] for i in range(1, len(v))]
+            while self.held > self.budget and self.rows:
+                self.held -= len(self.rows.popitem(last=False)[1][0])
+        self.rows[rates] = surv, flux, v
+        return surv, flux
+
+
+_phase_rows = _PhaseRows(budget=1 << 18)
+_lgamma = []  # lgamma(k + 1) for k = 0, 1, ...
 
 
 def _phase_expm_row(rates, t):
@@ -262,87 +279,48 @@ def _phase_expm_row(rates, t):
     return S[0]
 
 
-def _phase_type_cdf(rates, t):
-    if t <= 0.0:
-        return 0.0
-    if _phase_tail_negligible(rates, t):
-        return 1.0
-    q = max(rates) * t
-    if q > _Q_DIRECT_LIMIT:
-        surv = float(_phase_expm_row(rates, t).sum())
-        return min(1.0, max(0.0, 1.0 - surv))
-    logq = math.log(q)
-    surv = 0.0
-    covered = 0.0
-    rows = _phase_row_iter(rates)
-    kcap = int(q + 12.0 * math.sqrt(q + 1.0) + 60.0)
-    for k in range(kcap + 1):
-        s, _ = next(rows)
-        logw = -q + k * logq - math.lgamma(k + 1)
-        w = math.exp(logw) if logw > -745.0 else 0.0
-        surv += w * s
-        covered += w
-        if covered >= 1.0 - _PHASE_EPS or (k > q and w == 0.0):
-            break
-    return min(1.0, max(0.0, 1.0 - surv))
+def _phase_series(rates, ts):
+    """(F(t), f(t)) of PhaseType(rates) at every time in ts, as two arrays.
 
-
-def _phase_type_pdf(rates, t):
-    if t <= 0.0 or _phase_tail_negligible(rates, t):
-        return 0.0
-    q = max(rates) * t
-    if q > _Q_DIRECT_LIMIT:
-        rates_sorted = tuple(sorted(rates))
-        return max(0.0, float(_phase_expm_row(rates_sorted, t)[-1]) * rates_sorted[-1])
-    logq = math.log(q)
-    dens = 0.0
-    covered = 0.0
-    rows = _phase_row_iter(rates)
-    kcap = int(q + 12.0 * math.sqrt(q + 1.0) + 60.0)
-    for k in range(kcap + 1):
-        _, flux = next(rows)
-        logw = -q + k * logq - math.lgamma(k + 1)
-        w = math.exp(logw) if logw > -745.0 else 0.0
-        dens += w * flux
-        covered += w
-        if covered >= 1.0 - _PHASE_EPS or (k > q and w == 0.0):
-            break
-    return max(0.0, dens)
-
-
-def _phase_type_cdf_vec(rates, ts):
-    """Vectorized CDF over an array of times (shared series)."""
+    Regimes per point: F = f = 0 for t <= 0; F = 1, f = 0 once the tail is
+    negligible; the matrix form above lam*t = _Q_DIRECT_LIMIT; else the
+    uniformization series.
+    """
     ts = np.asarray(ts, dtype=float)
-    out = np.zeros_like(ts)
-    live = ts > 0.0
-    saturated = np.array([_phase_tail_negligible(rates, t) if alive else False
-                          for t, alive in zip(ts, live)])
-    out[saturated] = 1.0
-    lam = max(rates)
-    huge = live & ~saturated & (lam * ts > _Q_DIRECT_LIMIT)
-    for i in np.flatnonzero(huge):
-        out[i] = _phase_type_cdf(rates, float(ts[i]))
-    work = live & ~saturated & ~huge
-    if not work.any():
-        return out
-    tw = ts[work]
-    q = lam * tw
-    qmax = float(q.max())
-    kmax = int(qmax + 10.0 * math.sqrt(qmax + 1.0) + 60.0)
-    logq = np.log(q)
-    surv = np.zeros_like(tw)
-    covered = np.zeros_like(tw)
-    rows = _phase_row_iter(rates)
-    for k in range(kmax + 1):
-        s, _ = next(rows)
-        logw = -q + k * logq - math.lgamma(k + 1)
-        w = np.where(logw > -745.0, np.exp(logw), 0.0)
-        surv += w * s
-        covered += w
-        if covered.min() >= 1.0 - _PHASE_EPS:
-            break
-    out[work] = np.clip(1.0 - surv, 0.0, 1.0)
-    return out
+    n, lam = len(rates), rates[-1]
+    out = []
+    for t in ts.ravel().tolist():
+        q = lam * t
+        if not t > 0.0:
+            out.append((0.0, 0.0))
+        # P(sum X_i > t) <= sum_i P(X_i > t/n) < 1e-15: F is 1.0 to double precision
+        elif sum(math.exp(-min(700.0, r * t / n)) for r in rates) < 1e-15:
+            out.append((1.0, 0.0))
+        elif q > _Q_DIRECT_LIMIT:
+            row = _phase_expm_row(rates, t)
+            out.append((min(1.0, max(0.0, 1.0 - float(row.sum()))), max(0.0, float(row[-1]) * lam)))
+        else:
+            # hard cap: float summation can plateau just below the target coverage
+            cap = int(q + 12.0 * math.sqrt(q + 1.0) + 60.0)
+            while len(_lgamma) <= cap:
+                _lgamma.append(math.lgamma(len(_lgamma) + 1))
+            logq = math.log(q)
+            weights = []
+            covered = 0.0
+            for k in range(cap + 1):
+                logw = -q + k * logq - _lgamma[k]
+                w = math.exp(logw) if logw > -745.0 else 0.0
+                weights.append(w)
+                covered += w
+                if covered >= 1.0 - _PHASE_EPS or (k > q and w == 0.0):
+                    break
+            surv = dens = 0.0
+            for w, s, flux in zip(weights, *_phase_rows(rates, len(weights))):
+                surv += w * s
+                dens += w * flux
+            out.append((min(1.0, max(0.0, 1.0 - surv)), max(0.0, dens)))
+    values = np.array(out).reshape(ts.shape + (2,))
+    return values[..., 0], values[..., 1]
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +349,7 @@ def _pdf(d: Distribution, x: float) -> float:
     if isinstance(d, Uniform):
         return 1.0 / (d.hi - d.lo) if d.lo <= x <= d.hi else 0.0
     if isinstance(d, PhaseType):
-        return _phase_type_pdf(d.rates, x)
+        return float(_phase_series(d.rates, (x,))[1][0])
     if isinstance(d, Shifted):
         return _pdf(d.base, x - d.shift)
     if isinstance(d, MinMaxCdf):
@@ -440,7 +418,7 @@ def cdf_eval(d: Distribution, t: float) -> float:
             return 1.0
         return (t - d.lo) / (d.hi - d.lo)
     if isinstance(d, PhaseType):
-        return _phase_type_cdf(d.rates, t)
+        return float(_phase_series(d.rates, (t,))[0][0])
     if isinstance(d, Shifted):
         return cdf_eval(d.base, t - d.shift)
     if isinstance(d, MinMaxCdf):
@@ -460,7 +438,7 @@ def cdf_vec(d: Distribution, ts) -> np.ndarray:
     if isinstance(d, Uniform):
         return np.clip((ts - d.lo) / (d.hi - d.lo), 0.0, 1.0)
     if isinstance(d, PhaseType):
-        return _phase_type_cdf_vec(d.rates, ts)
+        return _phase_series(d.rates, ts)[0]
     if isinstance(d, Shifted):
         return cdf_vec(d.base, ts - d.shift)
     if isinstance(d, MinMaxCdf):
@@ -468,37 +446,6 @@ def cdf_vec(d: Distribution, ts) -> np.ndarray:
         b = cdf_vec(d.parts[1], ts)
         return np.minimum(a, b) if d.kind == "min" else np.maximum(a, b)
     return np.array([cdf_eval(d, float(t)) for t in ts])
-
-
-def _phase_type_pdf_vec(rates, ts):
-    ts = np.asarray(ts, dtype=float)
-    out = np.zeros_like(ts)
-    live = np.array([t > 0.0 and not _phase_tail_negligible(rates, t) for t in ts])
-    lam = max(rates)
-    huge = live & (lam * ts > _Q_DIRECT_LIMIT)
-    for i in np.flatnonzero(huge):
-        out[i] = _phase_type_pdf(rates, float(ts[i]))
-    work = live & ~huge
-    if not work.any():
-        return out
-    tw = ts[work]
-    q = lam * tw
-    qmax = float(q.max())
-    kmax = int(qmax + 10.0 * math.sqrt(qmax + 1.0) + 60.0)
-    logq = np.log(q)
-    dens = np.zeros_like(tw)
-    covered = np.zeros_like(tw)
-    rows = _phase_row_iter(rates)
-    for k in range(kmax + 1):
-        _, flux = next(rows)
-        logw = -q + k * logq - math.lgamma(k + 1)
-        w = np.where(logw > -745.0, np.exp(logw), 0.0)
-        dens += w * flux
-        covered += w
-        if covered.min() >= 1.0 - _PHASE_EPS:
-            break
-    out[work] = np.maximum(dens, 0.0)
-    return out
 
 
 def pdf_vec(d: Distribution, ts) -> np.ndarray:
@@ -509,7 +456,7 @@ def pdf_vec(d: Distribution, ts) -> np.ndarray:
     if isinstance(d, Uniform):
         return np.where((ts >= d.lo) & (ts <= d.hi), 1.0 / (d.hi - d.lo), 0.0)
     if isinstance(d, PhaseType):
-        return _phase_type_pdf_vec(d.rates, ts)
+        return _phase_series(d.rates, ts)[1]
     if isinstance(d, Shifted):
         return pdf_vec(d.base, ts - d.shift)
     if isinstance(d, MinMaxCdf):
@@ -674,40 +621,32 @@ class DominanceVerdict:
         return self.outcome in ("HoldsAnalytic", "HoldsOnGrid")
 
 
-def _rate_hint(d: Distribution):
-    """Smallest exponential-like rate occurring in d, or None."""
-    if isinstance(d, Exponential):
-        return d.rate
-    if isinstance(d, PhaseType):
-        return min(d.rates)
-    if isinstance(d, Shifted):
-        return _rate_hint(d.base)
-    if isinstance(d, (MinMaxCdf,)):
-        hints = [h for h in (_rate_hint(p) for p in d.parts) if h is not None]
-        return min(hints) if hints else None
-    if isinstance(d, NumericConvolution):
-        hints = [h for h in (_rate_hint(f) for f in d.factors) if h is not None]
-        return min(hints) if hints else None
-    return None
+def _scales(d: Distribution):
+    """(smallest rate or None, largest rate, support) of d.
 
-
-def _support_hint(d: Distribution) -> float:
-    """A time scale by which most of the mass of d has arrived."""
+    The smallest exponential-like rate and the support (a time by which most
+    of the mass has arrived) size the dominance grid; the largest rate, the
+    curvature scale of the CDF, sizes the inductive engine's tabulation grid.
+    """
     if isinstance(d, Dirac):
-        return d.point
+        return None, 0.0, d.point
     if isinstance(d, Exponential):
-        return 1.0 / d.rate
+        return d.rate, d.rate, 1.0 / d.rate
     if isinstance(d, Uniform):
-        return d.hi
+        return None, 2.0 / (d.hi - d.lo), d.hi
     if isinstance(d, PhaseType):
-        return sum(1.0 / r for r in d.rates)
+        return min(d.rates), max(d.rates), sum(1.0 / r for r in d.rates)
     if isinstance(d, Shifted):
-        return d.shift + _support_hint(d.base)
-    if isinstance(d, MinMaxCdf):
-        return max(_support_hint(p) for p in d.parts)
-    if isinstance(d, NumericConvolution):
-        return sum(_support_hint(f) for f in d.factors)
-    return 1.0
+        low, high, support = _scales(d.base)
+        return low, high, d.shift + support
+    if isinstance(d, (MinMaxCdf, NumericConvolution)):
+        parts = [_scales(p) for p in (d.parts if isinstance(d, MinMaxCdf) else d.factors)]
+        rates = [p[0] for p in parts if p[0] is not None]
+        low = min(rates) if rates else None
+        if isinstance(d, MinMaxCdf):
+            return low, max(p[1] for p in parts), max(p[2] for p in parts)
+        return low, 1.0, sum(p[2] for p in parts)
+    return None, 1.0, 1.0
 
 
 @dataclass(frozen=True)
@@ -733,9 +672,10 @@ class GridSpec:
 
     @staticmethod
     def for_dominance(d1: Distribution, d2: Distribution, points: int = 512) -> "GridSpec":
-        hints = [h for h in (_rate_hint(d1), _rate_hint(d2)) if h is not None]
-        t_rate = 20.0 / min(hints) if hints else 20.0
-        t_supp = 2.0 * max(_support_hint(d1), _support_hint(d2))
+        (low1, _, supp1), (low2, _, supp2) = _scales(d1), _scales(d2)
+        rates = [r for r in (low1, low2) if r is not None]
+        t_rate = 20.0 / min(rates) if rates else 20.0
+        t_supp = 2.0 * max(supp1, supp2)
         return GridSpec(t_max=max(t_rate, t_supp, 1e-6), points=points)
 
 

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import maximum_flow
 
 from .composition import require_same_labels
 from .cylinders import word_classes
-from .distributions import GridSpec, _dominance_holds, cdf_eval
+from .distributions import GridSpec, _dominance_holds, cdf_vec
 from .errors import SmdpcheckError
 from .model import Scheduler, Smdp
 
@@ -154,7 +154,7 @@ class _CdfCache:
     def row(self, dist) -> np.ndarray:
         got = self._rows.get(dist)
         if got is None:
-            got = np.array([cdf_eval(dist, float(t)) for t in self.ts])
+            got = cdf_vec(dist, self.ts)
             self._rows[dist] = got
         return got
 

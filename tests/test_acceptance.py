@@ -117,6 +117,22 @@ def test_criterion_3_maximum_anomaly_values(capsys, composites):
           f"(0.7476/0.9084 +-0.005) in {dt:.2f}s")
 
 
+# U*W and V*W at word aa, t = 2, as reproduce_report.json records them; the
+# phase-type series behind them is accurate to 1e-12 (README, Tolerances)
+PINNED_ANOMALY_VALUES = {
+    "prodrate": (0.09289481901206098, 0.30175184371009456),
+    "min": (0.39957640089372803, 0.5155992914009886),
+    "max": (0.7476450724155089, 0.9084218055563291),
+}
+
+
+def test_anomaly_values_pinned_to_report(capsys, composites):
+    for op, (fast, slow) in PINNED_ANOMALY_VALUES.items():
+        uw, vw = composites[op]
+        assert _prob_cli(capsys, uw, "aa", 2.0) == pytest.approx(fast, abs=1e-12), op
+        assert _prob_cli(capsys, vw, "aa", 2.0) == pytest.approx(slow, abs=1e-12), op
+
+
 def test_criterion_4_anomaly_refutations(capsys, composites):
     from smdpcheck.model import parse_model
 

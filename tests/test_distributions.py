@@ -18,6 +18,8 @@ from smdpcheck.distributions import (
     Shifted,
     Uniform,
     _dominance_holds,
+    _pdf,
+    _scales,
     atom_mass,
     cdf_eval,
     cdf_vec,
@@ -45,6 +47,18 @@ def hypoexp_cdf(rates, t):
                 w *= rj / (rj - ri)
         total += w * math.exp(-ri * t)
     return 1.0 - total
+
+
+def hypoexp_pdf(rates, t):
+    """Density of the alternating-sum form; valid for pairwise-distinct rates."""
+    total = 0.0
+    for i, ri in enumerate(rates):
+        w = 1.0
+        for j, rj in enumerate(rates):
+            if i != j:
+                w *= rj / (rj - ri)
+        total += w * ri * math.exp(-ri * t)
+    return total
 
 
 def erlang_cdf(rate, n, t):
@@ -132,11 +146,60 @@ def test_cdf_nondecreasing_and_bounded():
 
 def test_cdf_vec_agrees_with_scalar():
     ts = np.linspace(0.0, 6.0, 37)
-    for d in (Exponential(2.0), PhaseType((2.0, 2.0, 0.5)), Uniform(0.3, 1.1),
-              Dirac(1.5), Shifted(PhaseType((1.0, 2.0)), 0.5)):
+    for d in (Exponential(2.0), Uniform(0.3, 1.1), Dirac(1.5)):
         vec = cdf_vec(d, ts)
         for t, v in zip(ts, vec):
             assert v == pytest.approx(cdf_eval(d, float(t)), abs=1e-12)
+    # phase-type laws go through one kernel either way: the same bits
+    for d in (PhaseType((2.0, 2.0, 0.5)), Shifted(PhaseType((1.0, 2.0)), 0.5)):
+        vec = cdf_vec(d, ts)
+        for t, v in zip(ts, vec):
+            assert v == cdf_eval(d, float(t))
+
+
+def test_phase_type_scalar_and_vector_agree_bitwise():
+    # every regime: t <= 0, a negligible tail, the series, the matrix form
+    # above lam*t = 20000; each point's bits must not depend on the others
+    rng = random.Random(4242)
+    for _ in range(12):
+        rates = tuple(round(rng.uniform(0.2, 5.0), 3) for _ in range(rng.randint(2, 4)))
+        ts = [-1.0, 0.0, 1e-7, 0.05, 0.7, 2.0, 6.5, 1e4, 1e6]
+        _assert_scalar_equals_vector(PhaseType(rates), ts)
+        assert cdf_vec(PhaseType(rates), [1e4, 1e6]).tolist() == [1.0, 1.0]
+    for _ in range(2):
+        rates = (round(rng.uniform(1e-3, 1e-2), 5), round(rng.uniform(0.5, 2.0), 3),
+                 round(rng.uniform(500.0, 2000.0), 1))
+        edge = 20000.0 / max(rates)
+        ts = [0.5 * edge, edge, 1.5 * edge, 40.0 * edge, 3.0]
+        _assert_scalar_equals_vector(PhaseType(rates), ts)
+        assert 0.0 < cdf_vec(PhaseType(rates), [1.5 * edge])[0] < 1.0
+
+
+def _assert_scalar_equals_vector(d, ts):
+    rng = random.Random(len(ts))
+    shuffled = rng.sample(ts, len(ts))
+    for order in (ts, shuffled):
+        cdf, pdf = cdf_vec(d, np.array(order)), pdf_vec(d, np.array(order))
+        for t, F, f in zip(order, cdf, pdf):
+            assert F == cdf_eval(d, t) and f == _pdf(d, t), (d, t)
+
+
+def test_phase_type_expm_branch_density_and_continuity():
+    # above lam*t = 20000 the CDF and density come from the squared matrix
+    # form; check the density against the closed form, and both quantities
+    # for a jump where the series hands over.  Float rounding on either side
+    # of the switch is about 1e-11 (against 50-digit values), above the
+    # 1e-12 truncation error, so the bounds below allow 1e-10.
+    for rates in ((0.001, 1000.0), (0.02, 3.0, 500.0)):
+        d = PhaseType(rates)
+        for t in (50.0, 400.0, 3000.0):
+            assert max(rates) * t > 20000.0
+            assert _pdf(d, t) == pytest.approx(hypoexp_pdf(rates, t), rel=1e-8), (rates, t)
+        edge = 20000.0 / max(rates)
+        below, above = math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)
+        assert max(rates) * below <= 20000.0 < max(rates) * above
+        assert cdf_eval(d, above) == pytest.approx(cdf_eval(d, below), abs=1e-10)
+        assert _pdf(d, above) == pytest.approx(_pdf(d, below), rel=1e-9)
 
 
 # --- convolve ---------------------------------------------------------------
@@ -348,9 +411,18 @@ def _random_law_pair(rng, part=_random_part):
     return (left, right) if rng.random() < 0.5 else (right, left)
 
 
+def _random_phase_part(rng):
+    if rng.random() < 0.5:
+        return _random_part(rng)
+    rates = [round(rng.uniform(0.5, 3.0), 1) for _ in range(rng.randint(2, 3))]
+    return PhaseType(rates) if rng.random() < 0.7 else Shifted(PhaseType(rates), 0.25)
+
+
 def test_dominates_matches_scalar_scan():
     rng = random.Random(20260)
     pairs = [_random_law_pair(rng) for _ in range(400)]
+    # a pair with phase-type parts costs about 50 ms, ten plain pairs' worth
+    pairs += [_random_law_pair(rng, _random_phase_part) for _ in range(15)]
     outcomes = set()
     for d1, d2 in pairs:
         verdict = dominates(d1, d2)
@@ -361,16 +433,27 @@ def test_dominates_matches_scalar_scan():
 
 
 def test_dominance_holds_matches_dominates_with_phase_type_parts():
-    def part(rng):
-        if rng.random() < 0.5:
-            return _random_part(rng)
-        rates = [round(rng.uniform(0.5, 3.0), 1) for _ in range(rng.randint(2, 3))]
-        return PhaseType(rates) if rng.random() < 0.7 else Shifted(PhaseType(rates), 0.25)
-
     rng = random.Random(77)
     for _ in range(60):
-        d1, d2 = _random_law_pair(rng, part)
+        d1, d2 = _random_law_pair(rng, _random_phase_part)
         assert _dominance_holds(d1, d2) == dominates(d1, d2).holds, (d1, d2)
+
+
+def test_scales_of_each_family():
+    # (smallest rate or None, largest rate, support): the dominance grid reads
+    # the first and last, the inductive engine's grid the middle one
+    u, e = Uniform(0.5, 1.5), Exponential(2.0)
+    assert _scales(Dirac(0.7)) == (None, 0.0, 0.7)
+    assert _scales(e) == (2.0, 2.0, 0.5)
+    assert _scales(u) == (None, 2.0, 1.5)
+    assert _scales(PhaseType((1.0, 4.0))) == (1.0, 4.0, 1.25)
+    assert _scales(Shifted(u, 2.0)) == (None, 2.0, 3.5)
+    assert _scales(MinMaxCdf("min", (u, e))) == (2.0, 2.0, 1.5)
+    assert _scales(MinMaxCdf("max", (u, Dirac(3.0)))) == (None, 2.0, 3.0)
+    assert _scales(NumericConvolution((u, e))) == (2.0, 1.0, 2.0)
+    assert _scales(NumericConvolution((u, Uniform(0.0, 1.0)))) == (None, 1.0, 2.5)
+    assert GridSpec.for_dominance(u, e).t_max == 10.0
+    assert GridSpec.for_dominance(u, Dirac(0.2)).t_max == 20.0
 
 
 def test_grid_spec_validation():
