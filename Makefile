@@ -1,4 +1,20 @@
-.PHONY: install test acceptance reproduce
+.PHONY: install test acceptance reproduce reproduce-check
+
+# Diffs two reproduce reports over every field but elapsed_seconds.
+define REPORT_DIFF
+import difflib, json, sys
+
+def fields(x):
+    if isinstance(x, dict):
+        return {k: fields(v) for k, v in x.items() if k != "elapsed_seconds"}
+    return [fields(v) for v in x] if isinstance(x, list) else x
+
+old, new = (json.dumps(fields(json.load(open(p))), indent=1).splitlines() for p in sys.argv[1:])
+diff = list(difflib.unified_diff(old, new, sys.argv[1], "regenerated", lineterm=""))
+print("\n".join(diff) or "every field but elapsed_seconds matches " + sys.argv[1])
+sys.exit(1 if diff else 0)
+endef
+export REPORT_DIFF
 
 install:
 	pip install -e . --no-build-isolation
@@ -11,3 +27,8 @@ acceptance:
 
 reproduce:
 	PYTHONPATH=src python3 -m smdpcheck.reproduce reproduce_report.json
+
+reproduce-check:
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	PYTHONPATH=src python3 -m smdpcheck.reproduce "$$tmp" && \
+	python3 -c "$$REPORT_DIFF" reproduce_report.json "$$tmp"

@@ -17,7 +17,7 @@ import time
 from . import __version__
 from .composition import compose
 from .cylinders import TimeBoundedCylinder, prob_cylinder_inductive, prob_cylinder_paths
-from .distributions import CompositionOperator, GridSpec
+from .distributions import CompositionOperator, GridSpec, compose_residence
 from .errors import SmdpcheckError
 from .model import (
     Scheduler,
@@ -29,10 +29,9 @@ from .model import (
     validate_scheduler,
 )
 from .monotonicity import check_monotonicity_bounded, check_strong_monotonicity, path_bound
-from .montecarlo import estimate_cylinder
-from .relations import SchedulerSearchSpec, bisimilar, faster_than_bounded, simulates
+from .montecarlo import estimate_cylinder, wilson_bounds
+from .relations import SchedulerSearchSpec, bisimilar, faster_than_bounded, format_word, simulates
 from .smt import export_smt_dominance
-from .distributions import compose_residence
 
 REPORT_SCHEMA = "smdpcheck-report/1"
 
@@ -47,9 +46,10 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _parse_word(text):
-    """One label per character, or comma-separated for multi-char labels."""
-    return tuple(text.split(",")) if "," in text else tuple(text)
+def _parse_word(text, labels):
+    """Comma-separated if there is a comma or a multi-character label, else a label per character."""
+    multi = "," in text or any(len(a) > 1 for a in labels)
+    return tuple(text.split(",")) if multi else tuple(text)
 
 
 def _load_model(path):
@@ -144,10 +144,10 @@ def _cmd_prob(args):
     rep = _Report("prob", [args.model] + ([args.scheduler] if args.scheduler else []))
     m = _load_model(args.model)
     sch = _load_scheduler(args.scheduler, m) if args.scheduler else uniform_scheduler(m)
-    word = _parse_word(args.word)
+    word = _parse_word(args.word, m.labels)
     engine = prob_cylinder_paths if args.engine == "paths" else prob_cylinder_inductive
     value = engine(m, sch, m.initial, TimeBoundedCylinder(word, args.t))
-    report = rep.finish(result={"word": "".join(word), "t": args.t,
+    report = rep.finish(result={"word": format_word(word), "t": args.t,
                                 "engine": args.engine, "probability": value})
     _emit(args, report, [f"{value:.6f}"])
     return 0
@@ -296,12 +296,13 @@ def _cmd_simulate(args):
     rep = _Report("simulate", [args.model] + ([args.scheduler] if args.scheduler else []))
     m = _load_model(args.model)
     sch = _load_scheduler(args.scheduler, m) if args.scheduler else uniform_scheduler(m)
-    est, half = estimate_cylinder(m, sch, _parse_word(args.word), args.t, args.samples, args.seed,
-                                  workers=args.jobs)
-    report = rep.finish(result={"word": args.word, "t": args.t, "samples": args.samples,
-                                "seed": args.seed, "workers": args.jobs,
-                                "estimate": est, "ci99_halfwidth": half})
-    _emit(args, report, [f"{est:.6f} +- {half:.6f} (99% CI)"])
+    word = _parse_word(args.word, m.labels)
+    est, half = estimate_cylinder(m, sch, word, args.t, args.samples, args.seed, workers=args.jobs)
+    lo, hi = wilson_bounds(est, args.samples)
+    report = rep.finish(result={"word": format_word(word), "t": args.t, "samples": args.samples,
+                                "seed": args.seed, "workers": args.jobs, "estimate": est,
+                                "ci99_halfwidth": half, "ci99_wilson": [lo, hi]})
+    _emit(args, report, [f"{est:.6f} +- {half:.6f} (99% CI), Wilson [{lo:.6f}, {hi:.6f}]"])
     return 0
 
 
@@ -383,7 +384,8 @@ def build_parser():
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--samples", type=int, default=100000)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="number of seed streams; they run one after another in one process")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=_cmd_simulate)
 

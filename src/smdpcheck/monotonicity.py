@@ -9,9 +9,11 @@ to a caller-given depth.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .composition import composite_name, require_same_labels
 from .distributions import compose_residence, dominates
@@ -233,17 +235,14 @@ def _best_assignment(pressures: Dict[str, Dict[str, float]]) -> float:
 
     pressures maps label -> {context state: forced mass}.  Each context state
     carries one scheduler distribution, so an adversary can dedicate it to a
-    single label; the worst case is the best injective assignment.
+    single label; the worst case is the best injective assignment.  The
+    pressures are nonnegative, so that is a maximum-weight matching.
     """
     labels = [a for a in pressures if pressures[a]]
     ctx_states = sorted({s for a in labels for s in pressures[a]})
-    best = 0.0
-    for k in range(1, min(len(labels), len(ctx_states)) + 1):
-        for chosen in itertools.combinations(labels, k):
-            for assigned in itertools.permutations(ctx_states, k):
-                val = sum(pressures[a].get(s, 0.0) for a, s in zip(chosen, assigned))
-                best = max(best, val)
-    return best
+    weights = np.array([[pressures[a].get(s, 0.0) for s in ctx_states] for a in labels], ndmin=2)
+    rows, cols = linear_sum_assignment(weights, maximize=True)
+    return float(weights[rows, cols].sum())
 
 
 def check_strong_monotonicity(u: Smdp, v: Smdp, w: Smdp, w2: Smdp, op: str,

@@ -12,10 +12,10 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .distributions import Dirac, Distribution, Exponential, Uniform, cdf_eval
+from .distributions import Dirac, Distribution, Exponential, Uniform, cdf_vec
 from .model import Scheduler, Smdp
 
-__all__ = ["TimedPath", "Deadlock", "sample_path", "estimate_cylinder"]
+__all__ = ["TimedPath", "Deadlock", "sample_path", "estimate_cylinder", "wilson_bounds"]
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -36,24 +36,27 @@ class Deadlock:
     prefix: TimedPath
 
 
-def _inverse_cdf(d: Distribution, q: float) -> float:
+def _quantile(d: Distribution, qs) -> np.ndarray:
+    """Inverse CDF of d at each of qs: closed forms for Dirac, exponential and
+    uniform laws; any other law doubles hi from 1.0 while F(hi) < q (up to
+    1e12), then bisects all points at once, each until hi - lo <= 1e-9.
+    """
+    qs = np.asarray(qs, dtype=float)
     if isinstance(d, Dirac):
-        return d.point
+        return np.full_like(qs, d.point)
     if isinstance(d, Exponential):
-        return -math.log1p(-q) / d.rate
+        return -np.log1p(-qs) / d.rate
     if isinstance(d, Uniform):
-        return d.lo + q * (d.hi - d.lo)
-    # generic monotone inversion: expand a bracket, then bisect to 1e-9
-    hi = 1.0
-    while cdf_eval(d, hi) < q and hi < 1e12:
-        hi *= 2.0
-    lo = 0.0
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if cdf_eval(d, mid) < q:
-            lo = mid
-        else:
-            hi = mid
+        return d.lo + qs * (d.hi - d.lo)
+    hi, lo, grow = np.ones_like(qs), np.zeros_like(qs), np.ones_like(qs, dtype=bool)
+    while grow.any():
+        grow[grow] = (cdf_vec(d, hi[grow]) < qs[grow]) & (hi[grow] < 1e12)
+        hi[grow] *= 2.0
+    while (open_ := np.flatnonzero(hi - lo > 1e-9)).size:
+        mid = 0.5 * (lo[open_] + hi[open_])
+        below = cdf_vec(d, mid) < qs[open_]
+        lo[open_[below]] = mid[below]
+        hi[open_[~below]] = mid[~below]
     return hi
 
 
@@ -96,24 +99,13 @@ def sample_path(m: Smdp, sch: Scheduler, length: int, seed: int) -> Union[TimedP
         target = _pick(rng, [(s2, row.get(s2, 0.0)) for s2 in m.states])
         if target is None:
             return Deadlock(TimedPath(tuple(steps)))
-        sojourn = _inverse_cdf(m.residence_of(state), rng.random())
+        sojourn = float(_quantile(m.residence_of(state), [rng.random()])[0])
         steps.append((label, sojourn, target))
         state = target
     return TimedPath(tuple(steps))
 
 
-def _sojourn_vec(d: Distribution, qs: np.ndarray) -> np.ndarray:
-    if isinstance(d, Dirac):
-        return np.full_like(qs, d.point)
-    if isinstance(d, Exponential):
-        return -np.log1p(-qs) / d.rate
-    if isinstance(d, Uniform):
-        return d.lo + qs * (d.hi - d.lo)
-    return np.array([_inverse_cdf(d, float(q)) for q in qs])
-
-
 def _estimate_chunk(m: Smdp, sch: Scheduler, word, t: float, size: int, rng) -> int:
-    n_states = len(m.states)
     cur = np.full(size, m.state_index(m.initial), dtype=np.int64)
     alive = np.ones(size, dtype=bool)
     total = np.zeros(size)
@@ -123,12 +115,11 @@ def _estimate_chunk(m: Smdp, sch: Scheduler, word, t: float, size: int, rng) -> 
     for a in word:
         ai = m.label_index(a)
         before = cur.copy()  # states at the start of this word position
-        for si in range(n_states):
+        for si, s in enumerate(m.states):
             mask = alive & (before == si)
             k = int(np.count_nonzero(mask))
             if k == 0:
                 continue
-            s = m.states[si]
             cum = label_cum[si]
             lo = cum[ai - 1] if ai > 0 else 0.0
             u = rng.random(k)
@@ -145,7 +136,7 @@ def _estimate_chunk(m: Smdp, sch: Scheduler, word, t: float, size: int, rng) -> 
             else:
                 dead = np.ones(k, dtype=bool)
                 targets = np.zeros(k, dtype=np.int64)
-            sojourn = _sojourn_vec(m.residence_of(s), rng.random(k))
+            sojourn = _quantile(m.residence_of(s), rng.random(k))
             ok = matched & ~dead
             sel = np.flatnonzero(mask)
             alive[sel[~ok]] = False
@@ -175,10 +166,17 @@ def estimate_cylinder(m: Smdp, sch: Scheduler, word, t: float, samples: int, see
     hits = 0
     for i, child in enumerate(children):
         size = base + (1 if i < extra else 0)
-        if size == 0:
-            continue
         rng = np.random.Generator(np.random.PCG64(child))
         hits += _estimate_chunk(m, sch, word, t, size, rng)
     p = hits / samples
     half = _Z99 * math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
     return p, half
+
+
+def wilson_bounds(estimate: float, samples: int) -> Tuple[float, float]:
+    """99% Wilson score interval (Wilson, JASA 1927) around a sampled fraction;
+    unlike the normal half-width, it stays about z^2/n wide at an estimate of 0 or 1."""
+    z2 = _Z99 * _Z99 / samples
+    center = (estimate + z2 / 2.0) / (1.0 + z2)
+    half = _Z99 * math.sqrt(estimate * (1.0 - estimate) / samples + z2 / (4.0 * samples)) / (1.0 + z2)
+    return max(0.0, center - half), min(1.0, center + half)

@@ -168,6 +168,28 @@ def test_simulate_cli(models, capsys):
     assert abs(r["estimate"] - 0.5156) <= max(3 * r["ci99_halfwidth"], 0.01)
 
 
+def test_words_over_multi_character_labels(tmp_path, capsys):
+    model = tmp_path / "gostop.smdp"
+    model.write_text("labels: go stop\nstates: s0 s1\ninitial: s0\nresidence:\n"
+                     "  s0 exp(1)\n  s1 exp(2)\ntransitions:\n  s0 go s1 1\n  s1 stop s0 1\n")
+    code, report = run_json(capsys, "prob", "--model", model, "--word", "go", "--t", "1")
+    assert code == 0
+    assert report["result"]["word"] == "go"
+    assert report["result"]["probability"] == pytest.approx(0.5 * (1 - 2.718281828459045 ** -1))
+    code, report = run_json(capsys, "prob", "--model", model, "--word", "go,stop", "--t", "1")
+    assert code == 0 and report["result"]["word"] == "go,stop"
+    # at p-hat = 0 the normal half-width collapses; the Wilson bounds do not
+    code, report = run_json(capsys, "simulate", "--model", model, "--word", "go,stop",
+                            "--t", "0.0001", "--samples", "1000")
+    r = report["result"]
+    assert code == 0 and r["word"] == "go,stop"
+    assert r["estimate"] == 0.0 and r["ci99_halfwidth"] < 1e-100
+    assert r["ci99_wilson"][0] == 0.0 and 0.006 < r["ci99_wilson"][1] < 0.007
+    code, out = run(capsys, "simulate", "--model", model, "--word", "go,stop",
+                    "--t", "0.0001", "--samples", "1000")
+    assert code == 0 and "Wilson [0.000000, 0.006" in out
+
+
 def test_report_shape(models, capsys):
     code, report = run_json(capsys, "validate", models / "fig2_U.smdp")
     assert report["schema"] == "smdpcheck-report/1"

@@ -9,13 +9,18 @@ from smdpcheck.composition import compose
 from smdpcheck.distributions import Exponential, cdf_eval
 from smdpcheck.model import Smdp, has_deterministic_kernel
 from smdpcheck.monotonicity import (
+    _best_assignment,
     check_monotonicity_bounded,
     check_strong_monotonicity,
     enumerate_state_paths,
     path_bound,
 )
 from smdpcheck.relations import faster_than_bounded
-from tests_support import oracle_bounded_monotonicity, random_two_label_model
+from tests_support import (
+    oracle_bounded_monotonicity,
+    random_two_label_model,
+    reference_best_assignment,
+)
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +202,27 @@ def test_vertex_reduction_matches_brute_force_on_random_models():
         assert mine == oracle, trial
         checked += 1
     assert checked == 40
+
+
+def _random_pressures(rng, n_labels, n_ctx):
+    """label -> {context state: mass}, some pairs missing, some labels empty."""
+    return {f"a{i}": {f"w{j}": rng.random() for j in range(n_ctx) if rng.random() < 0.7}
+            for i in range(n_labels)}
+
+
+def test_best_assignment_matches_enumeration():
+    rng = random.Random(66)
+    for n_labels in range(1, 6):
+        for n_ctx in range(1, 6):
+            for _ in range(6):
+                pressures = _random_pressures(rng, n_labels, n_ctx)
+                assert _best_assignment(pressures) == pytest.approx(
+                    reference_best_assignment(pressures), abs=1e-12), pressures
+    assert _best_assignment({}) == 0.0
+    assert _best_assignment({"a": {}, "b": {}}) == 0.0
+    assert _best_assignment({"a": {"w0": 0.5}, "b": {"w0": 0.75}}) == 0.75
+    # 7 labels over 8 context states, where the enumeration visits 8!/(8-k)! orders per
+    # k-label subset
+    pressures = _random_pressures(random.Random(7), 7, 8)
+    assert _best_assignment(pressures) == pytest.approx(
+        reference_best_assignment(pressures), abs=1e-12)

@@ -1,12 +1,30 @@
 """Sampling and statistical estimation."""
 
+import numpy as np
 import pytest
 
 from smdpcheck import corpus
 from smdpcheck.cylinders import TimeBoundedCylinder, prob_cylinder_paths
-from smdpcheck.distributions import Dirac, Exponential
+from smdpcheck.distributions import (
+    Dirac,
+    Exponential,
+    MinMaxCdf,
+    NumericConvolution,
+    PhaseType,
+    Shifted,
+    Uniform,
+    cdf_eval,
+)
 from smdpcheck.model import Smdp, dirac_scheduler, uniform_scheduler
-from smdpcheck.montecarlo import Deadlock, TimedPath, estimate_cylinder, sample_path
+from smdpcheck.montecarlo import (
+    Deadlock,
+    TimedPath,
+    _quantile,
+    estimate_cylinder,
+    sample_path,
+    wilson_bounds,
+)
+from tests_support import reference_inverse_cdf
 
 
 def test_deterministic_chain_path():
@@ -44,8 +62,6 @@ def test_deadlock_is_a_value():
 
 def test_generic_inverse_sampling():
     # phase-type residence exercises the numeric inversion path
-    from smdpcheck.distributions import PhaseType
-
     m = Smdp(["a"], ["s0"], "s0", {"s0": PhaseType((1.0, 2.0))}, {("s0", "a"): {"s0": 1.0}})
     p = sample_path(m, dirac_scheduler(m, "a"), 3, seed=11)
     assert all(t > 0.0 for _, t, _ in p.steps)
@@ -96,3 +112,70 @@ def test_estimate_with_branching_scheduler():
     analytic = prob_cylinder_paths(V3, half, "v0", TimeBoundedCylinder(("a", "a"), 1.0))
     est, hw = estimate_cylinder(V3, half, ("a", "a"), 1.0, samples=200000, seed=17)
     assert abs(est - analytic) <= hw
+
+
+_BISECTED_LAWS = (
+    PhaseType((1.0, 2.0)),
+    PhaseType((0.4, 1.5, 3.0)),
+    Shifted(PhaseType((0.7, 2.2)), 0.25),
+    MinMaxCdf("min", (Exponential(0.9), Uniform(0.4, 1.86))),
+    MinMaxCdf("min", (Uniform(0.1, 0.6), Exponential(3.0))),
+    MinMaxCdf("max", (Exponential(2.4), Uniform(0.31, 1.43))),
+    MinMaxCdf("max", (Uniform(0.0, 2.0), Exponential(0.3))),
+)
+
+
+def test_quantile_matches_scalar_bisection():
+    qs = np.random.default_rng(2026).random(40)
+    qs[:3] = (0.0, 1e-12, 1.0 - 1e-12)
+    for d in _BISECTED_LAWS:
+        got = _quantile(d, qs)
+        assert got.tolist() == [reference_inverse_cdf(d, float(q)) for q in qs], d
+        assert [_quantile(d, [q])[0] for q in qs] == got.tolist(), d
+    conv = NumericConvolution((MinMaxCdf("max", (Exponential(0.9), Uniform(0.4, 1.86))),
+                               Uniform(0.1, 0.8)))
+    got = _quantile(conv, qs[3:6])
+    assert got.tolist() == [reference_inverse_cdf(conv, float(q)) for q in qs[3:6]]
+    assert [_quantile(conv, [q])[0] for q in qs[3:6]] == got.tolist()
+
+
+def test_quantile_closed_forms():
+    qs = np.random.default_rng(7).random(200)
+    for d in (Dirac(1.25), Uniform(0.3, 1.7)):
+        assert _quantile(d, qs).tolist() == [reference_inverse_cdf(d, float(q)) for q in qs]
+    # numpy's log1p and math.log1p may differ in the last bit
+    d = Exponential(1.7)
+    ref = np.array([reference_inverse_cdf(d, float(q)) for q in qs])
+    assert np.all(np.abs(_quantile(d, qs) - ref) <= 2 * np.spacing(ref))
+    for d in (Dirac(1.25), Uniform(0.3, 1.7), d):
+        assert [_quantile(d, [q])[0] for q in qs] == _quantile(d, qs).tolist()
+
+
+def test_min_max_estimate_makes_no_cdf_eval_lookups():
+    residence = {"s0": MinMaxCdf("min", (Exponential(0.9), Uniform(0.4, 1.86))),
+                 "s1": MinMaxCdf("max", (Uniform(0.31, 1.43), Exponential(2.4)))}
+    m = Smdp(["a"], ["s0", "s1"], "s0", residence,
+             {("s0", "a"): {"s1": 0.7, "s0": 0.3}, ("s1", "a"): {"s0": 1.0}})
+    before = cdf_eval.cache_info()
+    result = estimate_cylinder(m, uniform_scheduler(m), ("a", "a"), 1.5, samples=2000, seed=5)
+    after = cdf_eval.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
+    # the value that the per-sample scalar bisection with cdf_eval returned
+    assert result == (0.3815, 0.02797816356964493)
+
+
+def test_wilson_bounds_stay_open_at_zero_and_one():
+    U = corpus.load("fig2_U.smdp")
+    est, half = estimate_cylinder(U, dirac_scheduler(U, "a"), ("a", "a"), 1e-4, samples=1000, seed=5)
+    assert est == 0.0 and half < 1e-100  # the normal half-width collapses
+    lo, hi = wilson_bounds(est, 1000)
+    assert lo == 0.0 and 0.006 < hi < 0.007  # about z^2 / n
+    lo, hi = wilson_bounds(1.0, 1000)
+    assert hi == pytest.approx(1.0, abs=1e-15) and 0.993 < lo < 0.994
+    # the Wilson bounds are the roots p of (p_hat - p)^2 = z^2 p (1 - p) / n
+    z2 = 2.5758293035489004 ** 2
+    for p_hat, n in ((0.5, 10 ** 6), (0.3, 1000), (0.004, 1000)):
+        lo, hi = wilson_bounds(p_hat, n)
+        assert lo < p_hat < hi
+        for p in (lo, hi):
+            assert (p_hat - p) ** 2 == pytest.approx(z2 * p * (1.0 - p) / n, rel=1e-9)

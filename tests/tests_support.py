@@ -1,12 +1,14 @@
 """Shared helpers for the test suite: random models and independent oracles."""
 
 import itertools
+import math
 
 from smdpcheck.distributions import (
     Dirac,
     DominanceVerdict,
     Exponential,
     GridSpec,
+    Uniform,
     _analytic_dominance_rule,
     _bisect_crossing,
     cdf_eval,
@@ -231,3 +233,39 @@ def reference_bisimilar(u, v):
     pairs = tuple(sorted((su, sv) for su in u.states for sv in v.states
                          if block[("L", su)] == block[("R", sv)]))
     return block[("L", u.initial)] == block[("R", v.initial)], pairs
+
+
+def reference_inverse_cdf(d, q):
+    """One sample's inverse CDF, with scalar cdf_eval: a bracket doubled from
+    1.0 while F(hi) < q (up to 1e12), then bisection to 1e-9, returning hi."""
+    if isinstance(d, Dirac):
+        return d.point
+    if isinstance(d, Exponential):
+        return -math.log1p(-q) / d.rate
+    if isinstance(d, Uniform):
+        return d.lo + q * (d.hi - d.lo)
+    hi = 1.0
+    while cdf_eval(d, hi) < q and hi < 1e12:
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if cdf_eval(d, mid) < q:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def reference_best_assignment(pressures):
+    """Best injective label -> context-state assignment, by enumerating every
+    label subset and every ordered choice of context states for it."""
+    labels = [a for a in pressures if pressures[a]]
+    ctx_states = sorted({s for a in labels for s in pressures[a]})
+    best = 0.0
+    for k in range(1, min(len(labels), len(ctx_states)) + 1):
+        for chosen in itertools.combinations(labels, k):
+            for assigned in itertools.permutations(ctx_states, k):
+                val = sum(pressures[a].get(s, 0.0) for a, s in zip(chosen, assigned))
+                best = max(best, val)
+    return best
