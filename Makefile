@@ -1,4 +1,4 @@
-.PHONY: install test acceptance reproduce reproduce-check
+.PHONY: install test acceptance reproduce reproduce-check check
 
 # Diffs two reproduce reports over every field but elapsed_seconds.
 define REPORT_DIFF
@@ -32,3 +32,8 @@ reproduce-check:
 	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
 	PYTHONPATH=src python3 -m smdpcheck.reproduce "$$tmp" && \
 	python3 -c "$$REPORT_DIFF" reproduce_report.json "$$tmp"
+
+# The tier-1 tests, then the reproduce report diff: the "same numbers" gate.
+check:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
+	$(MAKE) reproduce-check

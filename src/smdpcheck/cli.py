@@ -190,14 +190,21 @@ def _cmd_faster_than(args):
     verdict = faster_than_bounded(fast, slow, args.depth, grid, search)
     report = rep.finish(result={
         "outcome": verdict.outcome,
-        "meaning": ("Refuted is a theorem-level counterexample; "
+        "meaning": ("Refuted: the witness re-verifies, and no fast scheduler in the explored "
+                    "lattice plus coordinate ascent matched this adversary; "
                     "NotRefuted is bounded evidence only"),
         "depth": args.depth,
         "tmax": args.tmax,
         "step": args.step,
+        "candidates": verdict.candidates,
+        "candidate_lattice": verdict.candidate_lattice,
+        "candidates_truncated": verdict.candidates_truncated,
         "witness": _witness_dict(verdict.witness),
     })
     lines = [f"{verdict.outcome} (depth {args.depth}, tmax {args.tmax}, step {args.step})"]
+    if verdict.candidates_truncated:
+        lines.append(f"  fast lattice truncated: {verdict.candidates} of "
+                     f"{verdict.candidate_lattice} schedulers searched")
     if verdict.witness:
         w = verdict.witness
         lines.append(f"  witness: word {w.word} at t={w.t:g}: "

@@ -161,6 +161,40 @@ def _rect_rec(m, sch, s, steps, k):
 # path-enumeration engine
 
 
+def initial_level(m: Smdp, start: str) -> Dict[tuple, float]:
+    """The level of the empty word: {(state, law, visit_counts): mass}."""
+    m.state_index(start)
+    return {(start, Dirac(0.0), (0,) * (len(m.states) * len(m.labels))): 1.0}
+
+
+def extend_level(m: Smdp, level: Dict[tuple, float], a: str) -> Dict[tuple, float]:
+    """The level of a word one letter `a` longer than the word of `level`."""
+    ai = m.label_index(a)
+    n_l = len(m.labels)
+    nxt: Dict[tuple, float] = {}
+    for (state, law, counts), mass in level.items():
+        row = m.succ(state, a)
+        if not row:
+            continue
+        law2 = convolve(law, m.residence_of(state))
+        k = m.state_index(state) * n_l + ai
+        counts2 = counts[:k] + (counts[k] + 1,) + counts[k + 1:]
+        for s2 in sorted(row, key=m.state_index):
+            p = row[s2]
+            if p > 0.0:
+                key = (s2, law2, counts2)
+                nxt[key] = nxt.get(key, 0.0) + mass * p
+    return nxt
+
+
+def merge_level(level: Dict[tuple, float]) -> Dict[Tuple[Distribution, tuple], float]:
+    """Drops the current state of a level's entries: {(law, visit_counts): mass}."""
+    classes: Dict[Tuple[Distribution, tuple], float] = {}
+    for (_, law, counts), mass in level.items():
+        classes[(law, counts)] = classes.get((law, counts), 0.0) + mass
+    return classes
+
+
 def word_classes(m: Smdp, start: str, word) -> Dict[Tuple[Distribution, tuple], float]:
     """Groups the state paths spelling `word` from `start` into scheduler-free classes.
 
@@ -174,31 +208,10 @@ def word_classes(m: Smdp, start: str, word) -> Dict[Tuple[Distribution, tuple], 
     law, counts); the law is carried forward in path order, because Dirac
     shift sums depend on the order of their float additions.
     """
-    m.state_index(start)
+    level = initial_level(m, start)
     for a in word:
-        m.label_index(a)
-    n_l = len(m.labels)
-    level = {(start, Dirac(0.0), (0,) * (len(m.states) * n_l)): 1.0}
-    for a in word:
-        ai = m.label_index(a)
-        nxt: Dict[tuple, float] = {}
-        for (state, law, counts), mass in level.items():
-            row = m.succ(state, a)
-            if not row:
-                continue
-            law2 = convolve(law, m.residence_of(state))
-            k = m.state_index(state) * n_l + ai
-            counts2 = counts[:k] + (counts[k] + 1,) + counts[k + 1:]
-            for s2 in sorted(row, key=m.state_index):
-                p = row[s2]
-                if p > 0.0:
-                    key = (s2, law2, counts2)
-                    nxt[key] = nxt.get(key, 0.0) + mass * p
-        level = nxt
-    classes: Dict[Tuple[Distribution, tuple], float] = {}
-    for (_, law, counts), mass in level.items():
-        classes[(law, counts)] = classes.get((law, counts), 0.0) + mass
-    return classes
+        level = extend_level(m, level, a)
+    return merge_level(level)
 
 
 def word_terms(m: Smdp, sch: Scheduler, start: str, word) -> Dict[Distribution, float]:

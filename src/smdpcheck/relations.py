@@ -13,11 +13,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .composition import require_same_labels
-from .cylinders import word_classes
+from .cylinders import extend_level, initial_level, merge_level
 from .distributions import GridSpec, _dominance_holds, cdf_vec
 from .errors import SmdpcheckError
 from .model import Scheduler, Smdp
@@ -41,6 +39,7 @@ def format_word(word) -> str:
 
 _SLACK = 1e-9     # probability slack of the faster-than comparison
 _FLOW_SCALE = 10 ** 9  # quantization of masses for exact integer max-flow
+_EVAL_BUDGET = 1 << 20  # float64 entries of the power array of one evaluation block
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,9 @@ class FasterThanVerdict:
     grid: GridSpec
     search: SchedulerSearchSpec
     witness: Optional[FtWitness] = None
+    candidates: int = 0          # fast schedulers evaluated from the lattice
+    candidate_lattice: int = 0   # fast schedulers in the full lattice
+    candidates_truncated: bool = False  # search.max_candidates cut the lattice
 
     @property
     def refuted(self) -> bool:
@@ -142,35 +144,42 @@ def _scheduler_products(m: Smdp, options, limit=None):
 # For a fixed word, the cylinder probability is a polynomial in the scheduler
 # weights: each path class of `word_classes` contributes (its transition mass)
 # * (product of sigma(s)(a)^count) * F_conv(t).  The tables below freeze the
-# exponents and CDF rows so that evaluating a scheduler is a vectorized
-# power-product.
+# exponents and CDF rows so that evaluating schedulers is a vectorized
+# power-product.  Each word's level extends its prefix's level, so a word's
+# classes cost one letter of path merging.
 
 
-class _CdfCache:
-    def __init__(self, ts: np.ndarray):
-        self.ts = ts
-        self._rows: Dict[object, np.ndarray] = {}
-
-    def row(self, dist) -> np.ndarray:
-        got = self._rows.get(dist)
-        if got is None:
-            got = cdf_vec(dist, self.ts)
-            self._rows[dist] = got
-        return got
+def _word_table(m: Smdp, level: dict, ts: np.ndarray, rows: dict) -> tuple:
+    """(exponents E, masses coeff, CDF rows F on ts, kept in `rows`) of a word's level."""
+    classes = merge_level(level)
+    return (np.array([counts for _, counts in classes], dtype=np.int64).reshape(
+                -1, len(m.states) * len(m.labels)),
+            np.array(list(classes.values())),
+            np.array([rows[law] if law in rows else rows.setdefault(law, cdf_vec(law, ts))
+                      for law, _ in classes]).reshape(-1, len(ts)))
 
 
-class _FastWord:
-    def __init__(self, m: Smdp, word: Tuple[str, ...], cache: _CdfCache):
-        classes = word_classes(m, m.initial, word)
-        n = len(classes)
-        self.E = np.array([counts for _, counts in classes], dtype=np.int64).reshape(
-            n, len(m.states) * len(m.labels))
-        self.coeff = np.array(list(classes.values()))
-        self.F = np.array([cache.row(law) for law, _ in classes]).reshape(n, len(cache.ts))
+class _Stack:
+    """Several words' tables stacked, evaluated for a batch of schedulers at once."""
 
-    def eval(self, flat: np.ndarray) -> np.ndarray:
-        powers = np.prod(flat[None, :] ** self.E, axis=1)
-        return (powers * self.coeff) @ self.F
+    def __init__(self, tables):
+        self.E = np.concatenate([E for E, _, _ in tables])
+        self.coeff = np.concatenate([coeff for _, coeff, _ in tables])
+        self.F = [F for _, _, F in tables]
+        ends = np.cumsum([len(F) for F in self.F]).tolist()
+        self.spans = list(zip([0] + ends, ends))
+
+    def eval(self, X: np.ndarray) -> np.ndarray:
+        """(points, n_states, n_labels) schedulers -> (points, words, times) probabilities.
+
+        A (1, n) @ (n, times) product per point and word sums in the same order
+        whatever the batch; spans padded to one length would not."""
+        flat = X.reshape(len(X), -1)
+        rows = max(1, _EVAL_BUDGET // max(1, self.E.size))
+        W = np.concatenate([np.prod(flat[i:i + rows, None, :] ** self.E, axis=2)
+                            for i in range(0, len(flat), rows)]) * self.coeff
+        return np.stack([(W[:, None, lo:hi] @ F[None])[:, 0]
+                         for (lo, hi), F in zip(self.spans, self.F)], axis=1)
 
 
 def _positive_words(m: Smdp, sigma: np.ndarray, depth: int):
@@ -198,26 +207,33 @@ def _positive_words(m: Smdp, sigma: np.ndarray, depth: int):
 # coordinate ascent on scheduler matrices
 
 
-def _ascend(objective, x0: np.ndarray, search: SchedulerSearchSpec) -> Tuple[np.ndarray, float]:
-    """Maximizes objective over the product of per-state label simplexes."""
+def _ascend(objective, x0: np.ndarray, best: float,
+            search: SchedulerSearchSpec) -> Tuple[np.ndarray, float]:
+    """Maximizes objective (a stack of points -> their values; `best` at x0) over the
+    product of per-state label simplexes.  A sweep takes the first improving move in
+    order, evaluating all moves still to try from the current point at once."""
     x = x0.copy()
-    best = objective(x)
     delta = search.step
     n_s, n_l = x.shape
+    moves = np.array([(s, i, j) for s in range(n_s) for i in range(n_l)
+                      for j in range(n_l) if i != j], dtype=np.int64).reshape(-1, 3)
     for _ in range(search.ascent_iters):
         improved = False
-        for s in range(n_s):
-            for i in range(n_l):
-                for j in range(n_l):
-                    if i == j or x[s, j] < delta - 1e-15:
-                        continue
-                    y = x.copy()
-                    y[s, j] -= delta
-                    y[s, i] += delta
-                    val = objective(y)
-                    if val > best + 1e-15:
-                        x, best = y, val
-                        improved = True
+        pos = np.arange(len(moves))
+        while True:
+            pos = pos[x[moves[pos, 0], moves[pos, 2]] >= delta - 1e-15]
+            if not len(pos):
+                break
+            s, i, j = moves[pos].T
+            ys = np.repeat(x[None], len(pos), axis=0)
+            ys[np.arange(len(pos)), s, j] -= delta
+            ys[np.arange(len(pos)), s, i] += delta
+            vals = objective(ys)
+            hit = np.flatnonzero(vals > best + 1e-15)
+            if not len(hit):
+                break
+            x, best, improved = ys[hit[0]], vals[hit[0]], True
+            pos = np.arange(pos[hit[0]] + 1, len(moves))
         if not improved:
             delta *= 0.5
             if delta < search.min_delta:
@@ -248,7 +264,6 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
     grid = grid or GridSpec(t_max=10.0, points=5, geometric=False)
     search = search or SchedulerSearchSpec()
     ts = grid.times()
-    cache = _CdfCache(ts)
 
     u_options = _simplex_options(len(u.labels), search.step)
     v_options = _simplex_options(len(v.labels), search.step)
@@ -258,68 +273,56 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
             f"adversary lattice has {n_adversaries} schedulers "
             f"({len(v_options)} options over {len(v.states)} states); "
             "increase the search step or reduce the model")
-    candidates = list(_scheduler_products(u, u_options, limit=search.max_candidates))
-    word_tables: Dict[tuple, Tuple[_FastWord, _FastWord]] = {}  # word -> (fast u, slow v)
+    candidates = np.array(list(_scheduler_products(u, u_options, limit=search.max_candidates)))
+    lattice = len(u_options) ** len(u.states)
+    counts = dict(candidates=len(candidates), candidate_lattice=lattice,
+                  candidates_truncated=len(candidates) < lattice)
+    # word -> level and table of u and of v; shortlex order puts each prefix first
+    levels = {(): (initial_level(u, u.initial), initial_level(v, v.initial))}
+    tables: Dict[tuple, tuple] = {}
+    rows: Dict[object, np.ndarray] = {}  # law -> CDF on ts
+    stacks: Dict[tuple, Tuple[_Stack, _Stack]] = {}  # words -> (fast u, slow v)
 
     for sigma in _scheduler_products(v, v_options):
-        words = list(_positive_words(v, sigma, depth))
+        words = tuple(_positive_words(v, sigma, depth))
         if not words:
             continue
         for w in words:
-            if w not in word_tables:
-                word_tables[w] = (_FastWord(u, w, cache), _FastWord(v, w, cache))
-        tables = [word_tables[w][0] for w in words]
-        slow = np.array([word_tables[w][1].eval(sigma.ravel()) for w in words])
+            if w not in tables:
+                levels[w] = tuple(extend_level(m, lv, w[-1]) for m, lv in zip((u, v), levels[w[:-1]]))
+                tables[w] = tuple(_word_table(m, lv, ts, rows) for m, lv in zip((u, v), levels[w]))
+        if words not in stacks:
+            stacks[words] = tuple(_Stack([tables[w][k] for w in words]) for k in (0, 1))
+        fast, slow_stack = stacks[words]
+        slow = slow_stack.eval(sigma[None])[0]  # (n_words, n_ts)
+        cand_vals = fast.eval(candidates)  # (n_candidates, n_words, n_ts)
+        cand_max = cand_vals.max(axis=0)
 
-        cand_vals = np.array([[tb.eval(x.ravel()) for tb in tables] for x in candidates])
-        cand_max = cand_vals.max(axis=0)  # (n_words, n_ts)
-
-        witness = None
+        found = None  # (kind, word index, time index, prob_fast, fast scheduler)
         fail_mask = cand_max < slow - _SLACK
         if fail_mask.any():
-            wi, ti = _first_true(fail_mask)
-            tb = tables[wi]
-            x0 = candidates[int(cand_vals[:, wi, ti].argmax())]
-            x_best, val = _ascend(lambda x, _tb=tb, _ti=ti: float(_tb.eval(x.ravel())[_ti]),
-                                  x0, search)
+            wi, ti = np.unravel_index(np.argmax(fail_mask), fail_mask.shape)
+            ci = int(cand_vals[:, wi, ti].argmax())
+            one = _Stack([tables[words[wi]][0]])
+            x_best, val = _ascend(lambda xs: one.eval(xs)[:, 0, ti],
+                                  candidates[ci], cand_vals[ci, wi, ti], search)
             if val < slow[wi, ti] - _SLACK:
-                witness = FtWitness(
-                    slow_scheduler=Scheduler.from_matrix(v, sigma),
-                    word=format_word(words[wi]),
-                    t=float(ts[ti]),
-                    prob_fast=float(val),
-                    prob_slow=float(slow[wi, ti]),
-                    fast_scheduler=Scheduler.from_matrix(u, x_best),
-                    kind="per-cylinder-max",
-                )
-        if witness is None:
-            def joint(x):
-                vals = np.array([tb.eval(x.ravel()) for tb in tables])
-                return float((vals - slow).min())
-
-            margins = [joint(x) for x in candidates]
-            x0 = candidates[int(np.argmax(margins))]
-            x_best, margin = _ascend(joint, x0, search)
+                found = ("per-cylinder-max", wi, ti, val, x_best)
+        if found is None:
+            margins = (cand_vals - slow).min(axis=(1, 2))
+            ci = int(np.argmax(margins))
+            x_best, margin = _ascend(lambda xs: (fast.eval(xs) - slow).min(axis=(1, 2)),
+                                     candidates[ci], margins[ci], search)
             if margin >= -_SLACK:
                 continue  # this adversary is matched; try the next one
-            vals = np.array([tb.eval(x_best.ravel()) for tb in tables])
-            wi, ti = _first_true((vals - slow) <= margin + 1e-12)
-            witness = FtWitness(
-                slow_scheduler=Scheduler.from_matrix(v, sigma),
-                word=format_word(words[wi]),
-                t=float(ts[ti]),
-                prob_fast=float(vals[wi, ti]),
-                prob_slow=float(slow[wi, ti]),
-                fast_scheduler=Scheduler.from_matrix(u, x_best),
-                kind="joint-best",
-            )
-        return FasterThanVerdict("Refuted", depth, grid, search, witness)
-    return FasterThanVerdict("NotRefuted", depth, grid, search)
-
-
-def _first_true(mask: np.ndarray) -> Tuple[int, int]:
-    flat = int(np.argmax(mask))
-    return flat // mask.shape[1], flat % mask.shape[1]
+            vals = fast.eval(x_best[None])[0]
+            wi, ti = np.unravel_index(np.argmax((vals - slow) <= margin + 1e-12), vals.shape)
+            found = ("joint-best", wi, ti, vals[wi, ti], x_best)
+        kind, wi, ti, prob_fast, x_best = found
+        witness = FtWitness(Scheduler.from_matrix(v, sigma), format_word(words[wi]), float(ts[ti]),
+                            float(prob_fast), float(slow[wi, ti]), Scheduler.from_matrix(u, x_best), kind)
+        return FasterThanVerdict("Refuted", depth, grid, search, witness, **counts)
+    return FasterThanVerdict("NotRefuted", depth, grid, search, **counts)
 
 
 def equally_fast_bounded(u: Smdp, v: Smdp, depth: int,
@@ -342,8 +345,7 @@ def _weight_function_exists(row1: Dict[str, float], row2: Dict[str, float], allo
     """Feasibility of a coupling with marginals row1/row2 supported on allowed.
 
     Decided by integer max-flow on masses quantized at 1e-9, so float
-    feasibility noise cannot flip the answer; the quantized total of a row
-    with mass at most one fits the int32 capacities that max-flow takes.
+    feasibility noise cannot flip the answer.
     """
     q1 = {s: _quantize(p) for s, p in row1.items() if _quantize(p) > 0}
     q2 = {s: _quantize(p) for s, p in row2.items() if _quantize(p) > 0}
@@ -354,16 +356,34 @@ def _weight_function_exists(row1: Dict[str, float], row2: Dict[str, float], allo
         return True
     if len(q1) == 1 or len(q2) == 1:  # a lone state couples with every state on the other side
         return all((s, s2) in allowed for s in q1 for s2 in q2)
-    # nodes: 0 = source, then row1's states, then row2's states, then the sink
-    left = {s: 1 + i for i, s in enumerate(q1)}
-    right = {s2: 1 + len(q1) + j for j, s2 in enumerate(q2)}
-    sink = 1 + len(q1) + len(q2)
-    edges = [(0, left[s], q) for s, q in q1.items()]
-    edges += [(right[s2], sink, q) for s2, q in q2.items()]
-    edges += [(left[s], right[s2], total1) for s in q1 for s2 in q2 if (s, s2) in allowed]
-    tails, heads, caps = zip(*edges)
-    graph = csr_matrix((np.array(caps, dtype=np.int32), (tails, heads)), shape=(sink + 1, sink + 1))
-    return maximum_flow(graph, 0, sink).flow_value == total1
+    # source 0 -> (1, row1's state) -> (2, row2's state) -> sink 3
+    cap: Dict[object, Dict[object, int]] = {0: {(1, s): q for s, q in q1.items()}, 3: {}}
+    cap.update({(1, s): {(2, s2): total1 for s2 in q2 if (s, s2) in allowed} for s in q1})
+    cap.update({(2, s2): {3: q} for s2, q in q2.items()})
+    return _max_flow(cap, 0, 3) == total1
+
+
+def _max_flow(cap: Dict[object, Dict[object, int]], source, sink) -> int:
+    """Max-flow value by shortest augmenting paths on integer residual capacities `cap`."""
+    flow = 0
+    while True:
+        parent, queue = {source: source}, [source]
+        for a in queue:
+            for b, c in cap[a].items():
+                if c > 0 and b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        if sink not in parent:
+            return flow
+        path = [sink]
+        while path[-1] != source:
+            path.append(parent[path[-1]])
+        edges = list(zip(path[1:], path))
+        push = min(cap[a][b] for a, b in edges)
+        for a, b in edges:
+            cap[a][b] -= push
+            cap[b][a] = cap[b].get(a, 0) + push
+        flow += push
 
 
 def simulates(u: Smdp, v: Smdp) -> RelationResult:

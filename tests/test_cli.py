@@ -105,6 +105,28 @@ def test_faster_than_exit_codes(models, capsys):
     assert report["result"]["witness"]["slow_scheduler"]["v0"] == {"a": 0.5, "b": 0.5}
 
 
+def test_faster_than_reports_candidate_truncation(models, tmp_path, capsys):
+    code, report = run_json(capsys, "faster-than", models / "fig3_U.smdp",
+                            models / "fig3_V.smdp", "--depth", "2", "--step", "0.5")
+    res = report["result"]
+    assert code == 1
+    assert (res["candidates"], res["candidate_lattice"], res["candidates_truncated"]) == (3, 3, False)
+    assert "witness re-verifies" in res["meaning"] and "theorem" not in res["meaning"]
+    # six two-label states at step 0.25: 5**6 fast schedulers, more than max_candidates
+    names = [f"s{i}" for i in range(6)]
+    wide = tmp_path / "wide.smdp"
+    wide.write_text("labels: a b\nstates: " + " ".join(names) + "\ninitial: s0\nresidence:\n"
+                    + "".join(f"  {s} exp(2)\n" for s in names) + "transitions:\n"
+                    + "".join(f"  {s} {a} {t} 1\n" for s, t in zip(names, names[1:] + names[:1])
+                              for a in "ab"))
+    code, report = run_json(capsys, "faster-than", wide, models / "fig3_U.smdp", "--depth", "2")
+    res = report["result"]
+    assert (res["candidates"], res["candidate_lattice"], res["candidates_truncated"]) == (
+        4096, 15625, True)
+    code, out = run(capsys, "faster-than", wide, models / "fig3_U.smdp", "--depth", "2")
+    assert "fast lattice truncated: 4096 of 15625 schedulers searched" in out
+
+
 def test_simulates_and_bisimilar(models, capsys):
     code, _ = run(capsys, "simulates", models / "fig3_U.smdp", models / "fig3_V.smdp")
     assert code == 0

@@ -1,5 +1,6 @@
 """Cylinder probability engines and their cross-checks."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,9 @@ from smdpcheck.cylinders import (
     RectCylinder,
     RectStep,
     TimeBoundedCylinder,
+    extend_level,
+    initial_level,
+    merge_level,
     prob_cylinder_inductive,
     prob_cylinder_paths,
     prob_rect_cylinder,
@@ -183,6 +187,18 @@ def test_word_classes_merge_paths():
     classes = word_classes(m, "s0", ("a",) * 16)
     assert len(classes) < 2000
     assert sum(classes.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_prefix_extended_levels_match_word_classes():
+    """Extending each word's level from its prefix's gives word_classes' classes in its order."""
+    for seed in range(12):
+        m = random_two_label_model(random.Random(seed), live_initial=True)
+        levels = {(): initial_level(m, m.initial)}
+        for n in range(1, 7):
+            for word in itertools.product(m.labels, repeat=n):
+                levels[word] = extend_level(m, levels[word[:-1]], word[-1])
+                got = list(merge_level(levels[word]).items())
+                assert got == list(word_classes(m, m.initial, word).items()), (seed, word)
 
 
 # --- inductive engine ------------------------------------------------------------

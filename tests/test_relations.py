@@ -1,7 +1,9 @@
 """Faster-than checking, simulation, bisimulation."""
 
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from smdpcheck import corpus
@@ -12,13 +14,22 @@ from smdpcheck.distributions import Exponential, Uniform
 from smdpcheck.errors import LabelMismatch
 from smdpcheck.relations import (
     SchedulerSearchSpec,
+    _ascend,
+    _Stack,
     _weight_function_exists,
     bisimilar,
     equally_fast_bounded,
     faster_than_bounded,
     simulates,
 )
-from tests_support import random_two_label_model, reference_bisimilar, reference_simulates
+from tests_support import (
+    random_two_label_model,
+    reference_ascend,
+    reference_bisimilar,
+    reference_faster_than,
+    reference_simulates,
+    reference_weight_function_exists,
+)
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +151,88 @@ def test_adversary_lattice_guard():
              {(s, "a"): {s: 1.0} for s in names})
     with pytest.raises(SmdpcheckError):
         faster_than_bounded(m, m, depth=2)
+
+
+def test_faster_than_matches_one_call_per_candidate_reference():
+    """Stacked tables, the batched ascent and prefix-extended levels keep every bit."""
+    kinds = Counter()
+    for seed in range(9000, 9060):
+        rng = random.Random(seed)
+        u = random_two_label_model(rng, live_initial=True)
+        v = random_two_label_model(rng, live_initial=True)
+        depth, search = 2 + seed % 3, SchedulerSearchSpec(step=(0.5, 0.25)[(seed // 3) % 2])
+        got = faster_than_bounded(u, v, depth, search=search)
+        want = reference_faster_than(u, v, depth, search=search)
+        assert got.outcome == want.outcome, seed
+        kinds[want.witness.kind if want.refuted else want.outcome] += 1
+        if want.refuted:
+            g, w = got.witness, want.witness
+            assert (g.kind, g.word, g.t, g.prob_fast, g.prob_slow) == (
+                w.kind, w.word, w.t, w.prob_fast, w.prob_slow), seed
+            for mine, theirs, m in ((g.slow_scheduler, w.slow_scheduler, v),
+                                    (g.fast_scheduler, w.fast_scheduler, u)):
+                assert np.array_equal(mine.matrix(m), theirs.matrix(m)), seed
+    assert kinds == {"per-cylinder-max": 46, "joint-best": 6, "NotRefuted": 8}
+
+
+def test_stacked_tables_match_one_point_evaluation():
+    """A batch over stacked words gives each (point, word) the bits of a lone one-word call."""
+    rng = np.random.default_rng(5)
+    for case in range(300):
+        n_states, n_ts = int(rng.integers(1, 4)), int(rng.integers(1, 8))
+        tables = []
+        for _ in range(int(rng.integers(1, 6))):
+            n = int(rng.integers(0, 40))  # spans of unequal lengths, empty ones too
+            tables.append((rng.integers(0, 5, size=(n, 2 * n_states)), rng.random(n),
+                           rng.random((n, n_ts))))
+        xs = rng.dirichlet(np.ones(2), size=(int(rng.integers(1, 30)), n_states))
+        want = np.array([[(np.prod(x.ravel()[None, :] ** E, axis=1) * coeff) @ F
+                          for E, coeff, F in tables] for x in xs])
+        assert np.array_equal(_Stack(tables).eval(xs), want), case
+
+
+def test_batched_ascent_takes_the_sequential_path():
+    """Same moves, same order, same ties as one objective call per move."""
+    rng = np.random.default_rng(11)
+    for case in range(400):
+        n_s, n_l = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        exps = rng.integers(0, 3, size=(int(rng.integers(1, 5)), n_s * n_l))
+        exps[:, : n_l * int(rng.integers(0, n_s))] = 0  # states the objective ignores: plateaus
+        coeff = rng.choice([0.5, 1.0, 2.0], size=len(exps))
+        digits = int(rng.integers(1, 4))  # rounding makes more plateaus
+
+        def batched(xs, exps=exps, coeff=coeff, digits=digits):
+            flat = xs.reshape(len(xs), -1)
+            return np.round((np.prod(flat[:, None, :] ** exps, axis=2) * coeff).sum(axis=1), digits)
+
+        x0 = rng.dirichlet(np.ones(n_l), size=n_s).round(2)
+        x0[:, -1] = 1.0 - x0[:, :-1].sum(axis=1)
+        search = SchedulerSearchSpec(step=float(rng.choice([0.5, 0.25, 0.1])), min_delta=1e-2)
+        x_ref, best_ref = reference_ascend(lambda x: batched(x[None])[0], x0, search)
+        x, best = _ascend(batched, x0, batched(x0[None])[0], search)
+        assert best == best_ref and np.array_equal(x, x_ref), case
+
+
+def test_weight_function_exists_matches_sparse_max_flow():
+    """The augmenting-path max-flow decides exactly what scipy's maximum_flow decided."""
+    rng = random.Random(77)
+    answers = Counter()
+    for _ in range(5000):
+        n1, n2 = rng.randint(2, 5), rng.randint(2, 5)
+        units = rng.randint(max(n1, n2) + 1, 20)
+
+        def row(prefix, n, total):  # n positive masses in twentieths summing to total/20
+            cuts = [0] + sorted(rng.sample(range(1, total), n - 1)) + [total]
+            return {f"{prefix}{i}": (b - a) / 20 for i, (a, b) in enumerate(zip(cuts, cuts[1:]))}
+
+        row1 = row("x", n1, units)
+        row2 = row("y", n2, units + rng.choice([0, 0, 0, 0, 1, -1]))
+        density = rng.choice([0.3, 0.5, 0.7, 0.9])
+        allowed = {(s, s2) for s in row1 for s2 in row2 if rng.random() < density}
+        want = reference_weight_function_exists(row1, row2, allowed)
+        assert _weight_function_exists(row1, row2, allowed) == want, (row1, row2, allowed)
+        answers[want] += 1
+    assert answers[True] > 1000 and answers[False] > 1000
 
 
 # --- simulation ------------------------------------------------------------------

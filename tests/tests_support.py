@@ -2,6 +2,11 @@
 
 import itertools
 import math
+from typing import Dict, Optional, Tuple
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from smdpcheck.distributions import (
     Dirac,
@@ -12,12 +17,27 @@ from smdpcheck.distributions import (
     _analytic_dominance_rule,
     _bisect_crossing,
     cdf_eval,
+    cdf_vec,
     compose_residence,
     convolve,
     dominates,
 )
-from smdpcheck.model import Smdp, has_deterministic_kernel
-from smdpcheck.relations import _quantize, _weight_function_exists
+from smdpcheck.composition import require_same_labels
+from smdpcheck.cylinders import word_classes
+from smdpcheck.errors import SmdpcheckError
+from smdpcheck.model import Scheduler, Smdp, has_deterministic_kernel
+from smdpcheck.relations import (
+    _SLACK,
+    FasterThanVerdict,
+    FtWitness,
+    SchedulerSearchSpec,
+    _positive_words,
+    _quantize,
+    _scheduler_products,
+    _simplex_options,
+    _weight_function_exists,
+    format_word,
+)
 
 
 def random_two_label_model(rng, n_max=3, det=False, live_initial=False):
@@ -269,3 +289,167 @@ def reference_best_assignment(pressures):
                 val = sum(pressures[a].get(s, 0.0) for a, s in zip(chosen, assigned))
                 best = max(best, val)
     return best
+
+
+def reference_weight_function_exists(row1: Dict[str, float], row2: Dict[str, float], allowed) -> bool:
+    """`_weight_function_exists` decided by scipy's `maximum_flow` on a sparse graph;
+    the quantized total of a row with mass at most one fits its int32 capacities."""
+    q1 = {s: _quantize(p) for s, p in row1.items() if _quantize(p) > 0}
+    q2 = {s: _quantize(p) for s, p in row2.items() if _quantize(p) > 0}
+    total1, total2 = sum(q1.values()), sum(q2.values())
+    if total1 != total2:
+        return False
+    if total1 == 0:
+        return True
+    if len(q1) == 1 or len(q2) == 1:  # a lone state couples with every state on the other side
+        return all((s, s2) in allowed for s in q1 for s2 in q2)
+    # nodes: 0 = source, then row1's states, then row2's states, then the sink
+    left = {s: 1 + i for i, s in enumerate(q1)}
+    right = {s2: 1 + len(q1) + j for j, s2 in enumerate(q2)}
+    sink = 1 + len(q1) + len(q2)
+    edges = [(0, left[s], q) for s, q in q1.items()]
+    edges += [(right[s2], sink, q) for s2, q in q2.items()]
+    edges += [(left[s], right[s2], total1) for s in q1 for s2 in q2 if (s, s2) in allowed]
+    tails, heads, caps = zip(*edges)
+    graph = csr_matrix((np.array(caps, dtype=np.int32), (tails, heads)), shape=(sink + 1, sink + 1))
+    return maximum_flow(graph, 0, sink).flow_value == total1
+
+
+class _CdfCache:
+    def __init__(self, ts: np.ndarray):
+        self.ts = ts
+        self._rows: Dict[object, np.ndarray] = {}
+
+    def row(self, dist) -> np.ndarray:
+        got = self._rows.get(dist)
+        if got is None:
+            got = cdf_vec(dist, self.ts)
+            self._rows[dist] = got
+        return got
+
+
+class _FastWord:
+    def __init__(self, m: Smdp, word: Tuple[str, ...], cache: _CdfCache):
+        classes = word_classes(m, m.initial, word)
+        n = len(classes)
+        self.E = np.array([counts for _, counts in classes], dtype=np.int64).reshape(
+            n, len(m.states) * len(m.labels))
+        self.coeff = np.array(list(classes.values()))
+        self.F = np.array([cache.row(law) for law, _ in classes]).reshape(n, len(cache.ts))
+
+    def eval(self, flat: np.ndarray) -> np.ndarray:
+        powers = np.prod(flat[None, :] ** self.E, axis=1)
+        return (powers * self.coeff) @ self.F
+
+
+def reference_ascend(objective, x0: np.ndarray, search: SchedulerSearchSpec):
+    """Coordinate ascent that evaluates one move at a time and takes each
+    improving move at once; objective maps one point to its value."""
+    x = x0.copy()
+    best = objective(x)
+    delta = search.step
+    n_s, n_l = x.shape
+    for _ in range(search.ascent_iters):
+        improved = False
+        for s in range(n_s):
+            for i in range(n_l):
+                for j in range(n_l):
+                    if i == j or x[s, j] < delta - 1e-15:
+                        continue
+                    y = x.copy()
+                    y[s, j] -= delta
+                    y[s, i] += delta
+                    val = objective(y)
+                    if val > best + 1e-15:
+                        x, best = y, val
+                        improved = True
+        if not improved:
+            delta *= 0.5
+            if delta < search.min_delta:
+                break
+    return x, best
+
+
+def _first_true(mask: np.ndarray) -> Tuple[int, int]:
+    flat = int(np.argmax(mask))
+    return flat // mask.shape[1], flat % mask.shape[1]
+
+
+def reference_faster_than(u: Smdp, v: Smdp, depth: int,
+                          grid: Optional[GridSpec] = None,
+                          search: Optional[SchedulerSearchSpec] = None) -> FasterThanVerdict:
+    """`faster_than_bounded` with one power-product call per (candidate, word)
+    and per ascent move, and every word's table built from the root."""
+    require_same_labels(u, v)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    grid = grid or GridSpec(t_max=10.0, points=5, geometric=False)
+    search = search or SchedulerSearchSpec()
+    ts = grid.times()
+    cache = _CdfCache(ts)
+
+    u_options = _simplex_options(len(u.labels), search.step)
+    v_options = _simplex_options(len(v.labels), search.step)
+    n_adversaries = len(v_options) ** len(v.states)
+    if n_adversaries > 1_000_000:
+        raise SmdpcheckError(
+            f"adversary lattice has {n_adversaries} schedulers "
+            f"({len(v_options)} options over {len(v.states)} states); "
+            "increase the search step or reduce the model")
+    candidates = list(_scheduler_products(u, u_options, limit=search.max_candidates))
+    word_tables: Dict[tuple, Tuple[_FastWord, _FastWord]] = {}  # word -> (fast u, slow v)
+
+    for sigma in _scheduler_products(v, v_options):
+        words = list(_positive_words(v, sigma, depth))
+        if not words:
+            continue
+        for w in words:
+            if w not in word_tables:
+                word_tables[w] = (_FastWord(u, w, cache), _FastWord(v, w, cache))
+        tables = [word_tables[w][0] for w in words]
+        slow = np.array([word_tables[w][1].eval(sigma.ravel()) for w in words])
+
+        cand_vals = np.array([[tb.eval(x.ravel()) for tb in tables] for x in candidates])
+        cand_max = cand_vals.max(axis=0)  # (n_words, n_ts)
+
+        witness = None
+        fail_mask = cand_max < slow - _SLACK
+        if fail_mask.any():
+            wi, ti = _first_true(fail_mask)
+            tb = tables[wi]
+            x0 = candidates[int(cand_vals[:, wi, ti].argmax())]
+            x_best, val = reference_ascend(
+                lambda x, _tb=tb, _ti=ti: float(_tb.eval(x.ravel())[_ti]), x0, search)
+            if val < slow[wi, ti] - _SLACK:
+                witness = FtWitness(
+                    slow_scheduler=Scheduler.from_matrix(v, sigma),
+                    word=format_word(words[wi]),
+                    t=float(ts[ti]),
+                    prob_fast=float(val),
+                    prob_slow=float(slow[wi, ti]),
+                    fast_scheduler=Scheduler.from_matrix(u, x_best),
+                    kind="per-cylinder-max",
+                )
+        if witness is None:
+            def joint(x):
+                vals = np.array([tb.eval(x.ravel()) for tb in tables])
+                return float((vals - slow).min())
+
+            margins = [joint(x) for x in candidates]
+            x0 = candidates[int(np.argmax(margins))]
+            x_best, margin = reference_ascend(joint, x0, search)
+            if margin >= -_SLACK:
+                continue  # this adversary is matched; try the next one
+            vals = np.array([tb.eval(x_best.ravel()) for tb in tables])
+            wi, ti = _first_true((vals - slow) <= margin + 1e-12)
+            witness = FtWitness(
+                slow_scheduler=Scheduler.from_matrix(v, sigma),
+                word=format_word(words[wi]),
+                t=float(ts[ti]),
+                prob_fast=float(vals[wi, ti]),
+                prob_slow=float(slow[wi, ti]),
+                fast_scheduler=Scheduler.from_matrix(u, x_best),
+                kind="joint-best",
+            )
+        return FasterThanVerdict("Refuted", depth, grid, search, witness)
+    return FasterThanVerdict("NotRefuted", depth, grid, search)
