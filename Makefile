@@ -1,4 +1,4 @@
-.PHONY: install test acceptance reproduce reproduce-check check
+.PHONY: install test acceptance reproduce reproduce-check check bench-pairs
 
 # Diffs two reproduce reports over every field but elapsed_seconds.
 define REPORT_DIFF
@@ -37,3 +37,8 @@ reproduce-check:
 check:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 	$(MAKE) reproduce-check
+
+# Paired benchmark runs, working tree against BASE, alternating which runs first:
+#   make bench-pairs W=deep-paths SEEDS=631-635 BASE=HEAD
+bench-pairs:
+	python3 tools/bench_pairs.py --workload $(W) --seeds $(SEEDS) --base $(or $(BASE),HEAD)

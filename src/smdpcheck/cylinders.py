@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+from scipy import fft
 
 from .distributions import (
     Dirac,
@@ -245,37 +246,47 @@ def trace_probability(m: Smdp, sch: Scheduler, word) -> float:
 # inductive (grid-tabulation) engine
 
 
-def _conv_density_table(d: Distribution, G: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """(d * G)(x_j) for a density d and tabulated G, by refined trapezoid sums.
+def _conv_density_table(d: Distribution, G: np.ndarray, xs: np.ndarray,
+                        spectra: dict) -> np.ndarray:
+    """(d * G_i)(x_j) for a density d and tabulated rows G_i, by refined trapezoid sums.
 
     The trapezoid correlation is evaluated at successive mesh halvings with
-    Richardson extrapolation until the correction drops below the tolerance;
-    G is linearly interpolated onto the finer meshes.
+    Richardson extrapolation until a row's correction drops below the
+    tolerance; that row stops there, and a row still unconverged on the
+    finest mesh keeps its plain trapezoid sum.  G is linearly interpolated
+    onto the finer meshes.  `spectra` maps (d, r) to d's density on mesh r,
+    its real FFT and the FFT length, so each is computed once per grid.
     """
-    # imported here: scipy.signal is a third of the package's import time,
-    # and only the inductive engine needs it
-    from scipy.signal import fftconvolve
-
     t = float(xs[-1])
     n_coarse = len(xs) - 1
+    out = np.empty_like(G)
+    rows = np.arange(len(G))  # rows still refining
     prev = None
-    result = None
     for r in (1, 2, 4, 8):
         nr = n_coarse * r
         xr = xs if r == 1 else np.linspace(0.0, t, nr + 1)
-        f = pdf_vec(d, xr)
-        Gr = G if r == 1 else np.interp(xr, xs, G)
-        hr = t / nr
-        full = fftconvolve(f, Gr)[:nr + 1]
-        trap = hr * (full - 0.5 * f[0] * Gr - 0.5 * f * Gr[0])
-        trap = trap[::r]
-        if prev is not None:
+        if (d, r) not in spectra:
+            f = pdf_vec(d, xr)
+            size = fft.next_fast_len(2 * nr + 1, True)
+            spectra[d, r] = (f, fft.rfft(f, size), size)
+        f, spec, size = spectra[d, r]
+        Gr = G[rows] if r == 1 else np.array([np.interp(xr, xs, g) for g in G[rows]])
+        g_spec = fft.rfft(Gr, size, axis=-1)
+        # spec on the left as in fftconvolve: numpy's complex product moves bits with operand order
+        full = fft.irfft(spec * g_spec, size, axis=-1)[:, :nr + 1]
+        trap = (t / nr) * (full - 0.5 * f[0] * Gr - 0.5 * f * Gr[:, :1])
+        trap = trap[:, ::r]
+        if prev is None:
+            out[rows] = trap
+        else:
             result = (4.0 * trap - prev) / 3.0
-            if float(np.max(np.abs(result - trap))) <= _INDUCTIVE_TOL:
+            done = np.max(np.abs(result - trap), axis=-1) <= _INDUCTIVE_TOL
+            out[rows] = np.where(done[:, None], result, trap)
+            rows, trap = rows[~done], trap[~done]
+            if not len(rows):
                 break
         prev = trap
-        result = trap
-    return np.clip(result, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0)
 
 
 class _Tab:
@@ -301,21 +312,21 @@ def _residence_split(d: Distribution, mass: float, xs: np.ndarray) -> _Tab:
     return _Tab(mass * cdf_vec(d, xs))
 
 
-def _conv_tab(d: Distribution, tab: _Tab, xs: np.ndarray) -> _Tab:
-    """(d * tab) on the grid; residence atoms shift, density parts integrate."""
-    if isinstance(d, Dirac):
-        smooth = np.interp(xs - d.point, xs, tab.smooth, left=0.0)
-        atoms = {pos + d.point: m for pos, m in tab.atoms.items() if pos + d.point <= xs[-1]}
-        return _Tab(smooth, atoms)
-    if isinstance(d, Shifted):
-        inner = _conv_tab(d.base, tab, xs)
-        smooth = np.interp(xs - d.shift, xs, inner.smooth, left=0.0)
-        atoms = {pos + d.shift: m for pos, m in inner.atoms.items() if pos + d.shift <= xs[-1]}
-        return _Tab(smooth, atoms)
-    smooth = _conv_density_table(d, tab.smooth, xs)
-    for pos, m in tab.atoms.items():
-        smooth = smooth + m * cdf_vec(d, xs - pos)
-    return _Tab(smooth)
+def _conv_tabs(d: Distribution, tabs: list, xs: np.ndarray, spectra: dict) -> list:
+    """(d * tab) on the grid for each tab; residence atoms shift, density parts integrate."""
+    if isinstance(d, (Dirac, Shifted)):
+        shift = d.point if isinstance(d, Dirac) else d.shift
+        inner = tabs if isinstance(d, Dirac) else _conv_tabs(d.base, tabs, xs, spectra)
+        return [_Tab(np.interp(xs - shift, xs, tab.smooth, left=0.0),
+                     {pos + shift: m for pos, m in tab.atoms.items() if pos + shift <= xs[-1]})
+                for tab in inner]
+    rows = _conv_density_table(d, np.array([tab.smooth for tab in tabs]), xs, spectra)
+    out = []
+    for smooth, tab in zip(rows, tabs):
+        for pos, m in tab.atoms.items():
+            smooth = smooth + m * cdf_vec(d, xs - pos)
+        out.append(_Tab(smooth))
+    return out
 
 
 def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylinder,
@@ -323,9 +334,11 @@ def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylin
     """Tabulates the step recursion for the word on a shared time grid.
 
     Each level convolves the current residence law with the tabulated
-    continuation sub-CDF (Stieltjes quadrature with tolerance 1e-7).  The
-    grid has at least 1024 points and grows with the sharpest rate so that
-    table interpolation stays below the cross-engine tolerance.
+    continuation sub-CDF (Stieltjes quadrature with tolerance 1e-7); the
+    states of a level that share a residence law share one batched
+    transform.  The grid has at least 1024 points and grows with the
+    sharpest rate so that table interpolation stays below the cross-engine
+    tolerance.
     """
     word = c.word
     t = c.bound
@@ -354,9 +367,11 @@ def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylin
     for st in sorted(needed[n - 1]):
         mass = sch.weight(st, word[-1]) * sum(m.succ(st, word[-1]).values())
         tables[st] = _residence_split(m.residence_of(st), mass, xs)
+    spectra: dict = {}
     for k in range(n - 2, -1, -1):
         a = word[k]
         nxt_tables: Dict[str, _Tab] = {}
+        groups: Dict[Distribution, list] = {}  # residence law -> [(state, continuation)]
         for st in sorted(needed[k]):
             w_label = sch.weight(st, a)
             if w_label <= 0.0:
@@ -370,7 +385,10 @@ def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylin
                     smooth = smooth + w_label * p * sub.smooth
                     for pos, mass in sub.atoms.items():
                         atoms[pos] = atoms.get(pos, 0.0) + w_label * p * mass
-            nxt_tables[st] = _conv_tab(m.residence_of(st), _Tab(smooth, atoms), xs)
+            groups.setdefault(m.residence_of(st), []).append((st, _Tab(smooth, atoms)))
+        for d, group in groups.items():
+            nxt_tables.update(zip([st for st, _ in group],
+                                  _conv_tabs(d, [tab for _, tab in group], xs, spectra)))
         tables = nxt_tables
     return float(min(1.0, max(0.0, tables[s].value_at_end(t))))
 

@@ -8,7 +8,6 @@ counterexample was found within the explored bounds.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -129,13 +128,15 @@ def _simplex_options(n_labels: int, step: float) -> List[Tuple[float, ...]]:
 
 
 def _scheduler_products(m: Smdp, options, limit=None):
-    """All per-state combinations of the options, in lexicographic order."""
-    spaces = [options] * len(m.states)
-    product = itertools.product(*spaces)
-    if limit is not None:
-        product = itertools.islice(product, limit)
-    for combo in product:
-        yield np.array(combo, dtype=float)  # (n_states, n_labels)
+    """Per-state combinations of the options, in lexicographic order: all of
+    them, or `limit` spread evenly over that order when there are more."""
+    n, base = len(m.states), len(options)
+    lattice = base ** n
+    picks = range(lattice) if limit is None or limit >= lattice else (
+        i * lattice // limit for i in range(limit))
+    for k in picks:  # digit j of k in base len(options) picks state j's option
+        yield np.array([options[k // base ** (n - 1 - j) % base] for j in range(n)],
+                       dtype=float)  # (n_states, n_labels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Cylinder probability engines and their cross-checks."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from smdpcheck import corpus
+from smdpcheck import corpus, cylinders
 from smdpcheck.cylinders import (
     Interval,
     RectCylinder,
@@ -21,10 +24,24 @@ from smdpcheck.cylinders import (
     word_classes,
     word_terms,
 )
-from smdpcheck.distributions import Exponential, PhaseType, cdf_eval, convolve_power
+from smdpcheck.distributions import (
+    Dirac,
+    Exponential,
+    MinMaxCdf,
+    PhaseType,
+    Shifted,
+    Uniform,
+    cdf_eval,
+    convolve_power,
+    pdf_vec,
+)
 from smdpcheck.errors import UnknownLabel, UnknownState
 from smdpcheck.model import Scheduler, Smdp, dirac_scheduler, uniform_scheduler
-from tests_support import oracle_word_terms, random_two_label_model
+from tests_support import (
+    oracle_word_terms,
+    random_two_label_model,
+    reference_prob_cylinder_inductive,
+)
 
 T_SATURATE = 1e6
 
@@ -221,6 +238,96 @@ def test_inductive_base_case_matches_definition(fig2_U):
 def test_inductive_zero_bound_with_continuous_residences(fig2_U):
     sch = dirac_scheduler(fig2_U, "a")
     assert prob_cylinder_inductive(fig2_U, sch, "u0", TimeBoundedCylinder(("a", "a"), 0.0)) == 0.0
+
+
+def _palette_model(rng, n_states, n_laws):
+    """One-label model whose residences come from a palette of `n_laws` laws:
+    exponential, Dirac, uniform, phase-type, shifted and min-composite ones."""
+    palette = [Exponential(round(rng.uniform(0.5, 3.0), 2)),
+               Dirac(round(rng.uniform(0.05, 0.4), 2)),
+               Uniform(0.1, round(rng.uniform(0.6, 1.5), 2)),
+               PhaseType((1.5, round(rng.uniform(0.5, 3.0), 2))),
+               Shifted(Exponential(round(rng.uniform(0.5, 3.0), 2)), round(rng.uniform(0.05, 0.3), 2)),
+               MinMaxCdf("min", (Exponential(round(rng.uniform(0.5, 2.0), 2)), Uniform(0.2, 1.2)))]
+    laws = rng.sample(palette, n_laws)
+    names = [f"s{i}" for i in range(n_states)]
+    residence = {s: rng.choice(laws) for s in names}
+    trans = {}
+    for s in names:
+        targets = rng.sample(names, rng.randint(1, 2))
+        trans[(s, "a")] = {x: round(rng.choice([0.6, 0.8, 1.0]) / len(targets), 6) for x in targets}
+    return Smdp(["a"], names, names[0], residence, trans)
+
+
+def test_inductive_matches_fftconvolve_reference():
+    """Bit for bit the engine with one fftconvolve per state, level and mesh.
+
+    The laws cover every residence branch; Dirac ends carry atoms through
+    Dirac and shifted levels into atom terms.  Grids of 24 and 48 points
+    leave uniform rows unconverged on the finest mesh, and 16384 points make
+    the spectra larger than 256 KiB, from where numpy may reuse a temporary
+    operand in place.
+    """
+    rng = random.Random(8100)
+    cases = 0
+    for seed in range(16):
+        m = _palette_model(rng, rng.randint(3, 7), rng.randint(3, 6))
+        sch = uniform_scheduler(m)
+        for length, grid_points in ((2 + seed % 4, None), (3, (24, 48, 512)[seed % 3])):
+            c = TimeBoundedCylinder(("a",) * length, round(rng.uniform(1.0, 4.0), 2))
+            got = prob_cylinder_inductive(m, sch, m.initial, c, grid_points=grid_points)
+            want = reference_prob_cylinder_inductive(m, sch, m.initial, c, grid_points=grid_points)
+            assert got == want, (seed, m.residence, c, grid_points)
+            cases += got > 0.0
+    assert cases >= 24
+    m = Smdp(["a"], ["s0", "s1", "s2", "s3"], "s0",
+             {"s0": Exponential(1.3), "s1": Uniform(0.1, 0.9),
+              "s2": Shifted(Exponential(2.1), 0.15), "s3": Dirac(0.25)},
+             {("s0", "a"): {"s1": 0.5, "s2": 0.5}, ("s1", "a"): {"s0": 0.4, "s3": 0.6},
+              ("s2", "a"): {"s1": 0.7, "s3": 0.3}, ("s3", "a"): {"s0": 1.0}})
+    c = TimeBoundedCylinder(("a",) * 4, 3.0)
+    sch = uniform_scheduler(m)
+    assert prob_cylinder_inductive(m, sch, "s0", c, grid_points=16384) == \
+        reference_prob_cylinder_inductive(m, sch, "s0", c, grid_points=16384)
+
+
+def test_inductive_transforms_each_density_once_per_mesh(monkeypatch):
+    """A deep-paths-like model (exp(r), exp(3r), Dirac(1/r) over 8 states, a
+    10-letter word): one density per continuous law and mesh, where one per
+    state, level and mesh made 18 calls here."""
+    r = 0.8
+    palette = (Exponential(r), Exponential(3 * r), Dirac(round(1 / r, 3)))
+    rng = random.Random(8200)
+    names = [f"s{i}" for i in range(8)]
+    trans = {}
+    for s in names:
+        t1, t2 = rng.sample(names, 2)
+        p = rng.choice((0.3, 0.5, 0.7))
+        trans[(s, "a")] = {t1: p, t2: round(1.0 - p, 6)}
+    m = Smdp(["a"], names, "s0", {s: palette[i % 3] for i, s in enumerate(names)}, trans)
+    calls = []
+
+    def counting_pdf_vec(d, ts):
+        calls.append((d, len(ts)))
+        return pdf_vec(d, ts)
+
+    monkeypatch.setattr(cylinders, "pdf_vec", counting_pdf_vec)
+    c = TimeBoundedCylinder(("a",) * 10, 10 * (1 / r + 1 / (3 * r) + 1 / r) / 3)
+    p = prob_cylinder_inductive(m, uniform_scheduler(m), "s0", c)
+    assert 0.0 < p < 1.0
+    meshes = {n for _, n in calls}
+    assert len(calls) == len(set(calls)) <= 2 * len(meshes), calls
+
+
+def test_inductive_engine_does_not_load_scipy_signal():
+    code = ("import sys, smdpcheck as api\n"
+            "from smdpcheck import corpus\n"
+            "m = corpus.load('fig2_U.smdp')\n"
+            "api.prob_cylinder_inductive(m, api.uniform_scheduler(m), m.initial,\n"
+            "                            api.TimeBoundedCylinder(('a', 'a'), 2.0))\n"
+            "assert 'scipy.signal' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_cross_engine_on_corpus():

@@ -1,5 +1,6 @@
 """Faster-than checking, simulation, bisimulation."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -16,6 +17,8 @@ from smdpcheck.relations import (
     SchedulerSearchSpec,
     _ascend,
     _Stack,
+    _scheduler_products,
+    _simplex_options,
     _weight_function_exists,
     bisimilar,
     equally_fast_bounded,
@@ -211,6 +214,33 @@ def test_batched_ascent_takes_the_sequential_path():
         x_ref, best_ref = reference_ascend(lambda x: batched(x[None])[0], x0, search)
         x, best = _ascend(batched, x0, batched(x0[None])[0], search)
         assert best == best_ref and np.array_equal(x, x_ref), case
+
+
+def _states_only(n_states, labels=("a", "b")):
+    names = [f"s{i}" for i in range(n_states)]
+    return Smdp(list(labels), names, names[0], {s: Exponential(1.0) for s in names}, {})
+
+
+def test_untruncated_scheduler_products_are_the_full_lattice():
+    for n_states, labels, step in ((1, "ab", 0.5), (3, "ab", 0.25), (2, "abc", 0.5), (4, "a", 0.5)):
+        m = _states_only(n_states, labels)
+        options = _simplex_options(len(labels), step)
+        full = np.array(list(itertools.product(*[options] * n_states)), dtype=float)
+        for limit in (None, len(full), len(full) + 1):
+            got = np.array(list(_scheduler_products(m, options, limit)))
+            assert got.shape == full.shape and np.array_equal(got, full), (n_states, labels, limit)
+
+
+def test_truncated_scheduler_products_give_every_state_every_option():
+    """Six two-label states at step 0.25: 4096 of 15625 schedulers, spread
+    over the lattice so that the first state also gets the vertices."""
+    options = _simplex_options(2, 0.25)
+    kept = np.array(list(_scheduler_products(_states_only(6), options, 4096)))
+    assert kept.shape == (4096, 6, 2)
+    assert len({row.tobytes() for row in kept}) == 4096
+    for j in range(6):
+        assert {tuple(x) for x in kept[:, j]} == set(options), j
+    assert (1.0, 0.0) in options and (0.0, 1.0) in options
 
 
 def test_weight_function_exists_matches_sparse_max_flow():

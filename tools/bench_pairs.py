@@ -1,0 +1,95 @@
+"""Paired benchmark runs of the working tree against a base commit.
+
+    python3 tools/bench_pairs.py --workload deep-paths --seeds 631-635 --base HEAD
+
+Run it from the root of the repository.  BASE is exported with `git archive`
+into a temporary directory, so the repository gains no worktree or branch.
+For each seed, `perfbench/run.py --trace 0` runs once in each tree; the base
+runs first for the first seed, the working tree for the second, and so on,
+so that drift over time falls on both sides alike.  The summary gives
+per end-to-end metric the median and quartiles of each side and the pairs in
+which the working tree was better; the last line is every run as JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path.cwd()
+
+
+def parse_seeds(text: str) -> list:
+    """'631-635' or '7,11,12' (or a mix) -> a list of ints."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=tree, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"perfbench/run.py failed in {tree} (seed {seed}):\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        print(f"warning: seed {seed} in {tree}: correct={result['correct']}, "
+              f"failed={result['failed']}", file=sys.stderr)
+    return {key: m["value"] for key, m in result["metrics"].items()}
+
+
+def quartiles(values: list) -> tuple:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds)
+    parser.add_argument("--base", default="HEAD")
+    parser.add_argument("--seconds", type=float, default=30.0)
+    args = parser.parse_args(argv)
+    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        base = Path(tmp)
+        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
+        for i, seed in enumerate(args.seeds):
+            order = (("base", base), ("new", ROOT)) if i % 2 == 0 else (("new", ROOT), ("base", base))
+            pair = {"seed": seed, "first": order[0][0]}
+            for side, tree in order:
+                pair[side] = run_side(tree, args.workload, seed, args.seconds)
+            pairs.append(pair)
+            print(f"seed {seed} ({pair['first']} first): " + ", ".join(
+                f"{k} {pair['base'][k]:.4g} -> {pair['new'][k]:.4g}" for k in better
+                if k in pair["base"]), file=sys.stderr)
+
+    print(f"{args.workload}, {len(pairs)} pairs, base {args.base}, {args.seconds:g} s runs")
+    print(f"{'metric':14s} {'base q1/median/q3':>30s} {'new q1/median/q3':>30s} {'new better':>11s}")
+    for key, direction in better.items():
+        if key not in pairs[0]["base"]:
+            continue
+        old = [p["base"][key] for p in pairs]
+        new = [p["new"][key] for p in pairs]
+        wins = sum((n < o) if direction == "lower" else (n > o) for o, n in zip(old, new))
+        print(f"{key:14s} {'/'.join(f'{q:.4g}' for q in quartiles(old)):>30s} "
+              f"{'/'.join(f'{q:.4g}' for q in quartiles(new)):>30s} {wins:>5d} of {len(pairs)}")
+    print(json.dumps(pairs))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
