@@ -1,13 +1,14 @@
 """Command-line frontend.
 
 Exit codes: 0 = verdict holds / value computed, 1 = refuted or failing
-verdict (witness in the report), 2 = usage or model error.  Every command
-accepts --json for machine-readable reports.
+verdict (witness in the report), 2 = usage or model error, invalid option
+values included.  Every command accepts --json for machine-readable reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -106,18 +107,6 @@ def _witness_dict(w):
         "prob_slow": w.prob_slow,
         "fast_scheduler": w.fast_scheduler.choice,
         "kind": w.kind,
-    }
-
-
-def _violation_dict(v):
-    return {
-        "condition": v.condition,
-        "index": v.index,
-        "label": v.label,
-        "states": list(v.states),
-        "path_prefix": list(v.path_prefix),
-        "witness_t": v.witness_t,
-        "detail": v.detail,
     }
 
 
@@ -251,7 +240,7 @@ def _cmd_monotonicity(args):
     if args.mode == "strong":
         report_obj = check_strong_monotonicity(u, v, w, w2, op, collect_all=args.all)
     else:
-        n = args.n if args.n else path_bound(u, v, w, w2)
+        n = args.n if args.n is not None else path_bound(u, v, w, w2)
         report_obj = check_monotonicity_bounded(u, v, w, w2, op, n, collect_all=args.all)
     if args.emit_smt:
         os.makedirs(args.emit_smt, exist_ok=True)
@@ -262,7 +251,7 @@ def _cmd_monotonicity(args):
         "verdict": report_obj.verdict,
         "mode": report_obj.mode,
         "bound": report_obj.bound,
-        "violations": [_violation_dict(x) for x in report_obj.violations],
+        "violations": [dataclasses.asdict(x) for x in report_obj.violations],
         "smt_queries": written,
     })
     lines = [f"{report_obj.verdict} ({report_obj.mode.lower()} mode, paths up to {report_obj.bound})"]
@@ -404,10 +393,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SmdpcheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    # ValueError: an option value the library rejects, such as --t -1 or --n 0
+    except (SmdpcheckError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -243,6 +243,26 @@ _phase_rows = _PhaseRows(budget=1 << 18)
 _lgamma = []  # lgamma(k + 1) for k = 0, 1, ...
 
 
+def _poisson_weights(q, eps):
+    """Poisson(q) probabilities for k = 0, 1, ... until they cover 1 - eps,
+    or until they underflow to 0 past the mode."""
+    # hard cap: float summation can plateau just below the target coverage
+    cap = int(q + 12.0 * math.sqrt(q + 1.0) + 60.0)
+    while len(_lgamma) <= cap:
+        _lgamma.append(math.lgamma(len(_lgamma) + 1))
+    logq = math.log(q)
+    weights = []
+    covered = 0.0
+    for k in range(cap + 1):
+        logw = -q + k * logq - _lgamma[k]
+        w = math.exp(logw) if logw > -745.0 else 0.0
+        weights.append(w)
+        covered += w
+        if covered >= 1.0 - eps or (k > q and w == 0.0):
+            break
+    return weights
+
+
 def _phase_expm_row(rates, t):
     """First row of e^{At} for the bidiagonal chain generator.
 
@@ -262,17 +282,8 @@ def _phase_expm_row(rates, t):
             M[i, i + 1] = r / lam
     S = np.zeros((n, n))
     P = np.eye(n)
-    logqs = math.log(qs)
-    covered = 0.0
-    # hard cap: float summation can plateau just below the target coverage
-    jcap = int(qs + 12.0 * math.sqrt(qs + 1.0) + 60.0)
-    for j in range(jcap + 1):
-        logw = -qs + j * logqs - math.lgamma(j + 1)
-        w = math.exp(logw) if logw > -745.0 else 0.0
+    for w in _poisson_weights(qs, 1e-15):
         S += w * P
-        covered += w
-        if covered >= 1.0 - 1e-15 or (j > qs and w == 0.0):
-            break
         P = P @ M
     for _ in range(k):
         S = S @ S
@@ -300,20 +311,7 @@ def _phase_series(rates, ts):
             row = _phase_expm_row(rates, t)
             out.append((min(1.0, max(0.0, 1.0 - float(row.sum()))), max(0.0, float(row[-1]) * lam)))
         else:
-            # hard cap: float summation can plateau just below the target coverage
-            cap = int(q + 12.0 * math.sqrt(q + 1.0) + 60.0)
-            while len(_lgamma) <= cap:
-                _lgamma.append(math.lgamma(len(_lgamma) + 1))
-            logq = math.log(q)
-            weights = []
-            covered = 0.0
-            for k in range(cap + 1):
-                logw = -q + k * logq - _lgamma[k]
-                w = math.exp(logw) if logw > -745.0 else 0.0
-                weights.append(w)
-                covered += w
-                if covered >= 1.0 - _PHASE_EPS or (k > q and w == 0.0):
-                    break
+            weights = _poisson_weights(q, _PHASE_EPS)
             surv = dens = 0.0
             for w, s, flux in zip(weights, *_phase_rows(rates, len(weights))):
                 surv += w * s
@@ -464,7 +462,7 @@ def pdf_vec(d: Distribution, ts) -> np.ndarray:
         fa, fb = cdf_vec(a, ts), cdf_vec(b, ts)
         pick_a = fa <= fb if d.kind == "min" else fa >= fb
         return np.where(pick_a, pdf_vec(a, ts), pdf_vec(b, ts))
-    return np.array([_pdf(d, float(t)) for t in ts])
+    raise TypeError(f"no density for {d!r}")
 
 
 def atom_mass(d: Distribution, x: float) -> float:
@@ -680,9 +678,10 @@ class GridSpec:
 
 
 def _phase_pairwise_dominates(fast_rates, slow_rates) -> bool:
-    # Sum of k fast stages is stochastically below a sum of >= k slower
-    # stages when the fast rates pair onto larger-or-equal slow... each fast
-    # stage must be at least as fast as its paired slow stage.
+    # A sum of exponential stages is stochastically faster than another sum when
+    # it has no more stages and, with both sides sorted by decreasing rate, each
+    # fast stage's rate is at least that of the slow stage in the same place;
+    # the slow side's unpaired stages, its slowest, only add time.
     if len(fast_rates) > len(slow_rates):
         return False
     fast = sorted(fast_rates, reverse=True)
@@ -725,10 +724,7 @@ def dominates(d1: Distribution, d2: Distribution, grid: Optional[GridSpec] = Non
         holds, name = rule
         if holds:
             return DominanceVerdict("HoldsAnalytic", method=name)
-        witness = _refine_witness(d1, d2, grid)
-        if witness is not None:
-            return DominanceVerdict("FailsAtWitness", witness_t=witness, method=name)
-        return DominanceVerdict("FailsAtWitness", witness_t=None, method=name)
+        return DominanceVerdict("FailsAtWitness", witness_t=_refine_witness(d1, d2, grid), method=name)
     return _grid_dominates(d1, d2, grid)
 
 

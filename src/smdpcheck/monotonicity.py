@@ -9,6 +9,7 @@ to a caller-given depth.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -85,146 +86,112 @@ def enumerate_state_paths(m: Smdp, n: int):
     yield from rec([m.initial])
 
 
-def _layers(m: Smdp, n: int):
-    """Reachable state sets per path index 1..n, with one parent per entry."""
-    layers: List[List[str]] = [[]] * (n + 1)
-    parent: Dict[Tuple[int, str], Optional[str]] = {(1, m.initial): None}
-    layers[1] = [m.initial]
-    for i in range(2, n + 1):
-        nxt = []
-        for s in layers[i - 1]:
+def _layers(m: Smdp, n: int) -> List[Dict[str, tuple]]:
+    """Per path index 1..n (list positions 0..n-1), each reachable state in model
+    order, mapped to the prefix through its earliest parent in the layer before."""
+    layers = [{m.initial: (m.initial,)}]
+    for _ in range(1, n):
+        reached: Dict[str, tuple] = {}
+        for s, prefix in layers[-1].items():
             for s2 in m.adjacent(s):
-                if (i, s2) not in parent:
-                    parent[(i, s2)] = s
-                    nxt.append(s2)
-        layers[i] = sorted(nxt, key=m.states.index)
-    return layers, parent
+                reached.setdefault(s2, prefix + (s2,))
+        layers.append({s: reached[s] for s in m.states if s in reached})
+    return layers
 
 
-def _prefix(parent, i: int, s: str) -> tuple:
-    out = [s]
-    k = i
-    while k > 1:
-        s = parent[(k, s)]
-        out.append(s)
-        k -= 1
-    return tuple(reversed(out))
+class _Pairs:
+    """Pairs of same-index states of two processes, each listed once, at its first index.
+
+    at[i] lists the pairs first met at path index i (1..n) in layer order;
+    prefix(i, x, y) is a composite state path reaching (x, y) at index i.
+    """
+
+    def __init__(self, a: Smdp, b: Smdp, n: int):
+        self.la, self.lb = _layers(a, n), _layers(b, n)
+        listed = set()
+        self.at: List[List[Tuple[str, str]]] = [[]]
+        for xs, ys in zip(self.la, self.lb):
+            self.at.append([(x, y) for x in xs for y in ys if (x, y) not in listed])
+            listed.update(self.at[-1])
+
+    def prefix(self, i: int, x: str, y: str) -> tuple:
+        return tuple(composite_name(p, q) for p, q in zip(self.la[i - 1][x], self.lb[i - 1][y]))
 
 
-def _pair_prefix(parent_a, parent_b, i, sa, sb) -> tuple:
-    pa = _prefix(parent_a, i, sa)
-    pb = _prefix(parent_b, i, sb)
-    return tuple(composite_name(x, y) for x, y in zip(pa, pb))
+def _walks(u, v, w, w2, n):
+    """The fast-side pair walk of (u, w) and the slow-side one of (v, w2)."""
+    for x in (v, w, w2):
+        require_same_labels(u, x)
+    return _Pairs(u, w, n), _Pairs(v, w2, n)
 
 
-class _Ctx:
-    """Shared scaffolding of both checkers."""
-
-    def __init__(self, u, v, w, w2, op, n, collect_all):
-        require_same_labels(u, v)
-        require_same_labels(u, w)
-        require_same_labels(u, w2)
-        self.u, self.v, self.w, self.w2 = u, v, w, w2
-        self.op = op
-        self.n = n
-        self.collect_all = collect_all
-        self.labels = u.labels
-        self.lu, self.pu = _layers(u, n)
-        self.lv, self.pv = _layers(v, n)
-        self.lw, self.pw = _layers(w, n)
-        self.lw2, self.pw2 = _layers(w2, n)
-        self.violations: List[MonotonicityViolation] = []
-
-    def add(self, violation) -> bool:
-        """Records a violation; returns True when checking should stop."""
-        self.violations.append(violation)
-        return not self.collect_all
-
-    def det_kernel_check(self) -> bool:
-        if has_deterministic_kernel(self.w2):
-            return False
-        return self.add(MonotonicityViolation(
-            "DetKernel", None, None, (self.w2.initial,), (),
-            None, "context replacement lacks a deterministic Markov kernel"))
-
-    def cdf_conditions(self) -> bool:
-        """Composite CDFs must straddle the component CDFs along all paths."""
-        seen_fast = set()
-        seen_slow = set()
-        for i in range(1, self.n + 1):
-            for uu in self.lu[i]:
-                for ww in self.lw[i]:
-                    if (uu, ww) in seen_fast:
-                        continue
-                    seen_fast.add((uu, ww))
-                    comp = compose_residence(self.op, self.u.residence_of(uu), self.w.residence_of(ww))
-                    verdict = dominates(comp, self.u.residence_of(uu))
-                    if not verdict.holds:
-                        stop = self.add(MonotonicityViolation(
-                            "CdfFast", i, None, (uu, ww),
-                            _pair_prefix(self.pu, self.pw, i, uu, ww),
-                            verdict.witness_t,
-                            f"composite residence at {composite_name(uu, ww)} is slower than "
-                            f"the component at {uu} (CDF falls below at t={verdict.witness_t!r})"))
-                        if stop:
-                            return True
-            for vv in self.lv[i]:
-                for ww2 in self.lw2[i]:
-                    if (vv, ww2) in seen_slow:
-                        continue
-                    seen_slow.add((vv, ww2))
-                    comp = compose_residence(self.op, self.v.residence_of(vv), self.w2.residence_of(ww2))
-                    verdict = dominates(self.v.residence_of(vv), comp)
-                    if not verdict.holds:
-                        stop = self.add(MonotonicityViolation(
-                            "CdfSlow", i, None, (vv, ww2),
-                            _pair_prefix(self.pv, self.pw2, i, vv, ww2),
-                            verdict.witness_t,
-                            f"composite residence at {composite_name(vv, ww2)} is faster than "
-                            f"the component at {vv} (CDF exceeds at t={verdict.witness_t!r})"))
-                        if stop:
-                            return True
-        return False
-
-    def report(self, mode: str) -> MonotonicityReport:
-        verdict = "Holds" if not self.violations else "Fails"
-        return MonotonicityReport(verdict, mode, self.n, tuple(self.violations))
+def _shared_violations(u, v, w, w2, op, fast: _Pairs, slow: _Pairs, n: int):
+    """What both modes check first: the context kernel, then that composite
+    CDFs straddle the component CDFs along all paths."""
+    if not has_deterministic_kernel(w2):
+        yield MonotonicityViolation(
+            "DetKernel", None, None, (w2.initial,), (),
+            None, "context replacement lacks a deterministic Markov kernel")
+    for i in range(1, n + 1):
+        for uu, ww in fast.at[i]:
+            comp = compose_residence(op, u.residence_of(uu), w.residence_of(ww))
+            verdict = dominates(comp, u.residence_of(uu))
+            if not verdict.holds:
+                yield MonotonicityViolation(
+                    "CdfFast", i, None, (uu, ww), fast.prefix(i, uu, ww), verdict.witness_t,
+                    f"composite residence at {composite_name(uu, ww)} is slower than "
+                    f"the component at {uu} (CDF falls below at t={verdict.witness_t!r})")
+        for vv, ww2 in slow.at[i]:
+            comp = compose_residence(op, v.residence_of(vv), w2.residence_of(ww2))
+            verdict = dominates(v.residence_of(vv), comp)
+            if not verdict.holds:
+                yield MonotonicityViolation(
+                    "CdfSlow", i, None, (vv, ww2), slow.prefix(i, vv, ww2), verdict.witness_t,
+                    f"composite residence at {composite_name(vv, ww2)} is faster than "
+                    f"the component at {vv} (CDF exceeds at t={verdict.witness_t!r})")
 
 
-def _required_fast_ratio(ctx: _Ctx, uu: str, ww: str, b: str):
+def _report(mode: str, bound: int, violations, collect_all: bool) -> MonotonicityReport:
+    """The first violation, or all of them; none are computed past what is kept."""
+    found = tuple(violations if collect_all else itertools.islice(violations, 1))
+    return MonotonicityReport("Fails" if found else "Holds", mode, bound, found)
+
+
+def _required_fast_ratio(u: Smdp, w: Smdp, uu: str, ww: str, b: str):
     """Largest composite weight label b must carry at state uu⋆ww, or None.
 
     This is max over path-adjacent successor pairs of
     tau_U(uu,b)(u') / (tau_U(uu,b)(u') * tau_W(ww,b)(w')); float('inf') when
     some adjacent context successor has no b-mass at all.
     """
-    supp_u = [s2 for s2, p in ctx.u.succ(uu, b).items() if p > 0.0]
+    supp_u = [s2 for s2, p in u.succ(uu, b).items() if p > 0.0]
     if not supp_u:
         return None
-    adj_w = ctx.w.adjacent(ww)
+    adj_w = w.adjacent(ww)
     if not adj_w:
         return None
     worst = 0.0
     for w2 in adj_w:
-        pw = ctx.w.succ(ww, b).get(w2, 0.0)
+        pw = w.succ(ww, b).get(w2, 0.0)
         if pw <= 0.0:
             return float("inf")
         worst = max(worst, 1.0 / pw)
     return worst
 
 
-def _slow_pressures(ctx: _Ctx, vv: str, ww2: str):
+def _slow_pressures(u: Smdp, v: Smdp, w2: Smdp, vv: str, ww2: str):
     """Per-label mass an adversary can force onto sigma_V at vv via ww2.
 
     Under a deterministic context kernel this is the single positive entry of
-    the context row, when the component itself has a positive row.
+    the context row, when the component itself has a positive row.  Labels
+    come in u's order, which v's may not share.
     """
     out = {}
-    adj = set(ctx.w2.adjacent(ww2))
-    for a in ctx.labels:
-        if not any(p > 0.0 for p in ctx.v.succ(vv, a).values()):
+    adj = set(w2.adjacent(ww2))
+    for a in u.labels:
+        if not any(p > 0.0 for p in v.succ(vv, a).values()):
             continue
-        vals = [p for s2, p in ctx.w2.succ(ww2, a).items() if p > 0.0 and s2 in adj]
+        vals = [p for s2, p in w2.succ(ww2, a).items() if p > 0.0 and s2 in adj]
         if vals:
             out[a] = max(vals)
     return out
@@ -245,6 +212,19 @@ def _best_assignment(pressures: Dict[str, Dict[str, float]]) -> float:
     return float(weights[rows, cols].sum())
 
 
+def _ratio_violations(u: Smdp, w: Smdp, fast: _Pairs, n: int, detail: str):
+    """SchedFast wherever a label needs composite weight above 1, at path indices
+    1..n-1; `detail` is formatted with uu, ww, their pair, the label b and the ratio."""
+    for i in range(1, n):
+        for uu, ww in fast.at[i]:
+            for b in u.labels:
+                ratio = _required_fast_ratio(u, w, uu, ww, b)
+                if ratio is not None and ratio > 1.0 + _RATIO_TOL:
+                    yield MonotonicityViolation(
+                        "SchedFast", i, b, (uu, ww), fast.prefix(i, uu, ww), None,
+                        detail.format(uu=uu, ww=ww, pair=composite_name(uu, ww), b=b, ratio=ratio))
+
+
 def check_strong_monotonicity(u: Smdp, v: Smdp, w: Smdp, w2: Smdp, op: str,
                               collect_all: bool = False) -> MonotonicityReport:
     """Decides strong monotonicity of `op` in (u, w) vs (v, w2).
@@ -257,69 +237,39 @@ def check_strong_monotonicity(u: Smdp, v: Smdp, w: Smdp, w2: Smdp, op: str,
     transition inequality is checked directly.
     """
     m = path_bound(u, v, w, w2)
-    ctx = _Ctx(u, v, w, w2, op, m, collect_all)
-    if ctx.det_kernel_check():
-        return ctx.report("Strong")
-    if ctx.cdf_conditions():
-        return ctx.report("Strong")
-    multi = len(ctx.labels) > 1
-    seen_fast = set()
-    seen_slow = set()
+    return _report("Strong", m, _strong_violations(u, v, w, w2, op, m), collect_all)
+
+
+def _strong_violations(u, v, w, w2, op, m):
+    fast, slow = _walks(u, v, w, w2, m)
+    yield from _shared_violations(u, v, w, w2, op, fast, slow, m)
+    if len(u.labels) < 2:
+        yield from _ratio_violations(u, w, fast, m, "context transition mass below 1 at {ww}: "
+                                                    "composite weight would need {ratio!r}")
+        return
+    # with several labels a violation belongs to the component state alone,
+    # reported at its first pair with a context state that can move
+    blamed = set()
     for i in range(1, m):
-        ws_with_succ = [ww for ww in ctx.lw[i] if ctx.w.adjacent(ww)]
-        for uu in ctx.lu[i]:
-            if not ws_with_succ:
-                continue
-            for b in ctx.labels:
-                supp = [s2 for s2, p in u.succ(uu, b).items() if p > 0.0]
-                if not supp:
-                    continue
-                if multi:
-                    if (uu, b) in seen_fast:
-                        continue
-                    seen_fast.add((uu, b))
-                    stop = ctx.add(MonotonicityViolation(
-                        "SchedFast", i, b, (uu, ws_with_succ[0]),
-                        _pair_prefix(ctx.pu, ctx.pw, i, uu, ws_with_succ[0]),
-                        None,
-                        f"a composite scheduler may give label {b} weight 0 while "
-                        f"tau({uu},{b})({supp[0]}) = {u.succ(uu, b)[supp[0]]!r} > 0"))
-                    if stop:
-                        return ctx.report("Strong")
-                else:
-                    for ww in ws_with_succ:
-                        if (uu, ww, b) in seen_fast:
-                            continue
-                        seen_fast.add((uu, ww, b))
-                        ratio = _required_fast_ratio(ctx, uu, ww, b)
-                        if ratio is not None and ratio > 1.0 + _RATIO_TOL:
-                            stop = ctx.add(MonotonicityViolation(
-                                "SchedFast", i, b, (uu, ww),
-                                _pair_prefix(ctx.pu, ctx.pw, i, uu, ww),
-                                None,
-                                f"context transition mass below 1 at {ww}: composite "
-                                f"weight would need {ratio!r}"))
-                            if stop:
-                                return ctx.report("Strong")
-        if multi:
-            for vv in ctx.lv[i]:
-                for ww2 in ctx.lw2[i]:
-                    if (vv, ww2) in seen_slow:
-                        continue
-                    seen_slow.add((vv, ww2))
-                    pressures = _slow_pressures(ctx, vv, ww2)
-                    hot = [a for a, q in pressures.items() if q > 0.0]
-                    if hot:
-                        a = hot[0]
-                        stop = ctx.add(MonotonicityViolation(
-                            "SchedSlow", i, a, (vv, ww2),
-                            _pair_prefix(ctx.pv, ctx.pw2, i, vv, ww2),
-                            None,
-                            f"a component scheduler may give label {a} weight 0 while the "
-                            f"composite at {composite_name(vv, ww2)} moves with mass {pressures[a]!r}"))
-                        if stop:
-                            return ctx.report("Strong")
-    return ctx.report("Strong")
+        for uu, ww in fast.at[i]:
+            if uu not in blamed and w.adjacent(ww):
+                blamed.add(uu)
+                for b in u.labels:
+                    supp = [s2 for s2, p in u.succ(uu, b).items() if p > 0.0]
+                    if supp:
+                        yield MonotonicityViolation(
+                            "SchedFast", i, b, (uu, ww), fast.prefix(i, uu, ww), None,
+                            f"a composite scheduler may give label {b} weight 0 while "
+                            f"tau({uu},{b})({supp[0]}) = {u.succ(uu, b)[supp[0]]!r} > 0")
+        for vv, ww2 in slow.at[i]:
+            pressures = _slow_pressures(u, v, w2, vv, ww2)
+            hot = [a for a, q in pressures.items() if q > 0.0]
+            if hot:
+                a = hot[0]
+                yield MonotonicityViolation(
+                    "SchedSlow", i, a, (vv, ww2), slow.prefix(i, vv, ww2), None,
+                    f"a component scheduler may give label {a} weight 0 while the "
+                    f"composite at {composite_name(vv, ww2)} moves with mass {pressures[a]!r}")
 
 
 def check_monotonicity_bounded(u: Smdp, v: Smdp, w: Smdp, w2: Smdp, op: str, n: int,
@@ -334,52 +284,31 @@ def check_monotonicity_bounded(u: Smdp, v: Smdp, w: Smdp, w2: Smdp, op: str, n: 
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ctx = _Ctx(u, v, w, w2, op, n, collect_all)
-    if ctx.det_kernel_check():
-        return ctx.report("Bounded")
-    if ctx.cdf_conditions():
-        return ctx.report("Bounded")
-    seen = set()
-    for i in range(1, n):
-        for uu in ctx.lu[i]:
-            for ww in ctx.lw[i]:
-                for b in ctx.labels:
-                    if (uu, ww, b) in seen:
-                        continue
-                    seen.add((uu, ww, b))
-                    ratio = _required_fast_ratio(ctx, uu, ww, b)
-                    if ratio is not None and ratio > 1.0 + _RATIO_TOL:
-                        stop = ctx.add(MonotonicityViolation(
-                            "SchedFast", i, b, (uu, ww),
-                            _pair_prefix(ctx.pu, ctx.pw, i, uu, ww),
-                            None,
-                            f"vertex adversary at {b} needs composite weight {ratio!r} > 1 "
-                            f"at {composite_name(uu, ww)}"))
-                        if stop:
-                            return ctx.report("Bounded")
+    return _report("Bounded", n, _bounded_violations(u, v, w, w2, op, n), collect_all)
+
+
+def _bounded_violations(u, v, w, w2, op, n):
+    fast, slow = _walks(u, v, w, w2, n)
+    yield from _shared_violations(u, v, w, w2, op, fast, slow, n)
+    yield from _ratio_violations(u, w, fast, n, "vertex adversary at {b} needs composite "
+                                                "weight {ratio!r} > 1 at {pair}")
     # slow side: constraints on one component scheduler accumulate over all
     # co-occurring context states, so the adversary assigns contexts to labels
-    co_occur: Dict[str, Dict[str, int]] = {}
+    met: Dict[str, List[Tuple[int, str]]] = {}
     for i in range(1, n):
-        for vv in ctx.lv[i]:
-            for ww2 in ctx.lw2[i]:
-                co_occur.setdefault(vv, {}).setdefault(ww2, i)
-    for vv in sorted(co_occur, key=v.states.index):
-        pressures: Dict[str, Dict[str, float]] = {a: {} for a in ctx.labels}
-        for ww2 in co_occur[vv]:
-            for a, q in _slow_pressures(ctx, vv, ww2).items():
+        for vv, ww2 in slow.at[i]:
+            met.setdefault(vv, []).append((i, ww2))
+    for vv in (s for s in v.states if s in met):
+        pressures: Dict[str, Dict[str, float]] = {a: {} for a in u.labels}
+        for _, ww2 in met[vv]:
+            for a, q in _slow_pressures(u, v, w2, vv, ww2).items():
                 if q > 0.0:
                     pressures[a][ww2] = q
         need = _best_assignment(pressures)
         if need > 1.0 + _RATIO_TOL:
-            first_ww2 = min(co_occur[vv], key=lambda s: co_occur[vv][s])
-            i = co_occur[vv][first_ww2]
-            stop = ctx.add(MonotonicityViolation(
-                "SchedSlow", i, None, (vv,) + tuple(sorted(co_occur[vv])),
-                _pair_prefix(ctx.pv, ctx.pw2, i, vv, first_ww2),
-                None,
+            i, first_ww2 = met[vv][0]
+            yield MonotonicityViolation(
+                "SchedSlow", i, None, (vv,) + tuple(sorted(ww2 for _, ww2 in met[vv])),
+                slow.prefix(i, vv, first_ww2), None,
                 f"an adversary composite scheduler forces component weights summing "
-                f"to {need!r} > 1 at {vv}"))
-            if stop:
-                return ctx.report("Bounded")
-    return ctx.report("Bounded")
+                f"to {need!r} > 1 at {vv}")

@@ -158,10 +158,12 @@ def estimate_cylinder(m: Smdp, sch: Scheduler, word, t: float, samples: int, see
         raise ValueError("need at least 1000 samples")
     if not word:
         raise ValueError("word must be nonempty")
+    if workers < 1:
+        raise ValueError("need at least 1 worker stream")
     word = tuple(word)
     for a in word:
         m.label_index(a)
-    children = np.random.SeedSequence(seed).spawn(max(1, workers))
+    children = np.random.SeedSequence(seed).spawn(workers)
     base, extra = divmod(samples, len(children))
     hits = 0
     for i, child in enumerate(children):

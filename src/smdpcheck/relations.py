@@ -58,6 +58,8 @@ class SchedulerSearchSpec:
     def __post_init__(self):
         if not (0.0 < self.step <= 1.0):
             raise ValueError("step must be in (0, 1]")
+        if self.max_candidates < 1:
+            raise ValueError("max_candidates must be >= 1")
 
 
 @dataclass(frozen=True)

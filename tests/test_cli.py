@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, exit codes, JSON reports."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -8,6 +9,7 @@ import pytest
 
 from smdpcheck import corpus
 from smdpcheck.cli import main
+from smdpcheck.monotonicity import check_monotonicity_bounded
 
 
 @pytest.fixture()
@@ -172,6 +174,19 @@ def test_monotonicity_bounded_mode(models, capsys):
     assert "CdfFast" in conditions
 
 
+def test_monotonicity_json_violations_are_asdict(models, capsys):
+    code, report = run_json(capsys, "monotonicity",
+                            "--fast", models / "fig2_U.smdp",
+                            "--slow", models / "fig2_V.smdp",
+                            "--ctx", models / "fig4_W_product.smdp",
+                            "--op", "prodrate", "--mode", "bounded", "--n", "3", "--all")
+    expected = check_monotonicity_bounded(*(corpus.load(f"{name}.smdp") for name in (
+        "fig2_U", "fig2_V", "fig4_W_product", "fig4_W_product")), "prodrate", 3, collect_all=True)
+    assert code == 1 and len(expected.violations) > 1
+    assert report["result"]["violations"] == json.loads(json.dumps(
+        [dataclasses.asdict(v) for v in expected.violations]))
+
+
 def test_validate_with_scheduler(models, capsys):
     code, _ = run(capsys, "validate", models / "fig3_V.smdp",
                   "--scheduler", models / "fig3_V_half.sched")
@@ -229,3 +244,25 @@ def test_model_error_exits_2(tmp_path, capsys):
     bad.write_text("labels: a\nstates: s0\nnot_a_section: s0\n")
     code = main(["validate", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["faster-than", "fig2_U.smdp", "fig2_V.smdp", "--tpoints", "1"],
+    ["faster-than", "fig2_U.smdp", "fig2_V.smdp", "--step", "0"],
+    ["faster-than", "fig2_U.smdp", "fig2_V.smdp", "--depth", "0"],
+    ["faster-than", "fig2_U.smdp", "fig2_V.smdp", "--tmax", "0"],
+    ["prob", "--model", "fig2_U.smdp", "--word", "a", "--t", "-1"],
+    ["prob", "--model", "fig2_U.smdp", "--word", "", "--t", "1"],
+    ["simulate", "--model", "fig2_U.smdp", "--word", "a", "--t", "1", "--samples", "10"],
+    ["simulate", "--model", "fig2_U.smdp", "--word", "a", "--t", "1", "--samples", "1000",
+     "--jobs", "0"],
+    ["monotonicity", "--fast", "fig2_U.smdp", "--slow", "fig2_V.smdp",
+     "--ctx", "fig4_W_congruent.smdp", "--op", "min", "--mode", "bounded", "--n", "-1"],
+    ["monotonicity", "--fast", "fig2_U.smdp", "--slow", "fig2_V.smdp",
+     "--ctx", "fig4_W_congruent.smdp", "--op", "min", "--mode", "bounded", "--n", "0"],
+])
+def test_invalid_option_values_exit_2(models, capsys, argv):
+    code = main([str(models / a) if a.endswith(".smdp") else a for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -202,6 +202,15 @@ def test_phase_type_expm_branch_density_and_continuity():
         assert _pdf(d, above) == pytest.approx(_pdf(d, below), rel=1e-9)
 
 
+def test_phase_type_matrix_form_bits_pinned():
+    # (F, f) of rates (0.001, 1000) at lam*t = 25000 and 4e5, both in the matrix
+    # form, as float.hex; a change to the Poisson weights or the squaring shows here
+    d = PhaseType((0.001, 1000.0))
+    assert [(cdf_eval(d, t).hex(), _pdf(d, t).hex()) for t in (25.0, 400.0)] == [
+        ("0x1.9481a4de8ece0p-6", "0x1.ff5802ea8ac9ep-11"),
+        ("0x1.51977237164c4p-2", "0x1.5f70ec6f0f34cp-11")]
+
+
 # --- convolve ---------------------------------------------------------------
 
 def test_dirac_zero_is_identity():
@@ -476,6 +485,13 @@ def test_atom_mass_and_interval_measure():
     assert measure_interval(d, 0.5, 2.0, closed_lo=False) == 0.0
     s = Shifted(Uniform(0.0, 1.0), 0.0)  # degenerate shift keeps base behaviour
     assert measure_interval(Uniform(0.0, 1.0), 0.25, 0.75) == pytest.approx(0.5)
+
+
+def test_pdf_vec_rejects_laws_without_density():
+    for d in (Dirac(1.0), NumericConvolution((Uniform(0.0, 1.0), Shifted(Exponential(1.0), 0.5)))):
+        for ts in ([0.5, 2.0], []):
+            with pytest.raises(TypeError, match="no density"):
+                pdf_vec(d, ts)
 
 
 def test_phase_type_single_rate_normalizes():

@@ -6,7 +6,7 @@ import pytest
 
 from smdpcheck import corpus
 from smdpcheck.composition import compose
-from smdpcheck.distributions import Exponential, cdf_eval
+from smdpcheck.distributions import Exponential, cdf_eval, dominates
 from smdpcheck.model import Smdp, has_deterministic_kernel
 from smdpcheck.monotonicity import (
     _best_assignment,
@@ -20,6 +20,8 @@ from tests_support import (
     oracle_bounded_monotonicity,
     random_two_label_model,
     reference_best_assignment,
+    reference_check_monotonicity_bounded,
+    reference_check_strong_monotonicity,
 )
 
 
@@ -170,6 +172,52 @@ def test_avoidance_end_to_end(U, V):
     UW = compose(U, W, "min")
     VW = compose(V, W, "min")
     assert faster_than_bounded(UW, VW, m).outcome == "NotRefuted"
+
+
+# --- whole reports against the reference checkers ---------------------------
+
+def _random_quadruple(rng):
+    """(u, v, w, w2, op) over one or two labels; v may list the labels in another order."""
+    labels = rng.choice((("a",), ("a", "b")))
+    u = random_two_label_model(rng, labels=labels)
+    v = random_two_label_model(rng, labels=tuple(rng.sample(labels, len(labels))))
+    w = random_two_label_model(rng, labels=labels)
+    w2 = random_two_label_model(rng, det=rng.random() < 0.8, labels=labels)
+    return u, v, w, w2, rng.choice(("min", "max", "prodrate"))
+
+
+def test_reports_match_reference_checkers(U, V):
+    """Every report, details and path prefixes included, equals the reference's."""
+    cases = [(U, V, corpus.load(name), corpus.load(name), op) for name, op in (
+        ("fig4_W_congruent.smdp", "min"), ("fig4_W_product.smdp", "prodrate"),
+        ("fig4_W_minimum.smdp", "min"), ("fig4_W_maximum.smdp", "max"))]
+    cases.append((corpus.load("fig3_U.smdp"),) * 4 + ("min",))
+    rng = random.Random(909)
+    cases += [_random_quadruple(rng) for _ in range(300)]
+    compared = 0
+    for u, v, w, w2, op in cases:
+        for collect_all in (False, True):
+            mine = check_strong_monotonicity(u, v, w, w2, op, collect_all)
+            assert mine == reference_check_strong_monotonicity(u, v, w, w2, op, collect_all)
+            compared += 1
+            for n in (1, 2, 3, 5):
+                mine = check_monotonicity_bounded(u, v, w, w2, op, n, collect_all)
+                assert mine == reference_check_monotonicity_bounded(u, v, w, w2, op, n, collect_all)
+                compared += 1
+    assert compared == 3050
+
+
+def test_first_violation_ends_the_work(U, V, monkeypatch):
+    """Without collect_all, no condition past the first violation is evaluated."""
+    from smdpcheck import monotonicity
+
+    calls = []
+    monkeypatch.setattr(monotonicity, "dominates", lambda d1, d2: calls.append(1) or dominates(d1, d2))
+    W = corpus.load("fig4_W_product.smdp")
+    first = check_strong_monotonicity(U, V, W, W, "prodrate")
+    assert [x.condition for x in first.violations] == ["CdfSlow"] and len(calls) == 2
+    every = check_strong_monotonicity(U, V, W, W, "prodrate", collect_all=True)
+    assert every.violations[0] == first.violations[0] and len(calls) > 4
 
 
 # --- brute-force oracle -------------------------------------------------------

@@ -74,6 +74,8 @@ def test_estimate_validates_inputs():
         estimate_cylinder(U, sch, ("a",), 1.0, samples=10, seed=0)
     with pytest.raises(ValueError):
         estimate_cylinder(U, sch, (), 1.0, samples=2000, seed=0)
+    with pytest.raises(ValueError):
+        estimate_cylinder(U, sch, ("a",), 1.0, samples=2000, seed=0, workers=0)
 
 
 def test_estimate_zero_bound_and_zero_trace():

@@ -146,6 +146,14 @@ def test_depth_validation(U):
         faster_than_bounded(U, U, depth=0)
 
 
+def test_search_spec_validation(U3, V3):
+    for bad in ({"step": 0.0}, {"step": 1.5}, {"max_candidates": 0}, {"max_candidates": -1}):
+        with pytest.raises(ValueError):
+            SchedulerSearchSpec(**bad)
+    one = SchedulerSearchSpec(step=0.5, max_candidates=1)
+    assert faster_than_bounded(U3, V3, depth=2, search=one).candidates == 1
+
+
 def test_adversary_lattice_guard():
     from smdpcheck.errors import SmdpcheckError
 

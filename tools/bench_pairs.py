@@ -8,7 +8,10 @@ For each seed, `perfbench/run.py --trace 0` runs once in each tree; the base
 runs first for the first seed, the working tree for the second, and so on,
 so that drift over time falls on both sides alike.  The summary gives
 per end-to-end metric the median and quartiles of each side and the pairs in
-which the working tree was better; the last line is every run as JSON.
+which the working tree was better, and per side the runs whose answers were
+not correct and the failed ops; the last line is every run as JSON.  The exit
+status is 1 when any run, on either side, was not correct or had failed ops:
+its metrics do not measure the same work.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if not result["correct"] or result["failed"]:
         print(f"warning: seed {seed} in {tree}: correct={result['correct']}, "
               f"failed={result['failed']}", file=sys.stderr)
-    return {key: m["value"] for key, m in result["metrics"].items()}
+    run = {key: m["value"] for key, m in result["metrics"].items()}
+    run.update(correct=result["correct"], failed=result["failed"])
+    return run
 
 
 def quartiles(values: list) -> tuple:
@@ -87,8 +92,12 @@ def main(argv=None) -> int:
         wins = sum((n < o) if direction == "lower" else (n > o) for o, n in zip(old, new))
         print(f"{key:14s} {'/'.join(f'{q:.4g}' for q in quartiles(old)):>30s} "
               f"{'/'.join(f'{q:.4g}' for q in quartiles(new)):>30s} {wins:>5d} of {len(pairs)}")
+    faults = {side: (sum(not p[side]["correct"] for p in pairs), sum(p[side]["failed"] for p in pairs))
+              for side in ("base", "new")}
+    print("not correct runs / failed ops: " + ", ".join(
+        f"{side} {bad} / {failed}" for side, (bad, failed) in faults.items()))
     print(json.dumps(pairs))
-    return 0
+    return 1 if any(bad or failed for bad, failed in faults.values()) else 0
 
 
 if __name__ == "__main__":
