@@ -1,4 +1,4 @@
-.PHONY: install test acceptance reproduce reproduce-check check bench-pairs
+.PHONY: install test acceptance reproduce reproduce-check check bench-pairs replay-diff
 
 # Diffs two reproduce reports over every field but elapsed_seconds.
 define REPORT_DIFF
@@ -42,3 +42,8 @@ check:
 #   make bench-pairs W=deep-paths SEEDS=631-635 BASE=HEAD
 bench-pairs:
 	python3 tools/bench_pairs.py --workload $(W) --seeds $(SEEDS) --base $(or $(BASE),HEAD)
+
+# Every op result of the first N instances per seed, working tree against BASE, bit for bit:
+#   make replay-diff W=anomaly-audit SEEDS=1-3 N=800 BASE=HEAD
+replay-diff:
+	python3 tools/replay_diff.py --workload $(W) --seeds $(SEEDS) --n $(N) --base $(or $(BASE),HEAD)

@@ -230,6 +230,9 @@ def _cmd_bisimilar(args):
 
 
 def _cmd_monotonicity(args):
+    if args.mode == "strong" and args.n is not None:
+        raise ValueError("--n sets the depth of --mode bounded; "
+                         "strong mode checks paths up to the path bound")
     paths = [args.fast, args.slow, args.ctx] + ([args.ctx2] if args.ctx2 else [])
     rep = _Report("monotonicity", paths)
     u = _load_model(args.fast)
@@ -366,7 +369,7 @@ def build_parser():
     sp.add_argument("--ctx2", help="replacement context (defaults to --ctx)")
     sp.add_argument("--op", choices=sorted(_OPS), required=True)
     sp.add_argument("--mode", choices=["strong", "bounded"], default="strong")
-    sp.add_argument("--n", type=int, help="depth for bounded mode (default: the path bound)")
+    sp.add_argument("--n", type=int, help="depth for bounded mode only (default: the path bound)")
     sp.add_argument("--all", action="store_true", help="collect all violations, not just the first")
     sp.add_argument("--emit-smt", metavar="DIR", help="write CDF-dominance SMT queries")
     sp.add_argument("--json", action="store_true")

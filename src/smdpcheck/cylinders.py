@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import fft
 
 from .distributions import (
     Dirac,
@@ -168,8 +167,17 @@ def initial_level(m: Smdp, start: str) -> Dict[tuple, float]:
     return {(start, Dirac(0.0), (0,) * (len(m.states) * len(m.labels))): 1.0}
 
 
-def extend_level(m: Smdp, level: Dict[tuple, float], a: str) -> Dict[tuple, float]:
-    """The level of a word one letter `a` longer than the word of `level`."""
+def extend_level(m: Smdp, level: Dict[tuple, float], a: str,
+                 memo: Optional[dict] = None) -> Dict[tuple, float]:
+    """The level of a word one letter `a` longer than the word of `level`.
+
+    `memo`, if given, maps (id(law), id(residence)) to convolve(law,
+    residence) across the calls that share it.  It is keyed by identity
+    because laws that are == may differ in their bits (Dirac(0.0) and
+    Dirac(-0.0), Exponential(1) and Exponential(1.0)), and the result
+    carries those bits; the caller keeps the levels it extends alive while
+    the memo lives, so that no identity is reused.
+    """
     ai = m.label_index(a)
     n_l = len(m.labels)
     nxt: Dict[tuple, float] = {}
@@ -177,7 +185,13 @@ def extend_level(m: Smdp, level: Dict[tuple, float], a: str) -> Dict[tuple, floa
         row = m.succ(state, a)
         if not row:
             continue
-        law2 = convolve(law, m.residence_of(state))
+        res = m.residence_of(state)
+        if memo is None:
+            law2 = convolve(law, res)
+        else:
+            law2 = memo.get((id(law), id(res)))
+            if law2 is None:
+                law2 = memo[id(law), id(res)] = convolve(law, res)
         k = m.state_index(state) * n_l + ai
         counts2 = counts[:k] + (counts[k] + 1,) + counts[k + 1:]
         for s2 in sorted(row, key=m.state_index):
@@ -257,6 +271,8 @@ def _conv_density_table(d: Distribution, G: np.ndarray, xs: np.ndarray,
     onto the finer meshes.  `spectra` maps (d, r) to d's density on mesh r,
     its real FFT and the FFT length, so each is computed once per grid.
     """
+    from scipy import fft  # imported here: scipy loads slowly
+
     t = float(xs[-1])
     n_coarse = len(xs) - 1
     out = np.empty_like(G)

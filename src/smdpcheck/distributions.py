@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
-from scipy import integrate
 
 from .errors import UnsupportedComposition
 
@@ -378,6 +377,8 @@ def _numeric_conv_cdf(factors, t: float) -> float:
     Integrates density(x) * F_rest(t - x) over [0, t], choosing the factor
     with the cheapest density as the integration measure.
     """
+    from scipy import integrate  # imported here: scipy loads slowly
+
     if t <= 0.0:
         return 0.0
     factors = sorted(factors, key=lambda f: _DENSITY_PREFERENCE[type(f)])

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .composition import composite_name, require_same_labels
 from .distributions import compose_residence, dominates
@@ -205,6 +204,8 @@ def _best_assignment(pressures: Dict[str, Dict[str, float]]) -> float:
     single label; the worst case is the best injective assignment.  The
     pressures are nonnegative, so that is a maximum-weight matching.
     """
+    from scipy.optimize import linear_sum_assignment  # imported here: scipy loads slowly
+
     labels = [a for a in pressures if pressures[a]]
     ctx_states = sorted({s for a in labels for s in pressures[a]})
     weights = np.array([[pressures[a].get(s, 0.0) for s in ctx_states] for a in labels], ndmin=2)

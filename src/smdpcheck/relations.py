@@ -285,6 +285,8 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
     tables: Dict[tuple, tuple] = {}
     rows: Dict[object, np.ndarray] = {}  # law -> CDF on ts
     stacks: Dict[tuple, Tuple[_Stack, _Stack]] = {}  # words -> (fast u, slow v)
+    convolutions: dict = {}  # extend_level's memo for u and v; `levels` keeps its laws alive
+    evaluated = None  # the fast stack that cand_vals and cand_max belong to
 
     for sigma in _scheduler_products(v, v_options):
         words = tuple(_positive_words(v, sigma, depth))
@@ -292,14 +294,17 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
             continue
         for w in words:
             if w not in tables:
-                levels[w] = tuple(extend_level(m, lv, w[-1]) for m, lv in zip((u, v), levels[w[:-1]]))
+                levels[w] = tuple(extend_level(m, lv, w[-1], convolutions)
+                                  for m, lv in zip((u, v), levels[w[:-1]]))
                 tables[w] = tuple(_word_table(m, lv, ts, rows) for m, lv in zip((u, v), levels[w]))
         if words not in stacks:
             stacks[words] = tuple(_Stack([tables[w][k] for w in words]) for k in (0, 1))
         fast, slow_stack = stacks[words]
         slow = slow_stack.eval(sigma[None])[0]  # (n_words, n_ts)
-        cand_vals = fast.eval(candidates)  # (n_candidates, n_words, n_ts)
-        cand_max = cand_vals.max(axis=0)
+        if fast is not evaluated:  # the candidates' values depend on the word set alone
+            cand_vals = None  # drop the last word set's values before making the next
+            cand_vals = fast.eval(candidates)  # (n_candidates, n_words, n_ts)
+            cand_max, evaluated = cand_vals.max(axis=0), fast
 
         found = None  # (kind, word index, time index, prob_fast, fast scheduler)
         fail_mask = cand_max < slow - _SLACK
@@ -314,6 +319,8 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
         if found is None:
             margins = (cand_vals - slow).min(axis=(1, 2))
             ci = int(np.argmax(margins))
+            if margins[ci] >= -_SLACK:
+                continue  # a candidate matches; the ascent takes only improving moves
             x_best, margin = _ascend(lambda xs: (fast.eval(xs) - slow).min(axis=(1, 2)),
                                      candidates[ci], margins[ci], search)
             if margin >= -_SLACK:

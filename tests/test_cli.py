@@ -260,6 +260,8 @@ def test_model_error_exits_2(tmp_path, capsys):
      "--ctx", "fig4_W_congruent.smdp", "--op", "min", "--mode", "bounded", "--n", "-1"],
     ["monotonicity", "--fast", "fig2_U.smdp", "--slow", "fig2_V.smdp",
      "--ctx", "fig4_W_congruent.smdp", "--op", "min", "--mode", "bounded", "--n", "0"],
+    ["monotonicity", "--fast", "fig2_U.smdp", "--slow", "fig2_V.smdp",
+     "--ctx", "fig4_W_congruent.smdp", "--op", "min", "--n", "3"],
 ])
 def test_invalid_option_values_exit_2(models, capsys, argv):
     code = main([str(models / a) if a.endswith(".smdp") else a for a in argv])

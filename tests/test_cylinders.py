@@ -319,12 +319,18 @@ def test_inductive_transforms_each_density_once_per_mesh(monkeypatch):
     assert len(calls) == len(set(calls)) <= 2 * len(meshes), calls
 
 
-def test_inductive_engine_does_not_load_scipy_signal():
+def test_scipy_is_imported_only_where_it_is_used():
+    """Faster-than and the paths engine load no scipy module; the inductive
+    engine loads scipy.fft but not scipy.signal."""
     code = ("import sys, smdpcheck as api\n"
             "from smdpcheck import corpus\n"
-            "m = corpus.load('fig2_U.smdp')\n"
-            "api.prob_cylinder_inductive(m, api.uniform_scheduler(m), m.initial,\n"
-            "                            api.TimeBoundedCylinder(('a', 'a'), 2.0))\n"
+            "u, v = corpus.load('fig2_U.smdp'), corpus.load('fig2_V.smdp')\n"
+            "c = api.TimeBoundedCylinder(('a', 'a'), 2.0)\n"
+            "api.faster_than_bounded(u, v, 3)\n"
+            "api.prob_cylinder_paths(u, api.uniform_scheduler(u), u.initial, c)\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+            "api.prob_cylinder_inductive(u, api.uniform_scheduler(u), u.initial, c)\n"
             "assert 'scipy.signal' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)

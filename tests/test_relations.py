@@ -1,21 +1,25 @@
 """Faster-than checking, simulation, bisimulation."""
 
+import functools
 import itertools
 import random
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from smdpcheck import corpus
+from smdpcheck import corpus, cylinders, relations
 from smdpcheck.composition import compose
-from smdpcheck.cylinders import TimeBoundedCylinder, prob_cylinder_paths
-from smdpcheck.model import Smdp
-from smdpcheck.distributions import Exponential, Uniform
+from smdpcheck.cylinders import TimeBoundedCylinder, extend_level, initial_level, prob_cylinder_paths
+from smdpcheck.model import Scheduler, Smdp
+from smdpcheck.distributions import Exponential, Uniform, convolve
 from smdpcheck.errors import LabelMismatch
 from smdpcheck.relations import (
+    _SLACK,
     SchedulerSearchSpec,
     _ascend,
+    _positive_words,
     _Stack,
     _scheduler_products,
     _simplex_options,
@@ -222,6 +226,116 @@ def test_batched_ascent_takes_the_sequential_path():
         x_ref, best_ref = reference_ascend(lambda x: batched(x[None])[0], x0, search)
         x, best = _ascend(batched, x0, batched(x0[None])[0], search)
         assert best == best_ref and np.array_equal(x, x_ref), case
+
+
+def _bit_twins():
+    """Two-label models whose laws are == in pairs but differ in bits: an int and
+    a float rate, and uniform laws that start at 0.0 and at -0.0."""
+    labels = ("a", "b")
+    u = Smdp(labels, ["s0", "s1", "s2"], "s0",
+             {"s0": Exponential(1), "s1": Uniform(0.0, 1.0), "s2": Uniform(-0.0, 1.0)},
+             {(s, a): row for a in labels for s, row in (
+                 ("s0", {"s1": 0.5, "s2": 0.5}), ("s1", {"s0": 1.0}), ("s2", {"s0": 1.0}))})
+    v = Smdp(labels, ["r0", "r1"], "r0", {"r0": Exponential(1.0), "r1": Uniform(-0.0, 2)},
+             {(s, a): {t: 1.0} for a in labels for s, t in (("r0", "r1"), ("r1", "r0"))})
+    return u, v
+
+
+def test_convolution_memo_keeps_the_bits_of_equal_laws(monkeypatch):
+    """Levels extended through one memo shared by both models, as faster_than_bounded
+    extends them, have the reprs of levels extended without one, and so does the
+    verdict; a cache keyed by == laws would hand one law's bits to its twin."""
+    u, v = _bit_twins()
+    calls = []
+    monkeypatch.setattr(cylinders, "convolve", lambda *laws: calls.append(laws) or convolve(*laws))
+
+    def levels(memo):
+        out = {(): (initial_level(u, u.initial), initial_level(v, v.initial))}
+        for word in (w for n in (1, 2, 3) for w in itertools.product(u.labels, repeat=n)):
+            out[word] = tuple(extend_level(m, lv, word[-1], memo) for m, lv in zip((u, v), out[word[:-1]]))
+        return repr(out)
+
+    plain, plain_calls = levels(None), len(calls)
+    assert all(law in plain for law in ("Uniform(lo=-0.0, hi=1.0)", "Uniform(lo=0.0, hi=1.0)",
+                                        "Exponential(rate=1)", "Exponential(rate=1.0)"))
+    calls.clear()
+    memo = {}
+    assert levels(memo) == plain and len(calls) == len(memo) < plain_calls
+    monkeypatch.setattr(cylinders, "convolve", functools.lru_cache(maxsize=None)(convolve))
+    assert levels(None) != plain
+    monkeypatch.undo()
+    verdict = repr(faster_than_bounded(u, v, 3))
+    monkeypatch.setattr(relations, "extend_level", lambda m, level, a, memo: extend_level(m, level, a))
+    assert repr(faster_than_bounded(u, v, 3)) == verdict
+
+
+def test_ascent_is_skipped_for_matched_adversaries(monkeypatch):
+    """_ascend runs only for adversaries that no lattice candidate matches at every
+    (word, time), and the verdict stays the reference's."""
+    rng = random.Random(51)
+    u = random_two_label_model(rng, live_initial=True)
+    v = random_two_label_model(rng, live_initial=True)
+    search = SchedulerSearchSpec(step=0.5)
+    events = []  # the adversary of each _positive_words call, then its ascents
+
+    def positive_words(m, sigma, depth):
+        events.append(sigma.copy())
+        return _positive_words(m, sigma, depth)
+
+    def ascend(*args):
+        events.append("ascend")
+        return _ascend(*args)
+
+    monkeypatch.setattr(relations, "_positive_words", positive_words)
+    monkeypatch.setattr(relations, "_ascend", ascend)
+    got = faster_than_bounded(u, v, 2, search=search)
+    monkeypatch.undo()
+    want = reference_faster_than(u, v, 2, search=search)
+    assert (got.outcome, got.witness) == (want.outcome, want.witness) == ("NotRefuted", None)
+
+    ts = got.grid.times()
+    candidates = [Scheduler.from_matrix(u, x) for x in
+                  _scheduler_products(u, _simplex_options(len(u.labels), search.step))]
+
+    def matched(sigma):
+        words = list(_positive_words(v, sigma, 2))
+        slow = Scheduler.from_matrix(v, sigma)
+        return any(all(prob_cylinder_paths(u, x, u.initial, TimeBoundedCylinder(w, t))
+                       >= prob_cylinder_paths(v, slow, v.initial, TimeBoundedCylinder(w, t)) - _SLACK
+                       for w in words for t in ts) for x in candidates)
+
+    adversaries = [i for i, e in enumerate(events) if not isinstance(e, str)]
+    ascended = {i for i in adversaries if i + 1 < len(events) and isinstance(events[i + 1], str)}
+    assert len(adversaries) == 27 and 0 < len(ascended) < len(adversaries)
+    for i in adversaries:
+        assert matched(events[i]) == (i not in ascended), events[i]
+
+
+def test_candidate_values_are_kept_for_one_word_set_at_a_time(monkeypatch):
+    """At step 0.25 over 6 states (4096 candidates), evaluating a word set's
+    candidates finds no other word set's values alive, and adversaries with
+    the word set of the one before reuse its values."""
+    labels = ("a", "b")
+    names = [f"s{i}" for i in range(6)]
+    u = Smdp(labels, names, "s0", {s: Exponential(50.0) for s in names},
+             {(s, a): {names[(i + 1) % 6]: 1.0} for i, s in enumerate(names) for a in labels})
+    v = Smdp(labels, ["r"], "r", {"r": Exponential(0.05)}, {("r", a): {"r": 1.0} for a in labels})
+    search = SchedulerSearchSpec(step=0.25)
+    evaluate = _Stack.eval
+    alive, sizes = [], []
+
+    def eval_stack(self, X):
+        out = evaluate(self, X)
+        if len(X) == search.max_candidates:
+            sizes.append(sum(ref().size for ref in alive if ref() is not None))
+            alive.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(_Stack, "eval", eval_stack)
+    verdict = faster_than_bounded(u, v, 2, search=search)
+    assert verdict.outcome == "NotRefuted" and verdict.candidates == search.max_candidates
+    # adversaries in lattice order: three mixed ones share all six words, then {b, bb}, {a, aa}
+    assert sizes == [0, 0, 0]
 
 
 def _states_only(n_states, labels=("a", "b")):

@@ -9,9 +9,10 @@ runs first for the first seed, the working tree for the second, and so on,
 so that drift over time falls on both sides alike.  The summary gives
 per end-to-end metric the median and quartiles of each side and the pairs in
 which the working tree was better, and per side the runs whose answers were
-not correct and the failed ops; the last line is every run as JSON.  The exit
-status is 1 when any run, on either side, was not correct or had failed ops:
-its metrics do not measure the same work.
+not correct and the failed ops; the last line is every run as JSON.  The same
+summary, both commits and every run go to BENCH_<workload>.json at the root
+of the repository.  The exit status is 1 when any run, on either side, was
+not correct or had failed ops: its metrics do not measure the same work.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return run
 
 
+def git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+
 def quartiles(values: list) -> tuple:
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -84,12 +89,15 @@ def main(argv=None) -> int:
 
     print(f"{args.workload}, {len(pairs)} pairs, base {args.base}, {args.seconds:g} s runs")
     print(f"{'metric':14s} {'base q1/median/q3':>30s} {'new q1/median/q3':>30s} {'new better':>11s}")
+    summary = {}
     for key, direction in better.items():
         if key not in pairs[0]["base"]:
             continue
         old = [p["base"][key] for p in pairs]
         new = [p["new"][key] for p in pairs]
         wins = sum((n < o) if direction == "lower" else (n > o) for o, n in zip(old, new))
+        summary[key] = {"better": direction, "base_q1_median_q3": quartiles(old),
+                        "new_q1_median_q3": quartiles(new), "new_better_pairs": wins}
         print(f"{key:14s} {'/'.join(f'{q:.4g}' for q in quartiles(old)):>30s} "
               f"{'/'.join(f'{q:.4g}' for q in quartiles(new)):>30s} {wins:>5d} of {len(pairs)}")
     faults = {side: (sum(not p[side]["correct"] for p in pairs), sum(p[side]["failed"] for p in pairs))
@@ -97,6 +105,16 @@ def main(argv=None) -> int:
     print("not correct runs / failed ops: " + ", ".join(
         f"{side} {bad} / {failed}" for side, (bad, failed) in faults.items()))
     print(json.dumps(pairs))
+    out = ROOT / f"BENCH_{args.workload}.json"
+    out.write_text(json.dumps({
+        "workload": args.workload, "seconds": args.seconds, "seeds": args.seeds,
+        "base": {"ref": args.base, "commit": git("rev-parse", args.base)},
+        "new": {"commit": git("rev-parse", "HEAD"), "uncommitted_changes": bool(git("status", "--porcelain"))},
+        "metrics": summary,
+        "not_correct_runs_and_failed_ops": {side: list(f) for side, f in faults.items()},
+        "pairs": pairs,
+    }, indent=1) + "\n")
+    print(f"wrote {out.name}", file=sys.stderr)
     return 1 if any(bad or failed for bad, failed in faults.values()) else 0
 
 
