@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 _PHASE_EPS = 1e-12  # absolute truncation error of the uniformization series
-_QUAD_TOL = 1e-9    # absolute tolerance of the numeric convolution fallback
 
 
 @dataclass(frozen=True)
@@ -358,45 +357,6 @@ def _pdf(d: Distribution, x: float) -> float:
     raise TypeError(f"no density for {d!r}")
 
 
-def _density_breakpoints(d: Distribution, limit: float):
-    """Kink locations of the density inside (0, limit), for quadrature hints."""
-    pts = []
-    if isinstance(d, Uniform):
-        pts = [d.lo, d.hi]
-    elif isinstance(d, Shifted):
-        pts = [d.shift + p for p in _density_breakpoints(d.base, limit)]
-    elif isinstance(d, MinMaxCdf):
-        for p in d.parts:
-            pts.extend(_density_breakpoints(p, limit))
-    return [p for p in pts if 0.0 < p < limit]
-
-
-def _numeric_conv_cdf(factors, t: float) -> float:
-    """F of a convolution via the Stieltjes integral against one factor.
-
-    Integrates density(x) * F_rest(t - x) over [0, t], choosing the factor
-    with the cheapest density as the integration measure.
-    """
-    from scipy import integrate  # imported here: scipy loads slowly
-
-    if t <= 0.0:
-        return 0.0
-    factors = sorted(factors, key=lambda f: _DENSITY_PREFERENCE[type(f)])
-    head, rest = factors[0], factors[1:]
-    rest_d = rest[0] if len(rest) == 1 else NumericConvolution(tuple(rest))
-    breaks = _density_breakpoints(head, t)
-    val, _ = integrate.quad(
-        lambda x: _pdf(head, x) * cdf_eval(rest_d, t - x),
-        0.0,
-        t,
-        epsabs=_QUAD_TOL,
-        epsrel=0.0,
-        limit=200,
-        points=breaks or None,
-    )
-    return min(1.0, max(0.0, val))
-
-
 @lru_cache(maxsize=1 << 16)
 def cdf_eval(d: Distribution, t: float) -> float:
     """F_d(t).  Total: t < 0 gives 0.0 and t = +inf gives 1.0."""
@@ -423,7 +383,7 @@ def cdf_eval(d: Distribution, t: float) -> float:
     if isinstance(d, MinMaxCdf):
         return _min_max_cdf(d, t)
     if isinstance(d, NumericConvolution):
-        return _numeric_conv_cdf(d.factors, t)
+        return float(_conv_cdf_vec(d.factors, (t,))[0])
     raise TypeError(f"not a Distribution: {d!r}")
 
 
@@ -444,12 +404,19 @@ def cdf_vec(d: Distribution, ts) -> np.ndarray:
         a = cdf_vec(d.parts[0], ts)
         b = cdf_vec(d.parts[1], ts)
         return np.minimum(a, b) if d.kind == "min" else np.maximum(a, b)
-    return np.array([cdf_eval(d, float(t)) for t in ts])
+    if isinstance(d, NumericConvolution):
+        return _conv_cdf_vec(d.factors, ts)
+    raise TypeError(f"not a Distribution: {d!r}")
 
 
 def pdf_vec(d: Distribution, ts) -> np.ndarray:
     """Vectorized density over an array of times (atomless variants only)."""
-    ts = np.asarray(ts, dtype=float)
+    return _pdf_vec(d, np.asarray(ts, dtype=float), atoms=False)
+
+
+def _pdf_vec(d: Distribution, ts: np.ndarray, atoms: bool) -> np.ndarray:
+    """Density of d's absolutely continuous part.  A Dirac part has none:
+    with `atoms` it contributes 0, without it raises TypeError."""
     if isinstance(d, Exponential):
         return np.where(ts >= 0.0, d.rate * np.exp(-np.minimum(700.0, d.rate * np.maximum(ts, 0.0))), 0.0)
     if isinstance(d, Uniform):
@@ -457,13 +424,148 @@ def pdf_vec(d: Distribution, ts) -> np.ndarray:
     if isinstance(d, PhaseType):
         return _phase_series(d.rates, ts)[1]
     if isinstance(d, Shifted):
-        return pdf_vec(d.base, ts - d.shift)
+        return _pdf_vec(d.base, ts - d.shift, atoms)
     if isinstance(d, MinMaxCdf):
         a, b = d.parts
         fa, fb = cdf_vec(a, ts), cdf_vec(b, ts)
         pick_a = fa <= fb if d.kind == "min" else fa >= fb
-        return np.where(pick_a, pdf_vec(a, ts), pdf_vec(b, ts))
+        return np.where(pick_a, _pdf_vec(a, ts, atoms), _pdf_vec(b, ts, atoms))
+    if isinstance(d, Dirac) and atoms:
+        return np.zeros(ts.shape)
     raise TypeError(f"no density for {d!r}")
+
+
+# ---------------------------------------------------------------------------
+# numeric convolution: one Gauss-Legendre Stieltjes kernel
+
+# F(t) = int_0^t f_head(x) F_rest(t - x) dx + sum_j m_j F_rest(t - x_j): the
+# head factor's absolutely continuous density against the CDF of the other
+# factors, plus the head's atoms m_j at x_j <= t.  [0, t] is cut wherever
+# either side is not smooth (the head's kinks, and t - k for each kink k of
+# the rest) and, for stiff rates, at span * 2^k from both ends, with span =
+# _STIFF_SPAN / (largest rate): no piece then spans more than _STIFF_SPAN
+# rate-lengths of a part of the integrand that has not already decayed.
+# Each piece takes _GL_POINTS Gauss-Legendre nodes, exact for polynomials of
+# degree 47.  The terms of each time are summed with math.fsum, which rounds
+# once and ignores order, so the zero-width pieces that pad a batch to one
+# shape change no bits: a time's value does not depend on the other times
+# of the call, and cdf_eval is a one-point call of the kernel cdf_vec uses.
+
+_GL_POINTS = 24
+_STIFF_SPAN = 40.0
+_KERNEL_BLOCK = 1 << 17  # (time, node) pairs evaluated per block
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    """Nodes and weights on [-1, 1], made on first use: importing
+    numpy.polynomial takes milliseconds."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(_GL_POINTS)
+
+
+def _bisect_sign_change(a, b, lo, hi):
+    """A point where F_a - F_b changes sign in [lo, hi], bisected down to
+    adjacent floats; the sign at lo must be nonzero."""
+    above = cdf_eval(a, lo) > cdf_eval(b, lo)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        diff = cdf_eval(a, mid) - cdf_eval(b, mid)
+        if diff == 0.0:
+            return mid
+        if (diff > 0.0) == above:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@lru_cache(maxsize=1 << 12)
+def _crossings(d: MinMaxCdf) -> tuple:
+    """Where the two parts' CDFs cross: each sign change of F_a - F_b on the
+    dominance grid, bisected."""
+    a, b = d.parts
+    _, ts, diffs = _grid_diffs(a, b, None)
+    signed = np.flatnonzero(diffs)
+    return tuple(_bisect_sign_change(a, b, float(ts[i]), float(ts[j]))
+                 for i, j in zip(signed[:-1], signed[1:]) if (diffs[i] > 0.0) != (diffs[j] > 0.0))
+
+
+@lru_cache(maxsize=1 << 12)
+def _kinks(d: Distribution) -> tuple:
+    """Sorted points where F_d or its density is not smooth: uniform
+    endpoints, atoms, shifts, min/max crossings, and the sums of the factors'
+    kinks (0 included) for a convolution."""
+    if isinstance(d, Dirac):
+        return (d.point,)
+    if isinstance(d, Uniform):
+        return (d.lo, d.hi)
+    if isinstance(d, Shifted):
+        return tuple(sorted({d.shift, *(d.shift + k for k in _kinks(d.base))}))
+    if isinstance(d, MinMaxCdf):
+        return tuple(sorted({*_kinks(d.parts[0]), *_kinks(d.parts[1]), *_crossings(d)}))
+    if isinstance(d, NumericConvolution):
+        sums = {0.0}
+        for f in d.factors:
+            sums = {s + k for s in sums for k in (0.0, *_kinks(f))}
+        return tuple(sorted(sums - {0.0}))
+    return ()  # exponential and phase-type laws are smooth on (0, inf)
+
+
+@lru_cache(maxsize=1 << 12)
+def _jumps(d: Distribution) -> tuple:
+    """(x, F(x) - F(x-)) for each atom x of a law that is not a convolution."""
+    if isinstance(d, Dirac):
+        return ((d.point, 1.0),)
+    if isinstance(d, Shifted):
+        return tuple((x + d.shift, m) for x, m in _jumps(d.base))
+    if isinstance(d, MinMaxCdf):
+        (a, b), pick = d.parts, (min if d.kind == "min" else max)
+        ja, jb = dict(_jumps(a)), dict(_jumps(b))
+        out = []
+        for x in sorted({*ja, *jb}):
+            fa, fb = cdf_eval(a, x), cdf_eval(b, x)
+            m = pick(fa, fb) - pick(fa - ja.get(x, 0.0), fb - jb.get(x, 0.0))
+            if m > 0.0:
+                out.append((x, m))
+        return tuple(out)
+    return ()
+
+
+def _conv_cdf_vec(factors, ts) -> np.ndarray:
+    """F of the convolution of `factors` at every time in ts (see above)."""
+    ts = np.asarray(ts, dtype=float)
+    if np.isnan(ts).any():
+        raise ValueError("t must not be NaN")
+    head, *others = sorted(factors, key=lambda f: _DENSITY_PREFERENCE[type(f)])
+    rest = others[0] if len(others) == 1 else NumericConvolution(tuple(others))
+    span = _STIFF_SPAN / max(_scales(f)[1] for f in factors)
+    jumps = np.array(_jumps(head), dtype=float).reshape(-1, 2)
+    out = np.where(ts > 0.0, 1.0, 0.0).ravel()  # t = inf gives 1, t < 0 gives 0
+    todo = np.flatnonzero(np.isfinite(ts.ravel()) & (ts.ravel() >= 0.0))
+    times = ts.ravel()[todo]
+    fixed_cuts = len(_kinks(head)) + len(_kinks(rest)) + 2
+    rows = max(1, _KERNEL_BLOCK // (_GL_POINTS * fixed_cuts))
+    for lo in range(0, len(times), rows):
+        out[todo[lo:lo + rows]] = _stieltjes_rows(head, rest, span, jumps, times[lo:lo + rows])
+    return out.reshape(ts.shape)
+
+
+def _stieltjes_rows(head, rest, span, jumps, ts):
+    """The kernel's values at the finite times ts >= 0, as a list."""
+    t = ts[:, None]
+    n = len(ts)
+    stiff = span * 2.0 ** np.arange(max(0, math.ceil(math.log2(max(ts.max(), span) / span))))
+    ahead = np.concatenate(([0.0], _kinks(head), stiff))       # cut at x
+    behind = np.concatenate((_kinks(rest), stiff, [0.0]))      # cut at t - x
+    cuts = np.concatenate((np.broadcast_to(ahead, (n, len(ahead))), t - behind), axis=1)
+    cuts = np.sort(np.minimum(np.maximum(cuts, 0.0), t), axis=1)
+    nodes, weights = _gauss_legendre()
+    half = 0.5 * np.diff(cuts, axis=1)[:, :, None]
+    xs = (cuts[:, :-1, None] + half) + half * nodes
+    dens = (_pdf_vec(head, xs, atoms=True) * (half * weights)).reshape(n, -1)
+    cdfs = cdf_vec(rest, np.concatenate((t - xs.reshape(n, -1), t - jumps[:, 0]), axis=1))
+    terms = cdfs * np.concatenate((dens, np.broadcast_to(jumps[:, 1], (n, len(jumps)))), axis=1)
+    return [min(1.0, max(0.0, math.fsum(row))) for row in terms.tolist()]
 
 
 def atom_mass(d: Distribution, x: float) -> float:

@@ -320,14 +320,22 @@ def test_inductive_transforms_each_density_once_per_mesh(monkeypatch):
 
 
 def test_scipy_is_imported_only_where_it_is_used():
-    """Faster-than and the paths engine load no scipy module; the inductive
-    engine loads scipy.fft but not scipy.signal."""
+    """Importing the package loads neither scipy nor numpy.polynomial.
+    Faster-than and the paths engine load no scipy module, also on a
+    min(exp, uniform) composite, whose two-letter words are numeric
+    convolutions; the inductive engine loads scipy.fft but not scipy.signal."""
     code = ("import sys, smdpcheck as api\n"
             "from smdpcheck import corpus\n"
+            "assert 'numpy.polynomial' not in sys.modules\n"
             "u, v = corpus.load('fig2_U.smdp'), corpus.load('fig2_V.smdp')\n"
             "c = api.TimeBoundedCylinder(('a', 'a'), 2.0)\n"
             "api.faster_than_bounded(u, v, 3)\n"
             "api.prob_cylinder_paths(u, api.uniform_scheduler(u), u.initial, c)\n"
+            "w = api.parse_model('labels: a\\nstates: w0\\ninitial: w0\\nresidence:\\n'\n"
+            "                    '  w0 uniform(0.3,1.2)\\ntransitions:\\n  w0 a w0 1.0\\n')\n"
+            "uw, vw = api.compose(u, w, 'min'), api.compose(v, w, 'min')\n"
+            "api.prob_cylinder_paths(uw, api.uniform_scheduler(uw), uw.initial, c)\n"
+            "api.faster_than_bounded(uw, vw, 2)\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "assert not loaded, loaded\n"
             "api.prob_cylinder_inductive(u, api.uniform_scheduler(u), u.initial, c)\n"

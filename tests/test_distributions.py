@@ -17,7 +17,10 @@ from smdpcheck.distributions import (
     PhaseType,
     Shifted,
     Uniform,
+    _crossings,
     _dominance_holds,
+    _jumps,
+    _kinks,
     _pdf,
     _scales,
     atom_mass,
@@ -30,9 +33,10 @@ from smdpcheck.distributions import (
     measure_interval,
     pdf_vec,
     phase_type,
+    render,
 )
 from smdpcheck.errors import UnsupportedComposition
-from tests_support import reference_dominates
+from tests_support import reference_conv_cdf, reference_dominates
 
 
 # --- independent oracles -----------------------------------------------------
@@ -282,6 +286,94 @@ def test_numeric_convolution_against_quadrature_oracle():
         oracle, _ = integrate.quad(lambda x: 0.5 * hypoexp_cdf((1.0, 3.0), t - x),
                                    0.0, min(t, 2.0))
         assert cdf_eval(d, t) == pytest.approx(oracle, abs=1e-7)
+
+
+# --- numeric convolution kernel ---------------------------------------------
+
+def _random_factor(rng):
+    """A law of the kinds the kernel integrates: uniform, exponential, shifted,
+    or min/max of two of exp, uniform and Dirac."""
+    e = Exponential(round(rng.uniform(0.4, 3.0), 2))
+    lo = round(rng.uniform(0.0, 0.6), 2)
+    u = Uniform(lo, round(lo + rng.uniform(0.3, 1.5), 2))
+    dirac = Dirac(rng.choice((0.25, 0.5, 0.75, 1.0)))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return u
+    if kind == 1:
+        return e
+    if kind == 2:
+        return Shifted(rng.choice((e, u)), round(rng.uniform(0.1, 0.8), 2))
+    return compose_residence(rng.choice(("min", "max")), *((e, u), (e, dirac), (u, dirac))[kind - 3])
+
+
+def _seeded_convolutions():
+    rng = random.Random(2026)
+    return [NumericConvolution(tuple(_random_factor(rng) for _ in range(n))) for n in (2,) * 10 + (3,) * 3]
+
+
+def _kernel_test_times(d):
+    """t <= 0, two plain times, and times at the law's kinks and its factors' crossings."""
+    crossings = [c for f in d.factors if isinstance(f, MinMaxCdf) for c in _crossings(f)]
+    return [-0.5, 0.0, 1.3, 4.0] + [k for k in _kinks(d) if k < 6.0][:5] + crossings
+
+
+def test_conv_kernel_matches_refined_split_reference():
+    # the reference takes the last factor as the integrator and splits each
+    # piece 200 times (4 for three factors, whose inner level recurses)
+    for d in _seeded_convolutions():
+        ts = _kernel_test_times(d)
+        ref = reference_conv_cdf(d, ts, splits=200 if len(d.factors) == 2 else 4)
+        assert np.abs(cdf_vec(d, ts) - ref).max() <= 1e-12, render(d)
+
+
+def test_conv_kernel_against_30_digit_values():
+    # Both values are mpmath at 40 digits: tanh-sinh quadrature of
+    # f_head(x) F_rest(t - x) on pieces cut at every uniform end, at every
+    # min/max crossing (mpmath.findroot) and at t minus each of the other
+    # factor's kinks.  The first law is anomaly-audit's seed 11, instance 205
+    # ("aa" over the min composite): integrate.quad gave 0.9998755600337815
+    # at t = 10, off by -1.23e-4.  For the second, quad was off by 9.05e-7.
+    d = convolve(MinMaxCdf("min", (Exponential(1.5), Uniform(0.27, 1.38))),
+                 MinMaxCdf("min", (Exponential(2.85), Uniform(0.41, 1.09))))
+    assert abs(cdf_eval(d, 10.0) - 0.999998936608038261215221304630) <= 1e-15
+    d = convolve(MinMaxCdf("max", (Exponential(0.6), Uniform(0.48, 1.0))),
+                 MinMaxCdf("max", (Exponential(3.0), Uniform(0.42, 1.77))))
+    assert abs(cdf_eval(d, 2.0) - 0.977320356750124106139852274082) <= 1e-15
+
+
+def test_conv_cdf_eval_is_a_one_point_cdf_vec_call():
+    # Faster-than reads cdf_vec rows, and its witness is re-verified through
+    # cdf_eval: the two must agree bit for bit whatever else is in the batch.
+    # The time 1e4 puts stiff-rate cuts into every row of its batch.
+    rng = random.Random(11)
+    for d in _seeded_convolutions()[:8]:
+        ts = [-1.0, 0.0, math.inf, 1e4] + _kernel_test_times(d) + [rng.uniform(0.0, 12.0) for _ in range(12)]
+        one_point = [cdf_eval(d, t).hex() for t in ts]
+        for batch in (ts, rng.sample(ts, len(ts)), ts[1::2], ts[4:]):
+            expected = [one_point[ts.index(t)] for t in batch]
+            assert [x.hex() for x in cdf_vec(d, batch)] == expected, render(d)
+        grid = cdf_vec(d, np.array(ts[:12]).reshape(3, 4))
+        assert [x.hex() for x in grid.ravel()] == one_point[:12]
+
+
+def test_conv_kernel_resolves_stiff_rates():
+    # rate 50 against a uniform over [0, 10]: 24 nodes on one piece would be
+    # off by 1.2e-4; F(t) = t/10 - (1 - e^{-50 t}) / 500 for t <= 10
+    d = convolve(Uniform(0.0, 10.0), Exponential(50.0))
+    for t in (0.5, 5.0, 10.0):
+        assert abs(cdf_eval(d, t) - (t / 10.0 + math.expm1(-50.0 * t) / 500.0)) <= 1e-15, t
+
+
+def test_jumps_of_laws_with_atoms():
+    assert _jumps(Dirac(0.5)) == ((0.5, 1.0),)
+    assert _jumps(Shifted(Dirac(0.5), 0.25)) == ((0.75, 1.0),)
+    # min follows the Dirac part up to 0.5 (F = 0), then the exponential: one
+    # jump of F_exp(0.5); max jumps from F_exp(0.5) to 1
+    e = Exponential(1.0)
+    assert _jumps(MinMaxCdf("min", (Dirac(0.5), e))) == ((0.5, cdf_eval(e, 0.5)),)
+    assert _jumps(MinMaxCdf("max", (Dirac(0.5), e))) == ((0.5, 1.0 - cdf_eval(e, 0.5)),)
+    assert _jumps(MinMaxCdf("min", (Uniform(0.0, 1.0), e))) == ()
 
 
 def test_convolve_power():

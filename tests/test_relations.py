@@ -12,7 +12,7 @@ import pytest
 from smdpcheck import corpus, cylinders, relations
 from smdpcheck.composition import compose
 from smdpcheck.cylinders import TimeBoundedCylinder, extend_level, initial_level, prob_cylinder_paths
-from smdpcheck.model import Scheduler, Smdp
+from smdpcheck.model import Scheduler, Smdp, parse_model
 from smdpcheck.distributions import Exponential, Uniform, convolve
 from smdpcheck.errors import LabelMismatch
 from smdpcheck.relations import (
@@ -523,3 +523,30 @@ def test_relations_match_per_pair_dominance_on_uniform_composites():
             assert (bis.holds, bis.pairs) == reference_bisimilar(left, right)
             related += len(sim.pairs) + len(bis.pairs)
     assert related > 100
+
+
+_AUDIT_SEED11_205 = (
+    "labels: a\nstates: u0 u1 u2\ninitial: u0\nresidence:\n"
+    "  u0 exp(2.85)\n  u1 exp(1.5)\n  u2 exp(1.5)\n"
+    "transitions:\n  u0 a u1 0.7\n  u0 a u2 0.3\n  u1 a u2 1.0\n  u2 a u0 1.0\n",
+    "labels: a\nstates: v0 v1 v2\ninitial: v0\nresidence:\n"
+    "  v0 exp(1.9)\n  v1 exp(1.0)\n  v2 exp(1.0)\n"
+    "transitions:\n  v0 a v1 0.7\n  v0 a v2 0.3\n  v1 a v2 1.0\n  v2 a v0 1.0\n",
+    "labels: a\nstates: w0 w1 w2\ninitial: w0\nresidence:\n"
+    "  w0 uniform(0.41,1.09)\n  w1 uniform(0.27,1.38)\n  w2 uniform(0.3,1.05)\n"
+    "transitions:\n  w0 a w1 1.0\n  w1 a w2 1.0\n  w2 a w0 1.0\n",
+)
+
+
+def test_faster_than_on_uniform_context_has_no_quadrature_refutation():
+    # anomaly-audit, seed 11, instance 205: U and V under min with a uniform
+    # context.  Adaptive quadrature put the fast composite's "aa" at t = 10 at
+    # 0.99987556, 1.23e-4 below its 30-digit value 0.99999893660803826 and
+    # below the slow composite's 0.99988226181206105, a Refuted verdict with
+    # no anomaly behind it.
+    u, v, w = map(parse_model, _AUDIT_SEED11_205)
+    uw, vw = compose(u, w, "min"), compose(v, w, "min")
+    assert faster_than_bounded(uw, vw, 2).outcome == "NotRefuted"
+    c = TimeBoundedCylinder(("a", "a"), 10.0)
+    assert abs(prob_cylinder_paths(uw, Scheduler({s: {"a": 1.0} for s in uw.states}), uw.initial, c)
+               - 0.99999893660803826) <= 1e-15
