@@ -18,12 +18,13 @@ from .distributions import (
     Dirac,
     Distribution,
     Shifted,
+    _gauss_legendre,
+    _jumps,
     _scales,
     cdf_eval,
     cdf_vec,
     convolve,
     measure_interval,
-    pdf_vec,
     sort_key,
 )
 from .model import Scheduler, Smdp
@@ -38,9 +39,6 @@ __all__ = [
     "prob_cylinder_inductive",
     "trace_probability",
 ]
-
-_INDUCTIVE_TOL = 1e-7  # quadrature refinement target of the inductive engine
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -260,56 +258,52 @@ def trace_probability(m: Smdp, sch: Scheduler, word) -> float:
 # inductive (grid-tabulation) engine
 
 
-def _conv_density_table(d: Distribution, G: np.ndarray, xs: np.ndarray,
-                        spectra: dict) -> np.ndarray:
-    """(d * G_i)(x_j) for a density d and tabulated rows G_i, by refined trapezoid sums.
+_CELL_POINTS = 8  # Gauss-Legendre nodes per grid cell for the mean of a CDF
 
-    The trapezoid correlation is evaluated at successive mesh halvings with
-    Richardson extrapolation until a row's correction drops below the
-    tolerance; that row stops there, and a row still unconverged on the
-    finest mesh keeps its plain trapezoid sum.  G is linearly interpolated
-    onto the finer meshes.  `spectra` maps (d, r) to d's density on mesh r,
-    its real FFT and the FFT length, so each is computed once per grid.
+
+def _fft_len(n: int) -> int:
+    """The shortest length 2^a 3^b 5^c >= n: numpy's FFT is fastest on these."""
+    bits = n.bit_length()
+    return min(m << (-(-n // m) - 1).bit_length()
+               for m in (3 ** b * 5 ** c for b in range(bits) for c in range(bits)))
+
+
+def _continuous_cdf(d: Distribution, ts: np.ndarray, jumps) -> np.ndarray:
+    """F_d on ts less the steps of the atoms in `jumps` (d's `_jumps`)."""
+    return cdf_vec(d, ts) - sum(m * (ts >= x) for x, m in jumps)
+
+
+def _kernel(d: Distribution, xs: np.ndarray) -> tuple:
+    """Product-integration weights of the law d on the uniform grid xs.
+
+    With G linear on each cell [x_i, x_i+1] of width h,
+        int G(x_j - s) dF(s) = F_0 G_j + sum_{i<j} a_i G_{j-i} + b_i G_{j-i-1},
+    where a_i = A_i - F_i, b_i = F_{i+1} - A_i and A_i is the mean of F over
+    cell i (Linz, Analytical and Numerical Methods for Volterra Equations,
+    SIAM 1985, ch. 7).  That is the convolution of G with K (K_0 = F_0 + a_0,
+    K_m = a_m + b_{m-1}) less a_j G_0.  A_i takes _CELL_POINTS Gauss-Legendre
+    nodes on F's continuous part plus each atom x's exact share of the cell,
+    clip((x_{i+1} - x) / h, 0, 1), so an atom of d costs no quadrature error.
+    Returns (a padded with a_N = 0, the real FFT of K, the transform length).
     """
-    from scipy import fft  # imported here: scipy loads slowly
-
-    t = float(xs[-1])
-    n_coarse = len(xs) - 1
-    out = np.empty_like(G)
-    rows = np.arange(len(G))  # rows still refining
-    prev = None
-    for r in (1, 2, 4, 8):
-        nr = n_coarse * r
-        xr = xs if r == 1 else np.linspace(0.0, t, nr + 1)
-        if (d, r) not in spectra:
-            f = pdf_vec(d, xr)
-            size = fft.next_fast_len(2 * nr + 1, True)
-            spectra[d, r] = (f, fft.rfft(f, size), size)
-        f, spec, size = spectra[d, r]
-        Gr = G[rows] if r == 1 else np.array([np.interp(xr, xs, g) for g in G[rows]])
-        g_spec = fft.rfft(Gr, size, axis=-1)
-        # spec on the left as in fftconvolve: numpy's complex product moves bits with operand order
-        full = fft.irfft(spec * g_spec, size, axis=-1)[:, :nr + 1]
-        trap = (t / nr) * (full - 0.5 * f[0] * Gr - 0.5 * f * Gr[:, :1])
-        trap = trap[:, ::r]
-        if prev is None:
-            out[rows] = trap
-        else:
-            result = (4.0 * trap - prev) / 3.0
-            done = np.max(np.abs(result - trap), axis=-1) <= _INDUCTIVE_TOL
-            out[rows] = np.where(done[:, None], result, trap)
-            rows, trap = rows[~done], trap[~done]
-            if not len(rows):
-                break
-        prev = trap
-    return np.clip(out, 0.0, 1.0)
+    n = len(xs)
+    h = float(xs[-1]) / (n - 1)
+    jumps = _jumps(d)
+    nodes, weights = _gauss_legendre(_CELL_POINTS)
+    F = cdf_vec(d, xs)
+    means = 0.5 * (_continuous_cdf(d, xs[:-1, None] + (0.5 * h) * (1.0 + nodes), jumps) @ weights)
+    means = means + sum(m * np.clip((xs[1:] - x) / h, 0.0, 1.0) for x, m in jumps)
+    a = np.append(means - F[:-1], 0.0)
+    kernel = a + np.concatenate((F[:1], F[1:] - means))
+    size = _fft_len(2 * n - 1)
+    return a, np.fft.rfft(kernel, size), size
 
 
 class _Tab:
     """A tabulated sub-CDF split into a continuous part and exact step atoms.
 
-    Keeping atoms symbolic avoids the O(h) error a linearly interpolated
-    jump would feed into the trapezoid sums.
+    Product integration takes the continuous part as linear on each grid
+    cell; an atom kept symbolic costs no O(h) error of an interpolated jump.
     """
 
     __slots__ = ("smooth", "atoms")
@@ -323,25 +317,34 @@ class _Tab:
 
 
 def _residence_split(d: Distribution, mass: float, xs: np.ndarray) -> _Tab:
-    if isinstance(d, Dirac):
-        return _Tab(np.zeros_like(xs), {d.point: mass})
-    return _Tab(mass * cdf_vec(d, xs))
+    jumps = _jumps(d)
+    return _Tab(mass * _continuous_cdf(d, xs, jumps), {x: mass * m for x, m in jumps})
 
 
 def _conv_tabs(d: Distribution, tabs: list, xs: np.ndarray, spectra: dict) -> list:
-    """(d * tab) on the grid for each tab; residence atoms shift, density parts integrate."""
+    """(d * tab) on the grid for each tab; residence atoms shift, other laws
+    go through their product-integration kernel, one batched FFT product."""
     if isinstance(d, (Dirac, Shifted)):
         shift = d.point if isinstance(d, Dirac) else d.shift
         inner = tabs if isinstance(d, Dirac) else _conv_tabs(d.base, tabs, xs, spectra)
         return [_Tab(np.interp(xs - shift, xs, tab.smooth, left=0.0),
                      {pos + shift: m for pos, m in tab.atoms.items() if pos + shift <= xs[-1]})
                 for tab in inner]
-    rows = _conv_density_table(d, np.array([tab.smooth for tab in tabs]), xs, spectra)
+    if d not in spectra:
+        spectra[d] = _kernel(d, xs)
+    a, spec, size = spectra[d]
+    G = np.array([tab.smooth for tab in tabs])
+    rows = np.fft.irfft(spec * np.fft.rfft(G, size), size)[:, :len(xs)] - a * G[:, :1]
+    jumps = _jumps(d)
     out = []
-    for smooth, tab in zip(rows, tabs):
+    for smooth, tab in zip(np.clip(rows, 0.0, 1.0), tabs):
+        atoms: Dict[float, float] = {}
         for pos, m in tab.atoms.items():
-            smooth = smooth + m * cdf_vec(d, xs - pos)
-        out.append(_Tab(smooth))
+            smooth = smooth + m * _continuous_cdf(d, xs - pos, jumps)
+            for x, mx in jumps:
+                if pos + x <= xs[-1]:
+                    atoms[pos + x] = atoms.get(pos + x, 0.0) + m * mx
+        out.append(_Tab(smooth, atoms))
     return out
 
 
@@ -350,11 +353,11 @@ def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylin
     """Tabulates the step recursion for the word on a shared time grid.
 
     Each level convolves the current residence law with the tabulated
-    continuation sub-CDF (Stieltjes quadrature with tolerance 1e-7); the
-    states of a level that share a residence law share one batched
-    transform.  The grid has at least 1024 points and grows with the
-    sharpest rate so that table interpolation stays below the cross-engine
-    tolerance.
+    continuation sub-CDF by product integration, which reads only the law's
+    CDF: one kernel and one FFT per residence law and call, and one batched
+    FFT product for the states of a level that share that law.  Atoms stay
+    symbolic.  The grid has at least 1024 points and grows with the sharpest
+    rate so that table interpolation stays below the cross-engine tolerance.
     """
     word = c.word
     t = c.bound

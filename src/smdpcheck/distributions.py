@@ -456,12 +456,12 @@ _STIFF_SPAN = 40.0
 _KERNEL_BLOCK = 1 << 17  # (time, node) pairs evaluated per block
 
 
-@lru_cache(maxsize=1)
-def _gauss_legendre():
+@lru_cache(maxsize=2)
+def _gauss_legendre(points: int = _GL_POINTS):
     """Nodes and weights on [-1, 1], made on first use: importing
     numpy.polynomial takes milliseconds."""
     from numpy.polynomial.legendre import leggauss
-    return leggauss(_GL_POINTS)
+    return leggauss(points)
 
 
 def _bisect_sign_change(a, b, lo, hi):
@@ -696,12 +696,11 @@ def compose_residence(op: str, d1: Distribution, d2: Distribution) -> Distributi
     if isinstance(a, Dirac) and isinstance(b, Dirac):
         pt = max(a.point, b.point) if op == CompositionOperator.MINIMUM else min(a.point, b.point)
         return Dirac(pt)
-    rule = _analytic_dominance_rule(a, b)
-    if rule is not None:
-        a_above = rule[0]  # F_a >= F_b everywhere?
-        if op == CompositionOperator.MINIMUM:
-            return b if a_above else a
-        return a if a_above else b
+    # A rule that fails one way does not hold the other way (nested uniforms).
+    for upper, lower in ((a, b), (b, a)):
+        rule = _analytic_dominance_rule(upper, lower)
+        if rule is not None and rule[0]:  # F_upper >= F_lower everywhere
+            return lower if op == CompositionOperator.MINIMUM else upper
     return MinMaxCdf(op, (a, b))
 
 

@@ -150,7 +150,9 @@ def estimate_cylinder(m: Smdp, sch: Scheduler, word, t: float, samples: int, see
                       workers: int = 1) -> Tuple[float, float]:
     """Fraction of sampled prefixes matching `word` within total time t.
 
-    Returns (estimate, halfwidth of the 99% normal-approximation interval).
+    Returns (estimate, half-width): the half-width is the far side of the
+    99% Wilson score interval, so it stays about z^2/n wide at an estimate
+    of 0 or 1, where the normal half-width is 0.
     The sample set is partitioned into `workers` streams whose generators are
     spawned from the seed, so any execution order gives the same counts.
     """
@@ -171,8 +173,8 @@ def estimate_cylinder(m: Smdp, sch: Scheduler, word, t: float, samples: int, see
         rng = np.random.Generator(np.random.PCG64(child))
         hits += _estimate_chunk(m, sch, word, t, size, rng)
     p = hits / samples
-    half = _Z99 * math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
-    return p, half
+    lo, hi = wilson_bounds(p, samples)
+    return p, max(p - lo, hi - p)
 
 
 def wilson_bounds(estimate: float, samples: int) -> Tuple[float, float]:

@@ -215,13 +215,13 @@ def test_words_over_multi_character_labels(tmp_path, capsys):
     assert report["result"]["probability"] == pytest.approx(0.5 * (1 - 2.718281828459045 ** -1))
     code, report = run_json(capsys, "prob", "--model", model, "--word", "go,stop", "--t", "1")
     assert code == 0 and report["result"]["word"] == "go,stop"
-    # at p-hat = 0 the normal half-width collapses; the Wilson bounds do not
+    # at p-hat = 0 the Wilson bounds, and the half-width that is their far side, stay open
     code, report = run_json(capsys, "simulate", "--model", model, "--word", "go,stop",
                             "--t", "0.0001", "--samples", "1000")
     r = report["result"]
     assert code == 0 and r["word"] == "go,stop"
-    assert r["estimate"] == 0.0 and r["ci99_halfwidth"] < 1e-100
     assert r["ci99_wilson"][0] == 0.0 and 0.006 < r["ci99_wilson"][1] < 0.007
+    assert r["estimate"] == 0.0 and r["ci99_halfwidth"] == r["ci99_wilson"][1]
     code, out = run(capsys, "simulate", "--model", model, "--word", "go,stop",
                     "--t", "0.0001", "--samples", "1000")
     assert code == 0 and "Wilson [0.000000, 0.006" in out

@@ -424,6 +424,18 @@ def test_min_max_wrapper_for_incomparable_cdfs():
         assert cdf_eval(lo, t) == pytest.approx(min(cdf_eval(a, t), cdf_eval(b, t)), abs=1e-12)
 
 
+def test_min_max_of_nested_uniforms():
+    """Uniform(1, 2) lies inside Uniform(0, 3): neither CDF dominates, so
+    neither operand is the min or the max."""
+    a, b = Uniform(0.0, 3.0), Uniform(1.0, 2.0)
+    for x, y in ((a, b), (b, a)):
+        lo, hi = compose_residence("min", x, y), compose_residence("max", x, y)
+        for t in (0.5, 1.75, 2.5):
+            fa, fb = cdf_eval(a, t), cdf_eval(b, t)
+            assert cdf_eval(lo, t) == pytest.approx(min(fa, fb), abs=1e-12), (x, y, t)
+            assert cdf_eval(hi, t) == pytest.approx(max(fa, fb), abs=1e-12), (x, y, t)
+
+
 def test_dirac_composition():
     assert compose_residence("min", Dirac(1.0), Dirac(2.0)) == Dirac(2.0)
     assert compose_residence("max", Dirac(1.0), Dirac(2.0)) == Dirac(1.0)

@@ -1,5 +1,7 @@
 """Sampling and statistical estimation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -163,15 +165,15 @@ def test_min_max_estimate_makes_no_cdf_eval_lookups():
     after = cdf_eval.cache_info()
     assert after.hits + after.misses == before.hits + before.misses
     # the value that the per-sample scalar bisection with cdf_eval returned
-    assert result == (0.3815, 0.02797816356964493)
+    assert result == (0.3815, 0.028326436452552617)
 
 
 def test_wilson_bounds_stay_open_at_zero_and_one():
     U = corpus.load("fig2_U.smdp")
     est, half = estimate_cylinder(U, dirac_scheduler(U, "a"), ("a", "a"), 1e-4, samples=1000, seed=5)
-    assert est == 0.0 and half < 1e-100  # the normal half-width collapses
     lo, hi = wilson_bounds(est, 1000)
     assert lo == 0.0 and 0.006 < hi < 0.007  # about z^2 / n
+    assert est == 0.0 and half == hi  # the normal half-width would be 0
     lo, hi = wilson_bounds(1.0, 1000)
     assert hi == pytest.approx(1.0, abs=1e-15) and 0.993 < lo < 0.994
     # the Wilson bounds are the roots p of (p_hat - p)^2 = z^2 p (1 - p) / n
@@ -181,3 +183,16 @@ def test_wilson_bounds_stay_open_at_zero_and_one():
         assert lo < p_hat < hi
         for p in (lo, hi):
             assert (p_hat - p) ** 2 == pytest.approx(z2 * p * (1.0 - p) / n, rel=1e-9)
+
+
+def test_estimate_half_width_covers_a_true_value_below_one():
+    """1,000 samples of a word whose true probability is 0.999 that all hit:
+    the estimate is 1, and its half-width, the far side of the Wilson
+    interval, still reaches 0.999."""
+    m = Smdp(["a"], ["s0"], "s0", {"s0": Exponential(1.0)}, {("s0", "a"): {"s0": 1.0}})
+    t = math.log(1000.0)
+    assert cdf_eval(Exponential(1.0), t) == pytest.approx(0.999, abs=1e-12)
+    est, half = estimate_cylinder(m, uniform_scheduler(m), ("a",), t, samples=1000, seed=0)
+    assert est == 1.0
+    assert est - half < 0.999
+    assert half == est - wilson_bounds(est, 1000)[0]

@@ -5,7 +5,6 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
@@ -30,12 +29,10 @@ from smdpcheck.distributions import (
     dominates,
     pdf_vec,
 )
-from smdpcheck.composition import composite_name, require_same_labels
+from smdpcheck.composition import compose, composite_name, require_same_labels
 from smdpcheck.cylinders import (
-    _INDUCTIVE_TOL,
     TimeBoundedCylinder,
     _inductive_at_zero,
-    _residence_split,
     _Tab,
     word_classes,
 )
@@ -82,6 +79,28 @@ def random_two_label_model(rng, n_max=3, det=False, live_initial=False, labels=(
     if live_initial and (names[0], "a") not in trans:
         trans[(names[0], "a")] = {names[-1]: 1.0}
     return Smdp(list(labels), names, names[0], residence, trans)
+
+
+def random_context_composite(rng, kind: str, op: str):
+    """(composite, mean residence): a one-label 3-state chain with a branch
+    and exponential residences, composed under `op` with a 3-state cyclic
+    context whose residences are all Dirac, uniform or exponential (`kind`)."""
+    names = ["u0", "u1", "u2"]
+    p = rng.choice((0.5, 0.7))
+    u = Smdp(["a"], names, "u0", {s: Exponential(round(rng.uniform(0.4, 2.0), 1)) for s in names},
+             {("u0", "a"): {"u1": p, "u2": round(1.0 - p, 6)},
+              ("u1", "a"): {"u2": 1.0}, ("u2", "a"): {"u0": 1.0}})
+    contexts = {"dirac": lambda: Dirac(rng.choice((0.25, 0.5, 0.75, 1.0))),
+                "uniform": lambda: Uniform(lo := round(rng.uniform(0.0, 0.5), 2),
+                                           round(lo + rng.uniform(0.5, 1.5), 2)),
+                "exp": lambda: Exponential(round(rng.uniform(0.5, 3.0), 1))}
+    wnames = ["w0", "w1", "w2"]
+    w = Smdp(["a"], wnames, "w0", {s: contexts[kind]() for s in wnames},
+             {("w0", "a"): {"w1": 1.0}, ("w1", "a"): {"w2": 1.0}, ("w2", "a"): {"w0": 1.0}})
+    means = [1.0 / d.rate if isinstance(d, Exponential) else
+             d.point if isinstance(d, Dirac) else 0.5 * (d.lo + d.hi)
+             for m in (u, w) for d in (m.residence_of(s) for s in m.states)]
+    return compose(u, w, op), sum(means) / len(means)
 
 
 def oracle_word_terms(m, sch, start, word):
@@ -565,37 +584,45 @@ def reference_faster_than(u: Smdp, v: Smdp, depth: int,
     return FasterThanVerdict("NotRefuted", depth, grid, search)
 
 
-def _reference_conv_density_table(d: Distribution, G: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """(d * G)(x_j) for a density d and tabulated G, by refined trapezoid sums.
+def _reference_atoms(d: Distribution, t_max: float) -> list:
+    """(x, F(x) - F(x-)) for each atom x <= t_max of a law that is not a
+    convolution, the jump read off the scalar CDF at x and at the float below."""
+    return [(x, m) for x in sorted(set(_reference_kinks(d, t_max)))
+            if x <= t_max and (m := cdf_eval(d, x) - cdf_eval(d, math.nextafter(x, -math.inf))) > 1e-12]
 
-    The trapezoid correlation is evaluated at successive mesh halvings with
-    Richardson extrapolation until the correction drops below the tolerance;
-    G is linearly interpolated onto the finer meshes.
+
+def _reference_continuous_cdf(d: Distribution, ts: np.ndarray, atoms) -> np.ndarray:
+    return cdf_vec(d, ts) - sum(m * (ts >= x) for x, m in atoms)
+
+
+def _reference_product_integral(d: Distribution, G: np.ndarray, xs: np.ndarray, atoms) -> np.ndarray:
+    """int G(x_j - s) dF_d(s) at every grid point, G linear on each cell.
+
+    Cell i contributes a_i G_{j-i} + b_i G_{j-i-1} with a_i = A_i - F_i and
+    b_i = F_{i+1} - A_i, A_i the mean of F over the cell: 8 Gauss-Legendre
+    nodes on F less its atoms' steps, plus each atom's share of the cell.
+    The sum over cells i < j is one direct np.convolve.
     """
-    t = float(xs[-1])
-    n_coarse = len(xs) - 1
-    prev = None
-    result = None
-    for r in (1, 2, 4, 8):
-        nr = n_coarse * r
-        xr = xs if r == 1 else np.linspace(0.0, t, nr + 1)
-        f = pdf_vec(d, xr)
-        Gr = G if r == 1 else np.interp(xr, xs, G)
-        hr = t / nr
-        full = fftconvolve(f, Gr)[:nr + 1]
-        trap = hr * (full - 0.5 * f[0] * Gr - 0.5 * f * Gr[0])
-        trap = trap[::r]
-        if prev is not None:
-            result = (4.0 * trap - prev) / 3.0
-            if float(np.max(np.abs(result - trap))) <= _INDUCTIVE_TOL:
-                break
-        prev = trap
-        result = trap
-    return np.clip(result, 0.0, 1.0)
+    n = len(xs)
+    h = float(xs[1] - xs[0])
+    gx, gw = np.polynomial.legendre.leggauss(8)
+    F = cdf_vec(d, xs)
+    nodes = xs[:-1, None] + 0.5 * h * (1.0 + gx)
+    means = 0.5 * (_reference_continuous_cdf(d, nodes, atoms) @ gw)
+    for x, m in atoms:
+        means += m * np.clip((xs[1:] - x) / h, 0.0, 1.0)
+    a, b = means - F[:-1], F[1:] - means
+    weights = np.zeros(n)
+    weights[0] = F[0]
+    weights[:-1] += a
+    weights[1:] += b
+    out = np.convolve(weights, G)[:n]
+    out[:-1] -= a * G[0]  # the cell past x_j is not in [0, x_j]
+    return out
 
 
 def _reference_conv_tab(d: Distribution, tab: _Tab, xs: np.ndarray) -> _Tab:
-    """(d * tab) on the grid; residence atoms shift, density parts integrate."""
+    """(d * tab) on the grid; residence atoms shift, other laws integrate."""
     if isinstance(d, Dirac):
         smooth = np.interp(xs - d.point, xs, tab.smooth, left=0.0)
         atoms = {pos + d.point: m for pos, m in tab.atoms.items() if pos + d.point <= xs[-1]}
@@ -605,21 +632,24 @@ def _reference_conv_tab(d: Distribution, tab: _Tab, xs: np.ndarray) -> _Tab:
         smooth = np.interp(xs - d.shift, xs, inner.smooth, left=0.0)
         atoms = {pos + d.shift: m for pos, m in inner.atoms.items() if pos + d.shift <= xs[-1]}
         return _Tab(smooth, atoms)
-    smooth = _reference_conv_density_table(d, tab.smooth, xs)
+    jumps = _reference_atoms(d, float(xs[-1]))
+    smooth = np.clip(_reference_product_integral(d, tab.smooth, xs, jumps), 0.0, 1.0)
+    atoms: Dict[float, float] = {}
     for pos, m in tab.atoms.items():
-        smooth = smooth + m * cdf_vec(d, xs - pos)
-    return _Tab(smooth)
+        smooth = smooth + m * _reference_continuous_cdf(d, xs - pos, jumps)
+        for x, mx in jumps:
+            if pos + x <= xs[-1]:
+                atoms[pos + x] = atoms.get(pos + x, 0.0) + m * mx
+    return _Tab(smooth, atoms)
 
 
 def reference_prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylinder,
                                       grid_points: Optional[int] = None) -> float:
-    """`prob_cylinder_inductive` with one `fftconvolve` per state, level and
-    refinement mesh, each transforming the residence density afresh.
+    """`prob_cylinder_inductive` with one direct `np.convolve` per state and
+    level, each building the residence law's product-integration weights
+    afresh, and atoms found by `_reference_atoms`.
 
-    Each level convolves the current residence law with the tabulated
-    continuation sub-CDF (Stieltjes quadrature with tolerance 1e-7).  The
-    grid has at least 1024 points and grows with the sharpest rate so that
-    table interpolation stays below the cross-engine tolerance.
+    The grid has at least 1024 points and grows with the sharpest rate.
     """
     word = c.word
     t = c.bound
@@ -647,7 +677,9 @@ def reference_prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBo
     tables: Dict[str, _Tab] = {}
     for st in sorted(needed[n - 1]):
         mass = sch.weight(st, word[-1]) * sum(m.succ(st, word[-1]).values())
-        tables[st] = _residence_split(m.residence_of(st), mass, xs)
+        d = m.residence_of(st)
+        jumps = _reference_atoms(d, t)
+        tables[st] = _Tab(mass * _reference_continuous_cdf(d, xs, jumps), {x: mass * j for x, j in jumps})
     for k in range(n - 2, -1, -1):
         a = word[k]
         nxt_tables: Dict[str, _Tab] = {}
