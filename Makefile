@@ -17,7 +17,7 @@ endef
 export REPORT_DIFF
 
 install:
-	pip install -e . --no-build-isolation
+	pip install -e '.[test]' --no-build-isolation
 
 test:
 	pytest -q

@@ -19,7 +19,7 @@ from . import __version__
 from .composition import compose
 from .cylinders import TimeBoundedCylinder, prob_cylinder_inductive, prob_cylinder_paths
 from .distributions import CompositionOperator, GridSpec, compose_residence
-from .errors import SmdpcheckError
+from .errors import NotExpressible, SmdpcheckError
 from .model import (
     Scheduler,
     parse_model,
@@ -265,8 +265,6 @@ def _cmd_monotonicity(args):
 
 def _emit_smt_queries(u, v, w, w2, op, outdir):
     """One dominance query per composite residence pair, named by side."""
-    from .errors import NotExpressible
-
     written = []
     for i, (uu, ww) in enumerate((a, b) for a in u.states for b in w.states):
         comp = compose_residence(op, u.residence_of(uu), w.residence_of(ww))

@@ -197,8 +197,8 @@ def render(d: Distribution) -> str:
 # k whose Poisson mass reaches 1 - _PHASE_EPS; all terms are nonnegative, so
 # the truncation error bounds the absolute error.  The stop depends on lam*t
 # alone and each point is summed on its own, so a point's value does not
-# depend on the other points of the call: cdf_eval and _pdf are one-point
-# calls of the kernel that cdf_vec and pdf_vec use.
+# depend on the other points of the call: cdf_eval is a one-point call of
+# the kernel that cdf_vec and pdf_vec use.
 
 # Above this value of lam*t the term-by-term series is too long; the matrix
 # form below covers the same uniformization at a reduced step plus squaring.
@@ -323,40 +323,6 @@ def _phase_series(rates, ts):
 # CDF evaluation
 
 
-def _min_max_cdf(d: MinMaxCdf, t: float) -> float:
-    a = cdf_eval(d.parts[0], t)
-    b = cdf_eval(d.parts[1], t)
-    return min(a, b) if d.kind == "min" else max(a, b)
-
-
-_DENSITY_PREFERENCE = {Uniform: 0, Exponential: 1, PhaseType: 2, Shifted: 3, MinMaxCdf: 4, NumericConvolution: 5}
-
-
-def _pdf(d: Distribution, x: float) -> float:
-    """Density at x; only defined for atomless variants.
-
-    MinMaxCdf has a density almost everywhere (it piecewise follows one of
-    its parts); the crossing points form a null set.
-    """
-    if x < 0.0:
-        return 0.0
-    if isinstance(d, Exponential):
-        return d.rate * math.exp(-min(700.0, d.rate * x))
-    if isinstance(d, Uniform):
-        return 1.0 / (d.hi - d.lo) if d.lo <= x <= d.hi else 0.0
-    if isinstance(d, PhaseType):
-        return float(_phase_series(d.rates, (x,))[1][0])
-    if isinstance(d, Shifted):
-        return _pdf(d.base, x - d.shift)
-    if isinstance(d, MinMaxCdf):
-        a, b = d.parts
-        fa, fb = cdf_eval(a, x), cdf_eval(b, x)
-        if d.kind == "min":
-            return _pdf(a, x) if fa <= fb else _pdf(b, x)
-        return _pdf(a, x) if fa >= fb else _pdf(b, x)
-    raise TypeError(f"no density for {d!r}")
-
-
 @lru_cache(maxsize=1 << 16)
 def cdf_eval(d: Distribution, t: float) -> float:
     """F_d(t).  Total: t < 0 gives 0.0 and t = +inf gives 1.0."""
@@ -381,7 +347,8 @@ def cdf_eval(d: Distribution, t: float) -> float:
     if isinstance(d, Shifted):
         return cdf_eval(d.base, t - d.shift)
     if isinstance(d, MinMaxCdf):
-        return _min_max_cdf(d, t)
+        a, b = cdf_eval(d.parts[0], t), cdf_eval(d.parts[1], t)
+        return min(a, b) if d.kind == "min" else max(a, b)
     if isinstance(d, NumericConvolution):
         return float(_conv_cdf_vec(d.factors, (t,))[0])
     raise TypeError(f"not a Distribution: {d!r}")
@@ -454,6 +421,7 @@ def _pdf_vec(d: Distribution, ts: np.ndarray, atoms: bool) -> np.ndarray:
 _GL_POINTS = 24
 _STIFF_SPAN = 40.0
 _KERNEL_BLOCK = 1 << 17  # (time, node) pairs evaluated per block
+_DENSITY_PREFERENCE = {Uniform: 0, Exponential: 1, PhaseType: 2, Shifted: 3, MinMaxCdf: 4, NumericConvolution: 5}
 
 
 @lru_cache(maxsize=2)
@@ -877,9 +845,10 @@ def _bisect_crossing(d1, d2, lo, hi):
 
 
 def _refine_witness(d1, d2, grid):
-    verdict = _grid_dominates(d1, d2, grid)
-    if verdict.outcome == "FailsAtWitness":
-        return verdict.witness_t
-    # An analytic rule already established failure; scan denser before giving up.
-    verdict = _grid_dominates(d1, d2, GridSpec.for_dominance(d1, d2, points=8192))
-    return verdict.witness_t if verdict.outcome == "FailsAtWitness" else None
+    """The deepest grid violation of a failure an analytic rule established:
+    on the given grid, then on a denser one before giving up."""
+    for g in (grid, GridSpec.for_dominance(d1, d2, points=8192)):
+        _, ts, diffs = _grid_diffs(d1, d2, g)
+        if (diffs < 0.0).any():
+            return float(ts[diffs.argmin()])
+    return None

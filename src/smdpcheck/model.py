@@ -21,6 +21,8 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .distributions import Dirac, Distribution, Exponential, Uniform, render
 from .errors import ModelFormatError, UnknownLabel, UnknownState
 
@@ -168,7 +170,7 @@ class Scheduler:
     def __repr__(self):
         parts = []
         for s, row in self.choice.items():
-            inner = "+".join(f"{w:g}*{a}" for a, w in sorted(row.items()) if w > 0.0)
+            inner = "+".join(f"{w!r}*{a}" for a, w in sorted(row.items()) if w > 0.0)
             parts.append(f"{s}:{inner}")
         return "Scheduler(" + ", ".join(parts) + ")"
 
@@ -177,8 +179,6 @@ class Scheduler:
 
     def matrix(self, m: Smdp):
         """Dense (n_states, n_labels) weight array aligned with model order."""
-        import numpy as np
-
         arr = np.zeros((len(m.states), len(m.labels)))
         for s, row in self.choice.items():
             si = m.state_index(s)

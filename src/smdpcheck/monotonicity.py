@@ -10,10 +10,9 @@ to a caller-given depth.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from .composition import composite_name, require_same_labels
 from .distributions import compose_residence, dominates
@@ -202,15 +201,48 @@ def _best_assignment(pressures: Dict[str, Dict[str, float]]) -> float:
     pressures maps label -> {context state: forced mass}.  Each context state
     carries one scheduler distribution, so an adversary can dedicate it to a
     single label; the worst case is the best injective assignment.  The
-    pressures are nonnegative, so that is a maximum-weight matching.
+    pressures are nonnegative, so that is a maximum-weight matching.  The
+    chosen entries are summed in label order.
     """
-    from scipy.optimize import linear_sum_assignment  # imported here: scipy loads slowly
-
     labels = [a for a in pressures if pressures[a]]
     ctx_states = sorted({s for a in labels for s in pressures[a]})
-    weights = np.array([[pressures[a].get(s, 0.0) for s in ctx_states] for a in labels], ndmin=2)
-    rows, cols = linear_sum_assignment(weights, maximize=True)
-    return float(weights[rows, cols].sum())
+    weights = [[pressures[a].get(s, 0.0) for s in ctx_states] for a in labels]
+    flip = len(labels) > len(ctx_states)  # the smaller side goes on the rows
+    pairs = _max_weight_assignment(list(zip(*weights)) if flip else weights)
+    return sum((weights[a][s] for a, s in sorted(p[::-1] if flip else p for p in pairs)), 0.0)
+
+
+def _max_weight_assignment(weights) -> List[Tuple[int, int]]:
+    """(row, column) pairs of a maximum-weight assignment of every row, with no
+    more rows than columns: Kuhn's Hungarian method on the costs -weight, one
+    shortest augmenting path per row over reduced costs (Jonker and Volgenant)."""
+    n, m = len(weights), len(weights[0]) if weights else 0
+    u, v = [0.0] * (n + 1), [0.0] * (m + 1)  # row and column potentials
+    owner = [0] * (m + 1)  # 1-based row matched to each column; column 0 roots the path
+    for i in range(1, n + 1):
+        owner[0], j0 = i, 0
+        dist, back, done = [math.inf] * (m + 1), [0] * (m + 1), [False] * (m + 1)
+        while owner[j0]:
+            done[j0] = True
+            i0, delta, j1 = owner[j0], math.inf, 0
+            for j in range(1, m + 1):
+                if not done[j]:
+                    reduced = -weights[i0 - 1][j - 1] - u[i0] - v[j]
+                    if reduced < dist[j]:
+                        dist[j], back[j] = reduced, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(m + 1):
+                if done[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0:  # flip the matching along the path back to the root
+            owner[j0] = owner[back[j0]]
+            j0 = back[j0]
+    return [(owner[j] - 1, j - 1) for j in range(1, m + 1) if owner[j]]
 
 
 def _ratio_violations(u: Smdp, w: Smdp, fast: _Pairs, n: int, detail: str):

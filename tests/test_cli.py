@@ -4,6 +4,8 @@ import dataclasses
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -30,6 +32,37 @@ def run_json(capsys, *argv):
     code = main([str(a) for a in argv] + ["--json"])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def test_no_cli_command_loads_scipy(models):
+    """Every command runs with scipy blocked and returns its usual exit code.
+    Bounded monotonicity on fig4_W_congruent reaches the label matching.
+    Importing the package loads no numpy.polynomial either."""
+    u, v, w = (str(models / f"{name}.smdp") for name in ("fig2_U", "fig2_V", "fig4_W_congruent"))
+    prob = ["prob", "--model", u, "--word", "aa", "--t", "2"]
+    mono = ["monotonicity", "--fast", u, "--slow", v, "--ctx", w, "--op", "min"]
+    commands = [
+        (["validate", u], 0),
+        (prob, 0),
+        (prob + ["--engine", "inductive"], 0),
+        (["compose", "--left", u, "--right", w, "--op", "min", "--out", str(models / "uw.smdp")], 0),
+        (["faster-than", u, v, "--depth", "3"], 0),
+        (["simulates", str(models / "fig3_U.smdp"), str(models / "fig3_V.smdp")], 0),
+        (["bisimilar", u, v], 1),
+        (["simulate", "--model", u, "--word", "aa", "--t", "2", "--samples", "1000"], 0),
+        (mono, 0),
+        (mono + ["--mode", "bounded", "--all"], 0),
+    ]
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+            "import smdpcheck\n"
+            "assert 'numpy.polynomial' not in sys.modules\n"
+            "from smdpcheck.cli import main\n"
+            f"for argv, expected in {commands!r}:\n"
+            "    assert main(argv) == expected, argv\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_validate_ok(models, capsys):

@@ -1,10 +1,7 @@
 """Cylinder probability engines and their cross-checks."""
 
 import itertools
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -326,32 +323,6 @@ def test_inductive_builds_one_kernel_per_law(monkeypatch):
         assert 0.0 < p < 1.0
         # the exp(3r) states are reached only at the last level, which takes no kernel
         assert calls == [(Exponential(r), grid_points + 1)], calls
-
-
-def test_scipy_is_imported_only_where_it_is_used():
-    """Importing the package loads neither scipy nor numpy.polynomial.
-    Faster-than, the paths engine and the inductive engine load no scipy
-    module, also on a min(exp, uniform) composite, whose two-letter words
-    are numeric convolutions, and on a min(exp, Dirac) one."""
-    code = ("import sys, smdpcheck as api\n"
-            "from smdpcheck import corpus\n"
-            "assert 'numpy.polynomial' not in sys.modules\n"
-            "u, v = corpus.load('fig2_U.smdp'), corpus.load('fig2_V.smdp')\n"
-            "c = api.TimeBoundedCylinder(('a', 'a'), 2.0)\n"
-            "api.faster_than_bounded(u, v, 3)\n"
-            "api.prob_cylinder_paths(u, api.uniform_scheduler(u), u.initial, c)\n"
-            "api.prob_cylinder_inductive(u, api.uniform_scheduler(u), u.initial, c)\n"
-            "for law in ('uniform(0.3,1.2)', 'dirac(0.5)'):\n"
-            "    w = api.parse_model('labels: a\\nstates: w0\\ninitial: w0\\nresidence:\\n'\n"
-            "                        f'  w0 {law}\\ntransitions:\\n  w0 a w0 1.0\\n')\n"
-            "    uw, vw = api.compose(u, w, 'min'), api.compose(v, w, 'min')\n"
-            "    api.prob_cylinder_paths(uw, api.uniform_scheduler(uw), uw.initial, c)\n"
-            "    api.prob_cylinder_inductive(uw, api.uniform_scheduler(uw), uw.initial, c)\n"
-            "    api.faster_than_bounded(uw, vw, 2)\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "assert not loaded, loaded\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_cross_engine_on_corpus():

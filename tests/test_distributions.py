@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from smdpcheck import distributions
 from smdpcheck.distributions import (
     CompositionOperator,
     Dirac,
@@ -21,7 +22,6 @@ from smdpcheck.distributions import (
     _dominance_holds,
     _jumps,
     _kinks,
-    _pdf,
     _scales,
     atom_mass,
     cdf_eval,
@@ -185,7 +185,7 @@ def _assert_scalar_equals_vector(d, ts):
     for order in (ts, shuffled):
         cdf, pdf = cdf_vec(d, np.array(order)), pdf_vec(d, np.array(order))
         for t, F, f in zip(order, cdf, pdf):
-            assert F == cdf_eval(d, t) and f == _pdf(d, t), (d, t)
+            assert F == cdf_eval(d, t) and f == pdf_vec(d, [t])[0], (d, t)
 
 
 def test_phase_type_expm_branch_density_and_continuity():
@@ -198,19 +198,19 @@ def test_phase_type_expm_branch_density_and_continuity():
         d = PhaseType(rates)
         for t in (50.0, 400.0, 3000.0):
             assert max(rates) * t > 20000.0
-            assert _pdf(d, t) == pytest.approx(hypoexp_pdf(rates, t), rel=1e-8), (rates, t)
+            assert pdf_vec(d, [t])[0] == pytest.approx(hypoexp_pdf(rates, t), rel=1e-8), (rates, t)
         edge = 20000.0 / max(rates)
         below, above = math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)
         assert max(rates) * below <= 20000.0 < max(rates) * above
         assert cdf_eval(d, above) == pytest.approx(cdf_eval(d, below), abs=1e-10)
-        assert _pdf(d, above) == pytest.approx(_pdf(d, below), rel=1e-9)
+        assert pdf_vec(d, [above])[0] == pytest.approx(pdf_vec(d, [below])[0], rel=1e-9)
 
 
 def test_phase_type_matrix_form_bits_pinned():
     # (F, f) of rates (0.001, 1000) at lam*t = 25000 and 4e5, both in the matrix
     # form, as float.hex; a change to the Poisson weights or the squaring shows here
     d = PhaseType((0.001, 1000.0))
-    assert [(cdf_eval(d, t).hex(), _pdf(d, t).hex()) for t in (25.0, 400.0)] == [
+    assert [(cdf_eval(d, t).hex(), pdf_vec(d, [t])[0].hex()) for t in (25.0, 400.0)] == [
         ("0x1.9481a4de8ece0p-6", "0x1.ff5802ea8ac9ep-11"),
         ("0x1.51977237164c4p-2", "0x1.5f70ec6f0f34cp-11")]
 
@@ -499,6 +499,20 @@ def test_dominates_witness_reverifiable():
     v = dominates(Uniform(0.0, 10.0), Uniform(1.0, 2.0))
     assert v.outcome == "FailsAtWitness"
     assert cdf_eval(Uniform(0.0, 10.0), v.witness_t) < cdf_eval(Uniform(1.0, 2.0), v.witness_t)
+
+
+def test_analytic_failure_witness_bisects_nothing(monkeypatch):
+    """A failure a family rule decides takes its witness, the deepest grid
+    violation, straight from the scan: no crossing is bisected for it."""
+    calls = []
+    bisect = distributions._bisect_crossing
+    monkeypatch.setattr(distributions, "_bisect_crossing", lambda *a: calls.append(a) or bisect(*a))
+    fast, slow = Exponential(1.0), Exponential(2.0)
+    verdict = dominates(fast, slow)
+    assert verdict.outcome == "FailsAtWitness" and calls == []
+    ts = GridSpec.for_dominance(fast, slow).times()
+    diffs = cdf_vec(fast, ts) - cdf_vec(slow, ts)
+    assert verdict.witness_t == float(ts[diffs.argmin()]) and diffs.min() < 0.0
 
 
 def _random_part(rng):

@@ -178,6 +178,13 @@ def test_scheduler_round_trip_and_validation():
     assert "MassNotOne" in kinds and "MissingState" in kinds
 
 
+def test_scheduler_repr_shows_every_digit_of_a_weight():
+    a = Scheduler({"s": {"a": 0.1234567, "b": 0.8765433}})
+    b = Scheduler({"s": {"a": 0.12345671, "b": 0.87654329}})
+    assert repr(a) == "Scheduler(s:0.1234567*a+0.8765433*b)"
+    assert repr(b) == "Scheduler(s:0.12345671*a+0.87654329*b)"
+
+
 def test_uniform_scheduler_is_valid_everywhere():
     for name in corpus.names():
         if name.endswith(".smdp"):

@@ -22,6 +22,7 @@ from tests_support import (
     reference_best_assignment,
     reference_check_monotonicity_bounded,
     reference_check_strong_monotonicity,
+    scipy_best_assignment,
 )
 
 
@@ -252,9 +253,11 @@ def test_vertex_reduction_matches_brute_force_on_random_models():
     assert checked == 40
 
 
-def _random_pressures(rng, n_labels, n_ctx):
-    """label -> {context state: mass}, some pairs missing, some labels empty."""
-    return {f"a{i}": {f"w{j}": rng.random() for j in range(n_ctx) if rng.random() < 0.7}
+def _random_pressures(rng, n_labels, n_ctx, tied=False):
+    """label -> {context state: mass}, some pairs missing, some labels empty;
+    `tied` masses are multiples of 0.25, so many sums tie."""
+    return {f"a{i}": {f"w{j}": rng.randint(1, 4) * 0.25 if tied else rng.random()
+                      for j in range(n_ctx) if rng.random() < 0.7}
             for i in range(n_labels)}
 
 
@@ -274,3 +277,21 @@ def test_best_assignment_matches_enumeration():
     pressures = _random_pressures(random.Random(7), 7, 8)
     assert _best_assignment(pressures) == pytest.approx(
         reference_best_assignment(pressures), abs=1e-12)
+
+
+def test_best_assignment_matches_scipy():
+    """The same float as scipy's linear_sum_assignment up to 7 labels, on both
+    orientations, with ties and with empty label rows; within 1e-12 beyond."""
+    rng = random.Random(1955)
+    for n_labels in range(1, 8):
+        for n_ctx in range(1, 8):
+            for trial in range(12):
+                pressures = _random_pressures(rng, n_labels, n_ctx, tied=trial % 2 == 1)
+                if trial % 3 == 0:
+                    pressures[rng.choice(sorted(pressures))] = {}
+                assert _best_assignment(pressures) == scipy_best_assignment(pressures), pressures
+    for shape in ((12, 15), (15, 12)):
+        for _ in range(20):
+            pressures = _random_pressures(rng, *shape)
+            assert _best_assignment(pressures) == pytest.approx(
+                scipy_best_assignment(pressures), abs=1e-12), pressures

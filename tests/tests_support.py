@@ -5,6 +5,7 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
@@ -418,6 +419,16 @@ def reference_best_assignment(pressures):
                 val = sum(pressures[a].get(s, 0.0) for a, s in zip(chosen, assigned))
                 best = max(best, val)
     return best
+
+
+def scipy_best_assignment(pressures):
+    """Best injective label -> context-state assignment by scipy's
+    `linear_sum_assignment`, its chosen entries summed by numpy."""
+    labels = [a for a in pressures if pressures[a]]
+    ctx_states = sorted({s for a in labels for s in pressures[a]})
+    weights = np.array([[pressures[a].get(s, 0.0) for s in ctx_states] for a in labels], ndmin=2)
+    rows, cols = linear_sum_assignment(weights, maximize=True)
+    return float(weights[rows, cols].sum())
 
 
 def reference_weight_function_exists(row1: Dict[str, float], row2: Dict[str, float], allowed) -> bool:
