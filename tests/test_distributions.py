@@ -501,13 +501,14 @@ def test_dominates_witness_reverifiable():
     assert cdf_eval(Uniform(0.0, 10.0), v.witness_t) < cdf_eval(Uniform(1.0, 2.0), v.witness_t)
 
 
-def test_analytic_failure_witness_bisects_nothing(monkeypatch):
-    """A failure a family rule decides takes its witness, the deepest grid
-    violation, straight from the scan: no crossing is bisected for it."""
+def test_grid_failure_witness_makes_no_scalar_cdf_calls(monkeypatch):
+    """No rule decides Dirac(0.2) against Exponential(1.0); the grid scan
+    fails, and the witness, the deepest grid violation, comes straight from
+    the vector scan: no crossing is bisected with scalar cdf_eval."""
     calls = []
-    bisect = distributions._bisect_crossing
-    monkeypatch.setattr(distributions, "_bisect_crossing", lambda *a: calls.append(a) or bisect(*a))
-    fast, slow = Exponential(1.0), Exponential(2.0)
+    scalar = distributions.cdf_eval
+    monkeypatch.setattr(distributions, "cdf_eval", lambda *a: calls.append(a) or scalar(*a))
+    fast, slow = Dirac(0.2), Exponential(1.0)
     verdict = dominates(fast, slow)
     assert verdict.outcome == "FailsAtWitness" and calls == []
     ts = GridSpec.for_dominance(fast, slow).times()
@@ -603,6 +604,27 @@ def test_atom_mass_and_interval_measure():
     assert measure_interval(d, 0.5, 2.0, closed_lo=False) == 0.0
     s = Shifted(Uniform(0.0, 1.0), 0.0)  # degenerate shift keeps base behaviour
     assert measure_interval(Uniform(0.0, 1.0), 0.25, 0.75) == pytest.approx(0.5)
+
+
+def test_interval_measure_takes_atoms_where_the_cdf_steps():
+    """A min/max law with a Dirac part jumps where the Dirac sits, and a
+    shifted atom where cdf_eval steps: a closed endpoint there takes the
+    jump, an open one leaves it out."""
+    hi = compose_residence("max", Dirac(1.0), Uniform(0.0, 2.0))
+    assert atom_mass(hi, 1.0) == 0.5
+    assert measure_interval(hi, 0.0, 1.0, closed_hi=False) == 0.5
+    assert measure_interval(hi, 1.0, 1.0) == 0.5
+    lo = compose_residence("min", Dirac(1.0), Exponential(1.0))
+    assert isinstance(lo, MinMaxCdf)
+    assert measure_interval(lo, 0.0, 1.0, closed_hi=False) == 0.0
+    assert measure_interval(lo, 1.0, 1.0) == cdf_eval(Exponential(1.0), 1.0)
+    shifted = Shifted(Dirac(0.3), 2.681)
+    step = math.nextafter(0.3 + 2.681, math.inf)  # 0.3 + 2.681 rounds below the step
+    assert cdf_eval(shifted, 0.3 + 2.681) == 0.0 and cdf_eval(shifted, step) == 1.0
+    assert atom_mass(shifted, step) == 1.0 and atom_mass(Shifted(Dirac(0.5), 0.25), 0.75) == 1.0
+    assert measure_interval(shifted, step, step) == 1.0
+    assert measure_interval(shifted, 0.3 + 2.681, 5.0) == 1.0
+    assert measure_interval(shifted, 0.0, step, closed_hi=False) == 0.0
 
 
 def test_pdf_vec_rejects_laws_without_density():

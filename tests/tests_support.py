@@ -21,7 +21,6 @@ from smdpcheck.distributions import (
     Shifted,
     Uniform,
     _analytic_dominance_rule,
-    _bisect_crossing,
     _scales,
     cdf_eval,
     cdf_vec,
@@ -219,34 +218,25 @@ def oracle_bounded_monotonicity(u, v, w, w2, op, n, tol=1e-9):
     return True
 
 
-def _scalar_grid_dominates(d1, d2, grid):
-    ts = [float(t) for t in grid.times()]
+def _scalar_grid_scan(d1, d2, points):
+    """The deepest violation on the dominance grid (its first occurrence),
+    scanned point by point with scalar cdf_eval; None when there is none."""
+    ts = [float(t) for t in GridSpec.for_dominance(d1, d2, points).times()]
     diffs = [cdf_eval(d1, t) - cdf_eval(d2, t) for t in ts]
-    first_neg = next((i for i, d in enumerate(diffs) if d < 0.0), None)
-    if first_neg is None:
-        return DominanceVerdict(
-            "HoldsOnGrid", method=f"grid scan, {len(ts)} points, t_max={grid.t_max:g}")
-    crossing = _bisect_crossing(d1, d2, ts[first_neg - 1] if first_neg else 0.0, ts[first_neg])
     worst = min(range(len(ts)), key=lambda i: diffs[i])
-    return DominanceVerdict(
-        "FailsAtWitness", witness_t=ts[worst],
-        method=f"grid scan; CDFs cross near t={crossing:.9g}")
+    return ts[worst] if diffs[worst] < 0.0 else None
 
 
 def reference_dominates(d1, d2):
     """`dominates` on its default grid, scanned point by point with scalar cdf_eval."""
-    grid = GridSpec.for_dominance(d1, d2)
-    rule = _analytic_dominance_rule(d1, d2)
-    if rule is None:
-        return _scalar_grid_dominates(d1, d2, grid)
-    holds, name = rule
+    holds = _analytic_dominance_rule(d1, d2)
     if holds:
-        return DominanceVerdict("HoldsAnalytic", method=name)
-    for g in (grid, GridSpec.for_dominance(d1, d2, points=8192)):
-        verdict = _scalar_grid_dominates(d1, d2, g)
-        if verdict.outcome == "FailsAtWitness":
-            return DominanceVerdict("FailsAtWitness", witness_t=verdict.witness_t, method=name)
-    return DominanceVerdict("FailsAtWitness", witness_t=None, method=name)
+        return DominanceVerdict("HoldsAnalytic")
+    for points in (512, 8192) if holds is False else (512,):
+        witness = _scalar_grid_scan(d1, d2, points)
+        if witness is not None:
+            return DominanceVerdict("FailsAtWitness", witness_t=witness)
+    return DominanceVerdict("HoldsOnGrid" if holds is None else "FailsAtWitness")
 
 
 def reference_simulates(u, v):

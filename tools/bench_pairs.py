@@ -18,6 +18,7 @@ not correct or had failed ops: its metrics do not measure the same work.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import statistics
 import subprocess
@@ -35,6 +36,15 @@ def parse_seeds(text: str) -> list:
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+@contextlib.contextmanager
+def exported(ref: str, prefix: str):
+    """A temporary directory holding the files of commit `ref`, from `git archive`."""
+    with tempfile.TemporaryDirectory(prefix=prefix) as tmp:
+        archive = subprocess.run(["git", "archive", ref], cwd=ROOT, capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        yield Path(tmp)
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -73,10 +83,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base = Path(tmp)
-        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
+    with exported(args.base, "bench-base-") as base:
         for i, seed in enumerate(args.seeds):
             order = (("base", base), ("new", ROOT)) if i % 2 == 0 else (("new", ROOT), ("base", base))
             pair = {"seed": seed, "first": order[0][0]}

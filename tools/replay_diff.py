@@ -26,10 +26,9 @@ import dataclasses
 import json
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-from bench_pairs import parse_seeds
+from bench_pairs import exported, parse_seeds
 
 ROOT = Path.cwd()
 
@@ -191,10 +190,7 @@ def main(argv=None) -> int:
             emit(args.workload, seed, args.n)
         return 0
     faults = 0
-    with tempfile.TemporaryDirectory(prefix="replay-base-") as tmp:
-        base = Path(tmp)
-        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
+    with exported(args.base, "replay-base-") as base:
         for seed in args.seeds:
             faults += compare(args.workload, seed, args.n, base)
     return 1 if faults else 0
