@@ -15,7 +15,7 @@ import numpy as np
 
 from .composition import require_same_labels
 from .cylinders import extend_level, initial_level, merge_level
-from .distributions import GridSpec, _dominance_holds, cdf_vec
+from .distributions import GridSpec, _cdf_equal, _dominance_holds, cdf_vec
 from .errors import SmdpcheckError
 from .model import Scheduler, Smdp
 
@@ -447,7 +447,7 @@ def bisimilar(u: Smdp, v: Smdp) -> RelationResult:
         assigned = block_of_law.get(d)
         if assigned is None:
             for rep_d, bid in reps:
-                if _dominance_holds(rep_d, d) and _dominance_holds(d, rep_d):
+                if _cdf_equal(rep_d, d):
                     assigned = bid
                     break
             if assigned is None:

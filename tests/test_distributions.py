@@ -18,8 +18,12 @@ from smdpcheck.distributions import (
     PhaseType,
     Shifted,
     Uniform,
+    _cdf_equal,
     _crossings,
     _dominance_holds,
+    _grid_cdf,
+    _grid_diffs,
+    _grid_times,
     _jumps,
     _kinks,
     _scales,
@@ -567,6 +571,78 @@ def test_dominance_holds_matches_dominates_with_phase_type_parts():
         assert _dominance_holds(d1, d2) == dominates(d1, d2).holds, (d1, d2)
 
 
+def _table_pairs():
+    """Seeded pairs of exponential, uniform, Dirac, phase-type and min/max
+    laws, with the cases where a rule decides one way only: Dirac(0) against
+    anything, nested uniforms, and phase-type pairs; and min/max laws that
+    are equal as functions but not as values."""
+    rng = random.Random(1905)
+    pairs = [_random_law_pair(rng) for _ in range(60)]
+    pairs += [_random_law_pair(rng, _random_phase_part) for _ in range(6)]
+    pairs += [pair for d, _ in pairs[:8] for pair in ((Dirac(0.0), d), (d, Dirac(0.0)))]
+    u, e = Uniform(0.25, 1.5), Exponential(1.5)
+    pairs += [(Uniform(0.0, 3.0), Uniform(1.0, 2.0)), (Uniform(1.0, 2.0), Uniform(0.0, 3.0)),
+              (MinMaxCdf("min", (u, Uniform(0.0, 3.0))), MinMaxCdf("min", (Uniform(1.0, 2.0), u))),
+              (PhaseType((1.0, 4.0)), PhaseType((2.0, 2.0))), (PhaseType((1.0, 2.0)), Exponential(0.5)),
+              (PhaseType((1.0, 2.0)), PhaseType((1.5, 3.0))), (PhaseType((2.0, 3.0)), PhaseType((1.0, 2.0, 4.0))),
+              (MinMaxCdf("max", (u, e)), MinMaxCdf("max", (e, u))), (MinMaxCdf("min", (u, e)), u), (Exponential(1), Exponential(1.0))]
+    return pairs
+
+
+def test_grid_diffs_are_fresh_cdf_vec_differences():
+    """The cached tables give the bits of a fresh tabulation, cold or warm."""
+    def check(d1, d2):
+        ts, diffs = _grid_diffs(d1, d2)
+        fresh = GridSpec.for_dominance(d1, d2).times()
+        assert ts.tobytes() == fresh.tobytes(), (d1, d2)
+        assert diffs.tobytes() == (cdf_vec(d1, fresh) - cdf_vec(d2, fresh)).tobytes(), (d1, d2)
+
+    pairs = _table_pairs()
+    for d1, d2 in pairs:
+        _grid_cdf.cache_clear()
+        _grid_times.cache_clear()
+        check(d1, d2)
+    for d1, d2 in pairs:
+        _grid_diffs(d1, d2)
+    misses = _grid_cdf.cache_info().misses
+    for d1, d2 in pairs:
+        check(d1, d2)
+    assert _grid_cdf.cache_info().misses == misses
+
+
+def test_grid_tables_reject_writes():
+    d1, d2 = MinMaxCdf("min", (Uniform(0.0, 1.0), Exponential(1.0))), Exponential(2.0)
+    ts, _ = _grid_diffs(d1, d2)
+    table = _grid_cdf(d1, GridSpec.for_dominance(d1, d2).t_max)
+    for cached in (ts, table, _grid_times(4.0, 512)):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.5
+
+
+def test_grid_tables_of_equal_laws_with_different_bits_agree():
+    """Tables are keyed by law value: == laws must tabulate to the same bits."""
+    ts = _grid_times(20.0, 512)
+    for a, b in ((Exponential(1), Exponential(1.0)), (Dirac(0.0), Dirac(-0.0)),
+                 (Uniform(0, 2), Uniform(-0.0, 2.0)), (Shifted(Exponential(2.0), 1), Shifted(Exponential(2.0), 1.0))):
+        assert a == b
+        _grid_cdf.cache_clear()
+        assert _grid_cdf(a, 20.0).tobytes() == cdf_vec(b, ts).tobytes(), (a, b)
+
+
+def test_cdf_equal_is_two_way_dominance_from_one_scan(monkeypatch):
+    scans = []
+    scan = distributions._grid_diffs
+    monkeypatch.setattr(distributions, "_grid_diffs", lambda *a: scans.append(a) or scan(*a))
+    answers = set()
+    for d1, d2 in _table_pairs():
+        scans.clear()
+        equal, scanned = _cdf_equal(d1, d2), len(scans)
+        assert scanned <= 1
+        assert equal == (_dominance_holds(d1, d2) and _dominance_holds(d2, d1)), (d1, d2)
+        answers.add((equal, scanned))
+    assert answers == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+
 def test_scales_of_each_family():
     # (smallest rate or None, largest rate, support): the dominance grid reads
     # the first and last, the inductive engine's grid the middle one
@@ -625,6 +701,21 @@ def test_interval_measure_takes_atoms_where_the_cdf_steps():
     assert measure_interval(shifted, step, step) == 1.0
     assert measure_interval(shifted, 0.3 + 2.681, 5.0) == 1.0
     assert measure_interval(shifted, 0.0, step, closed_hi=False) == 0.0
+
+
+def test_convolution_atoms_are_sums_of_the_factors_atoms():
+    m = compose_residence("max", Dirac(1), Uniform(0, 2))
+    c = convolve(m, m)
+    assert isinstance(c, NumericConvolution)
+    assert atom_mass(c, 2.0) == 0.25
+    assert measure_interval(c, 2, 2) == 0.25
+    assert measure_interval(c, 0, 2, closed_hi=False) == 0.75
+    # each atom sits where cdf_eval steps, also where x + y rounds below it
+    for law in (convolve(c, m), convolve(compose_residence("max", Dirac(0.3), Uniform(0.0, 1.0)),
+                                         compose_residence("min", Dirac(2.681), Exponential(1.0)))):
+        assert _jumps(law)
+        for x, mass in _jumps(law):
+            assert cdf_eval(law, x) - cdf_eval(law, math.nextafter(x, -math.inf)) == pytest.approx(mass, abs=1e-9)
 
 
 def test_pdf_vec_rejects_laws_without_density():

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from smdpcheck import corpus, cylinders, relations
+from smdpcheck import corpus, cylinders, distributions, relations
 from smdpcheck.composition import compose
 from smdpcheck.cylinders import TimeBoundedCylinder, extend_level, initial_level, prob_cylinder_paths
 from smdpcheck.model import Scheduler, Smdp, parse_model
@@ -523,6 +523,22 @@ def test_relations_match_per_pair_dominance_on_uniform_composites():
             assert (bis.holds, bis.pairs) == reference_bisimilar(left, right)
             related += len(sim.pairs) + len(bis.pairs)
     assert related > 100
+
+
+def test_second_simulation_check_reads_cached_cdf_tables(monkeypatch):
+    """The dominance grid's CDF tables outlive one call: checking the same
+    models again tabulates no CDF."""
+    rng = random.Random(9)
+    a = compose(random_two_label_model(rng, live_initial=True), _uniform_context(rng), "min")
+    b = compose(random_two_label_model(rng, live_initial=True), _uniform_context(rng), "max")
+    calls = []
+    tabulate = distributions.cdf_vec
+    monkeypatch.setattr(distributions, "cdf_vec", lambda *args: calls.append(args) or tabulate(*args))
+    distributions._grid_cdf.cache_clear()
+    first = simulates(a, b)
+    assert calls
+    calls.clear()
+    assert simulates(a, b) == first and calls == []
 
 
 _AUDIT_SEED11_205 = (

@@ -8,10 +8,11 @@ For each seed, `perfbench/run.py --trace 0` runs once in each tree; the base
 runs first for the first seed, the working tree for the second, and so on,
 so that drift over time falls on both sides alike.  The summary gives
 per end-to-end metric the median and quartiles of each side and the pairs in
-which the working tree was better, and per side the runs whose answers were
-not correct and the failed ops; the last line is every run as JSON.  The same
-summary, both commits and every run go to BENCH_<workload>.json at the root
-of the repository.  The exit status is 1 when any run, on either side, was
+which the working tree was better, in all and split by whether it ran first
+or second, and per side the runs whose answers were not correct and the
+failed ops; the last line is every run as JSON.  The same summary, both
+commits and every run go to BENCH_<workload>.json at the root of the
+repository.  The exit status is 1 when any run, on either side, was
 not correct or had failed ops: its metrics do not measure the same work.
 """
 
@@ -73,6 +74,24 @@ def quartiles(values: list) -> tuple:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def summarize(pairs: list, better: dict) -> dict:
+    """Per end-to-end metric: each side's quartiles and the pairs in which
+    the working tree was better, in all and split by which side ran first,
+    so that an order effect shows."""
+    summary = {}
+    for key, direction in better.items():
+        if key not in pairs[0]["base"]:
+            continue
+        old = [p["base"][key] for p in pairs]
+        new = [p["new"][key] for p in pairs]
+        wins = [p["first"] for p, o, n in zip(pairs, old, new) if ((n < o) if direction == "lower" else (n > o))]
+        summary[key] = {"better": direction, "base_q1_median_q3": quartiles(old),
+                        "new_q1_median_q3": quartiles(new), "new_better_pairs": len(wins),
+                        "new_better_when_first": wins.count("new"),
+                        "new_better_when_second": wins.count("base")}
+    return summary
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -94,19 +113,16 @@ def main(argv=None) -> int:
                 f"{k} {pair['base'][k]:.4g} -> {pair['new'][k]:.4g}" for k in better
                 if k in pair["base"]), file=sys.stderr)
 
+    summary = summarize(pairs, better)
+    firsts = sum(p["first"] == "new" for p in pairs)
     print(f"{args.workload}, {len(pairs)} pairs, base {args.base}, {args.seconds:g} s runs")
-    print(f"{'metric':14s} {'base q1/median/q3':>30s} {'new q1/median/q3':>30s} {'new better':>11s}")
-    summary = {}
-    for key, direction in better.items():
-        if key not in pairs[0]["base"]:
-            continue
-        old = [p["base"][key] for p in pairs]
-        new = [p["new"][key] for p in pairs]
-        wins = sum((n < o) if direction == "lower" else (n > o) for o, n in zip(old, new))
-        summary[key] = {"better": direction, "base_q1_median_q3": quartiles(old),
-                        "new_q1_median_q3": quartiles(new), "new_better_pairs": wins}
-        print(f"{key:14s} {'/'.join(f'{q:.4g}' for q in quartiles(old)):>30s} "
-              f"{'/'.join(f'{q:.4g}' for q in quartiles(new)):>30s} {wins:>5d} of {len(pairs)}")
+    print(f"{'metric':14s} {'base q1/median/q3':>30s} {'new q1/median/q3':>30s} {'new better':>11s}"
+          f" {'new first':>10s} {'new second':>10s}")
+    for key, row in summary.items():
+        print(f"{key:14s} {'/'.join(f'{q:.4g}' for q in row['base_q1_median_q3']):>30s} "
+              f"{'/'.join(f'{q:.4g}' for q in row['new_q1_median_q3']):>30s} "
+              f"{row['new_better_pairs']:>5d} of {len(pairs)} {row['new_better_when_first']:>4d} of {firsts}"
+              f" {row['new_better_when_second']:>4d} of {len(pairs) - firsts}")
     faults = {side: (sum(not p[side]["correct"] for p in pairs), sum(p[side]["failed"] for p in pairs))
               for side in ("base", "new")}
     print("not correct runs / failed ops: " + ", ".join(
