@@ -91,6 +91,18 @@ def test_prob_engines(models, capsys):
         report["result"]["probability"], abs=1e-5)
 
 
+def test_prob_where_rate_times_t_underflows(tmp_path, capsys):
+    # 0.5 * 5e-324 rounds to 0: the phase-type series must not take log(0)
+    model = tmp_path / "slow.smdp"
+    model.write_text("labels: a\nstates: s0 s1 s2\ninitial: s0\nresidence:\n"
+                     "  s0 exp(0.5)\n  s1 exp(0.25)\n  s2 exp(1)\n"
+                     "transitions:\n  s0 a s1 1\n  s1 a s2 1\n  s2 a s2 1\n")
+    for engine in ("paths", "inductive"):
+        code, report = run_json(capsys, "prob", "--model", model, "--word", "aa",
+                                "--t", "5e-324", "--engine", engine)
+        assert (code, report["result"]["probability"]) == (0, 0.0), engine
+
+
 def test_prob_rect_engine(models, capsys):
     # rect cylinders bound each step separately, not the total time, so the
     # time-bounded prob command offers no rect engine

@@ -219,6 +219,154 @@ def test_phase_type_matrix_form_bits_pinned():
         ("0x1.51977237164c4p-2", "0x1.5f70ec6f0f34cp-11")]
 
 
+# (rates, t, F, f) for the series regime, lam*t from 1e-3 to 19999: F and f
+# are 50-digit values rounded to doubles, from the matrix exponential of the
+# chain generator (a 90-digit run and the alternating sum agree to 1e-50):
+#
+#   import math, mpmath, random
+#   def reference(rates, t):
+#       with mpmath.workdps(50):
+#           n = len(rates)
+#           A = mpmath.zeros(n)
+#           for i, r in enumerate(rates):
+#               A[i, i] = -mpmath.mpf(r)
+#               if i + 1 < n:
+#                   A[i, i + 1] = mpmath.mpf(r)
+#           row = mpmath.expm(A * mpmath.mpf(t))[0, :]
+#           return float(1 - mpmath.fsum(row)), float(row[n - 1] * rates[-1])
+#   rng = random.Random(20)
+#   for i in range(24):
+#       n = 2 + i % 9
+#       base = [float(f"{10 ** rng.uniform(-3, 3):.3g}") for _ in range(rng.randint(1, n))]
+#       rates = tuple(sorted(base + [rng.choice(base) for _ in range(n - len(base))]))
+#       q = 1e-3 if i == 0 else 19999.0 if i in (1, 12) else \
+#           float(f"{10 ** rng.uniform(-3, math.log10(19999.0)):.3g}")
+#       print((rates, q / max(rates), *reference(rates, q / max(rates))))
+#
+# then nine hand-picked laws: stiff pairs next to the matrix-form switch,
+# the values printed in the paper's figures, and Erlang chains of 10 stages.
+_PHASE_REFERENCE = [
+    ((0.0362, 0.0362), 0.027624309392265192, 4.996667916333403e-07, 3.616381809396818e-05),
+    ((0.0104, 0.0104, 2.74), 7298.90510948905, 1.0, 8.555833715063312e-34),
+    ((0.00416, 0.0822, 501.0, 918.0), 0.0020806100217864924, 7.131056164733303e-11, 1.199803472201652e-07),
+    ((0.0158, 5.65, 5.65, 5.65, 5.65), 0.0008407079646017699, 5.617193297957406e-17, 3.3386349921865123e-13),
+    ((0.00162, 0.00308, 0.897, 2.75, 68.2, 68.2), 5.9970674486803517e-05, 3.694364315279636e-30, 3.695431962137044e-25),
+    ((0.0502, 13.9, 13.9, 14.5, 14.5, 14.5, 14.5), 0.006193103448275863, 2.7816691992178306e-14, 3.114314292830247e-11),
+    ((0.0012, 0.0208, 0.0208, 0.0266, 0.0266, 0.0266, 0.0266, 143.0), 0.16713286713286712, 1.437557224679349e-22, 6.223474588953342e-21),
+    ((0.00532, 0.00872, 0.0439, 0.0439, 0.272, 17.4, 99.3, 275.0, 342.0), 54.67836257309941, 0.009746466360779468, 0.0005888073406717215),
+    ((0.00205, 0.00306, 0.0108, 0.0108, 0.0145, 0.0221, 0.0577, 0.373, 50.5, 276.0), 2.971014492753623, 6.106201994910752e-16, 1.6254136756068335e-15),
+    ((0.259, 10.8), 0.20277777777777775, 0.030600420070147457, 0.22208805330994363),
+    ((0.00212, 0.00507, 10.1), 0.2089108910891089, 1.0477669745807123e-07, 1.3095275973401614e-06),
+    ((0.00119, 0.00448, 2.77, 2.77), 0.027292418772563175, 9.175809204432356e-13, 1.3347137515932598e-10),
+    ((546.0, 546.0, 546.0, 546.0, 546.0), 36.62820512820513, 1.0, 0.0),
+    ((1.2, 1.2, 1.2, 1.2, 16.0, 16.0), 152.5, 1.0, 4.775898460654733e-74),
+    ((0.0153, 0.0203, 0.0203, 0.0447, 0.0447, 0.213, 0.213), 0.038638497652582156, 1.4540212607439282e-23, 2.6331609821998638e-21),
+    ((0.00105, 0.0135, 0.269, 0.269, 0.491, 6.39, 7.72, 208.0), 2.375e-05, 1.2966515739923418e-44, 4.367347238284477e-39),
+    ((0.00107, 0.0073, 0.0073, 0.0073, 0.0175, 0.0175, 5.46, 22.6, 22.6), 0.034380530973451326, 5.545865304151947e-29, 1.4249756013271975e-26),
+    ((0.00115, 0.00251, 0.00263, 0.654, 24.5, 24.5, 32.1, 72.6, 72.6, 609.0), 3.333333333333333e-05, 1.4299291198993247e-49, 4.287152967865636e-44),
+    ((4.52, 628.0), 1.6560509554140125e-06, 3.891023447809494e-09, 0.004698338843751284),
+    ((0.0185, 0.0185, 0.0185), 5783.783783783784, 1.0, 3.592524383195815e-45),
+    ((3.12, 3.12, 3.12, 3.12), 0.0007403846153846154, 1.1842247474673496e-12, 6.39493394743258e-09),
+    ((0.18, 0.18, 0.18, 0.18, 192.0), 5.520833333333333e-06, 8.613034317924748e-30, 7.800207294636132e-24),
+    ((0.00355, 0.0822, 0.0822, 44.3, 44.3, 169.0), 100.59171597633136, 0.23568917563677402, 0.0027048341281516496),
+    ((0.123, 0.123, 0.191, 0.191, 0.191, 5.5, 5.5), 64.9090909090909, 0.9695188565774188, 0.0029095830386407775),
+    ((0.001, 1000.0), 19.999, 0.019799366293447584, 0.0009802006337065524),
+    ((0.001, 1000.0), 1.0, 0.0009985011651261735, 0.0009990014988348738),
+    ((0.05, 20.0), 2.0, 0.09289481901156936, 0.04535525904942153),
+    ((2.0, 2.0), 2.0, 0.9084218055563291, 0.14652511110987343),
+    ((0.3, 1.7, 4.2, 9.0), 5.0, 0.6982431401860791, 0.09040062912162944),
+    ((0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5), 20.0, 0.5420702855281478, 0.06255501786056665),
+    ((1000.0, 1000.0, 1000.0, 1000.0, 1000.0, 1000.0, 1000.0, 1000.0, 1000.0, 1000.0), 0.01, 0.5420702855281478, 125.1100357211333),
+    ((0.001, 0.001, 1.0, 1000.0), 19.5, 0.00016949327337886037, 1.8158959304058168e-05),
+    ((0.02, 3.0, 500.0), 39.99, 0.5475468291578407, 0.009049063416843186),
+]
+
+
+def test_phase_series_against_50_digit_values():
+    # the bound README "Tolerances" states: 2e-11 for F, 2e-11 * lam for f
+    assert len({rates for rates, *_ in _PHASE_REFERENCE}) >= 20
+    for rates, t, F, f in _PHASE_REFERENCE:
+        d = PhaseType(rates)
+        assert 1e-3 <= max(rates) * t < 20000.0
+        assert abs(cdf_vec(d, [t])[0] - F) <= 2e-11, (rates, t)
+        assert abs(pdf_vec(d, [t])[0] - f) <= 2e-11 * max(rates), (rates, t)
+
+
+def test_phase_series_where_rate_times_t_underflows():
+    # 0.5 * 5e-324 rounds to 0: F = f = 0 as at t = 0, with no log(0)
+    d = PhaseType((0.25, 0.5))
+    assert 0.5 * 5e-324 == 0.0
+    assert cdf_eval(d, 5e-324) == 0.0
+    assert cdf_vec(d, [5e-324, 1e-300]).tolist() == [0.0, cdf_eval(d, 1e-300)]
+    assert pdf_vec(d, [5e-324]).tolist() == [0.0]
+
+
+def _cold_phase_caches(monkeypatch, budget=1 << 22):
+    """Empty weight and cdf_eval caches, and fresh rows with the given budget in bytes."""
+    cdf_eval.cache_clear()
+    monkeypatch.setattr(distributions, "_poisson_cache", distributions._Lru(distributions._poisson_cache.budget))
+    rows = distributions._PhaseRows(budget)
+    monkeypatch.setattr(distributions, "_phase_rows", rows)
+    return rows
+
+
+def _phase_bits(d, ts):
+    return cdf_vec(d, ts).tobytes(), pdf_vec(d, ts).tobytes()
+
+
+def test_phase_type_bits_depend_on_law_and_t_alone(monkeypatch):
+    """The same bits with cold caches, after the law's prefixes (the law less
+    its slowest rates) were evaluated, after forced evictions, and one point
+    at a time."""
+    rng = random.Random(31)
+    for _ in range(10):
+        rates = tuple(sorted(round(10 ** rng.uniform(-2, 2), 3) for _ in range(rng.randint(2, 7))))
+        d = PhaseType(rates)
+        lam = max(rates)
+        ts = [q / lam for q in (1e-3, 0.4, 3.0, 40.0, 900.0, 15000.0)] + [rng.uniform(0.0, 30.0)]
+        _cold_phase_caches(monkeypatch)
+        cold = _phase_bits(d, ts)
+        _cold_phase_caches(monkeypatch)
+        for n in range(2, len(rates)):
+            cdf_vec(PhaseType(rates[-n:]), ts[::-1])
+        assert _phase_bits(d, ts) == cold, rates
+        rows = _cold_phase_caches(monkeypatch, budget=1024)
+        for t in ts:
+            cdf_vec(PhaseType(rates[-2:]), [t])
+        assert _phase_bits(d, ts) == cold, rates
+        assert rows.held <= 1024 and rates[::-1] not in rows.items
+        _cold_phase_caches(monkeypatch)
+        F, f = zip(*[(cdf_eval(d, t), pdf_vec(d, [t])[0]) for t in ts])
+        assert (np.array(F).tobytes(), np.array(f).tobytes()) == cold, rates
+
+
+def test_phase_rows_of_a_longer_law_add_one_column(monkeypatch):
+    # (2, 3, 5) is the prefix of (1, 2, 3, 5): the longer law holds one more
+    # tuple, whose rows, 16 bytes each, are the only ones added
+    rows = _cold_phase_caches(monkeypatch)
+    cdf_vec(PhaseType((2.0, 3.0, 5.0)), [0.7, 4.0])
+    held, tuples = rows.held, len(rows.items)
+    cdf_vec(PhaseType((1.0, 2.0, 3.0, 5.0)), [0.7, 4.0])
+    assert len(rows.items) == tuples + 1
+    assert rows.held - held == 16 * len(rows.get((5.0, 3.0, 2.0, 1.0))[0])
+
+
+def test_phase_caches_hold_their_budget_and_reject_writes(monkeypatch):
+    rows = _cold_phase_caches(monkeypatch)
+    cdf_vec(PhaseType((1.0, 2.0, 3.0)), [1.5, 15000.0 / 3.0])
+    weights = distributions._poisson_weights(3.0 * 1.5, 1e-12)
+    assert weights is distributions._poisson_weights(3.0 * 1.5, 1e-12)
+    for cached in (weights, *rows.get((3.0, 2.0, 1.0))):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.5
+    # the weights of these 40 times take 5.2 MB, past the 256 KiB budget
+    cdf_vec(PhaseType((0.01, 0.5, 100.0)), np.linspace(199.0, 100.0, 40))
+    cache = distributions._poisson_cache
+    assert len(cache.items) < 40
+    assert cache.held == sum(nbytes for nbytes, _ in cache.items.values()) <= cache.budget
+    assert rows.held == sum(nbytes for nbytes, _ in rows.items.values()) <= rows.budget
+
+
 # --- convolve ---------------------------------------------------------------
 
 def test_dirac_zero_is_identity():
