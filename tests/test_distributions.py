@@ -342,12 +342,13 @@ def test_phase_type_bits_depend_on_law_and_t_alone(monkeypatch):
 
 def test_phase_rows_of_a_longer_law_add_one_column(monkeypatch):
     # (2, 3, 5) is the prefix of (1, 2, 3, 5): the longer law holds one more
-    # tuple, whose rows, 16 bytes each, are the only ones added
+    # tuple, whose rows, 16 bytes each, are the only ones added, and the
+    # prefix's rows are read, not rebuilt
     rows = _cold_phase_caches(monkeypatch)
     cdf_vec(PhaseType((2.0, 3.0, 5.0)), [0.7, 4.0])
-    held, tuples = rows.held, len(rows.items)
+    held, tuples, prefix = rows.held, len(rows.items), rows.get((5.0, 3.0, 2.0))
     cdf_vec(PhaseType((1.0, 2.0, 3.0, 5.0)), [0.7, 4.0])
-    assert len(rows.items) == tuples + 1
+    assert len(rows.items) == tuples + 1 and rows.get((5.0, 3.0, 2.0)) is prefix
     assert rows.held - held == 16 * len(rows.get((5.0, 3.0, 2.0, 1.0))[0])
 
 
