@@ -1,8 +1,13 @@
 """Command-line frontend.
 
 Exit codes: 0 = verdict holds / value computed, 1 = refuted or failing
-verdict (witness in the report), 2 = usage or model error, invalid option
-values included.  Every command accepts --json for machine-readable reports.
+verdict (witness in the report), 2 = usage, model or I/O error, invalid
+option values included.  Every command accepts --json for machine-readable
+reports.
+
+Each command resolves its input files, which `main` hashes before the
+command runs, and returns (result, human lines, exit code); `main` alone
+builds the report, prints it and maps errors to exit code 2.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .cylinders import TimeBoundedCylinder, prob_cylinder_inductive, prob_cylind
 from .distributions import CompositionOperator, GridSpec, compose_residence
 from .errors import NotExpressible, SmdpcheckError
 from .model import (
-    Scheduler,
     parse_model,
     parse_scheduler,
     serialize_model,
@@ -39,6 +43,10 @@ REPORT_SCHEMA = "smdpcheck-report/1"
 _OPS = {"min": CompositionOperator.MINIMUM, "max": CompositionOperator.MAXIMUM,
         "prodrate": CompositionOperator.PRODUCT_RATE}
 
+# command -> (relation, the symbol a related pair prints with, help)
+_RELATIONS = {"simulates": (simulates, "<=", "does the second model simulate the first?"),
+              "bisimilar": (bisimilar, "~", "are the two models bisimilar?")}
+
 
 def _sha256(path):
     h = hashlib.sha256()
@@ -53,131 +61,90 @@ def _parse_word(text, labels):
     return tuple(text.split(",")) if multi else tuple(text)
 
 
-def _load_model(path):
+def _load(path, model=None, problems=None):
+    """Parses a model file, or with `model` a scheduler file for that model.
+
+    Violations raise, or are appended to `problems` when a list is given.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        m = parse_model(fh.read())
-    problems = validate_model(m)
-    if problems:
-        raise SmdpcheckError(
-            f"{path}: invalid model:\n  " + "\n  ".join(str(p) for p in problems))
-    return m
-
-
-def _load_scheduler(path, model):
-    with open(path, "r", encoding="utf-8") as fh:
-        sch = parse_scheduler(fh.read())
-    problems = validate_scheduler(model, sch)
-    if problems:
-        raise SmdpcheckError(
-            f"{path}: invalid scheduler:\n  " + "\n  ".join(str(p) for p in problems))
-    return sch
-
-
-class _Report:
-    def __init__(self, command, paths):
-        self.t0 = time.monotonic()
-        self.data = {
-            "schema": REPORT_SCHEMA,
-            "command": command,
-            "inputs": [{"path": p, "sha256": _sha256(p)} for p in paths],
-        }
-
-    def finish(self, **fields):
-        self.data.update(fields)
-        self.data["elapsed_seconds"] = round(time.monotonic() - self.t0, 6)
-        return self.data
-
-
-def _emit(args, report, human_lines):
-    if args.json:
-        print(json.dumps(report, indent=2))
+        text = fh.read()
+    if model is None:
+        kind, obj = "model", parse_model(text)
+        found = [str(p) for p in validate_model(obj)]
     else:
-        for line in human_lines:
-            print(line)
+        kind, obj = "scheduler", parse_scheduler(text)
+        found = [str(p) for p in validate_scheduler(model, obj)]
+    if problems is not None:
+        problems += found
+    elif found:
+        raise SmdpcheckError(f"{path}: invalid {kind}:\n  " + "\n  ".join(found))
+    return obj
 
 
-def _witness_dict(w):
-    if w is None:
-        return None
-    return {
-        "slow_scheduler": w.slow_scheduler.choice,
-        "word": w.word,
-        "t": w.t,
-        "prob_fast": w.prob_fast,
-        "prob_slow": w.prob_slow,
-        "fast_scheduler": w.fast_scheduler.choice,
-        "kind": w.kind,
-    }
+def _model_inputs(args):
+    return [p for p in (args.model, args.scheduler) if p]
+
+
+def _pair_inputs(flag_a, flag_b):
+    """Two models, positionally or via --flag_a/--flag_b; sets both flags."""
+    def inputs(args):
+        pos = list(args.models)
+        for flag in (flag_a, flag_b):
+            if getattr(args, flag) is None and pos:
+                setattr(args, flag, pos.pop(0))
+        pair = [getattr(args, flag_a), getattr(args, flag_b)]
+        if None in pair or pos:
+            raise SmdpcheckError(f"expected two models (positionally or via --{flag_a}/--{flag_b})")
+        return pair
+    return inputs
+
+
+def _monotonicity_inputs(args):
+    if args.mode == "strong" and args.n is not None:
+        raise ValueError("--n sets the depth of --mode bounded; "
+                         "strong mode checks paths up to the path bound")
+    return [p for p in (args.fast, args.slow, args.ctx, args.ctx2) if p]
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (result, human lines, exit code)
 
 
 def _cmd_validate(args):
-    rep = _Report("validate", [args.model] + ([args.scheduler] if args.scheduler else []))
-    with open(args.model, "r", encoding="utf-8") as fh:
-        m = parse_model(fh.read())
-    problems = [str(p) for p in validate_model(m)]
+    problems = []
+    m = _load(args.model, problems=problems)
     if args.scheduler and not problems:
-        with open(args.scheduler, "r", encoding="utf-8") as fh:
-            sch = parse_scheduler(fh.read())
-        problems += [str(p) for p in validate_scheduler(m, sch)]
+        _load(args.scheduler, m, problems)
     ok = not problems
-    report = rep.finish(result={"valid": ok, "violations": problems})
-    _emit(args, report, ["valid" if ok else "invalid:"] + [f"  {p}" for p in problems])
-    return 0 if ok else 2
+    return ({"valid": ok, "violations": problems},
+            ["valid" if ok else "invalid:"] + [f"  {p}" for p in problems], 0 if ok else 2)
 
 
 def _cmd_prob(args):
-    rep = _Report("prob", [args.model] + ([args.scheduler] if args.scheduler else []))
-    m = _load_model(args.model)
-    sch = _load_scheduler(args.scheduler, m) if args.scheduler else uniform_scheduler(m)
+    m = _load(args.model)
+    sch = _load(args.scheduler, m) if args.scheduler else uniform_scheduler(m)
     word = _parse_word(args.word, m.labels)
     engine = prob_cylinder_paths if args.engine == "paths" else prob_cylinder_inductive
     value = engine(m, sch, m.initial, TimeBoundedCylinder(word, args.t))
-    report = rep.finish(result={"word": format_word(word), "t": args.t,
-                                "engine": args.engine, "probability": value})
-    _emit(args, report, [f"{value:.6f}"])
-    return 0
+    return ({"word": format_word(word), "t": args.t, "engine": args.engine, "probability": value},
+            [f"{value:.6f}"], 0)
 
 
 def _cmd_compose(args):
-    rep = _Report("compose", [args.left, args.right])
-    left = _load_model(args.left)
-    right = _load_model(args.right)
-    product = compose(left, right, _OPS[args.op], project=args.project)
+    product = compose(_load(args.left), _load(args.right), _OPS[args.op], project=args.project)
     text = serialize_model(product)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
-    report = rep.finish(result={"out": args.out, "states": len(product.states),
-                                "labels": list(product.labels)})
-    _emit(args, report, [f"wrote {args.out} ({len(product.states)} states)"])
-    return 0
-
-
-def _resolve_pair(args, flag_a, flag_b):
-    pos = list(args.models or [])
-    a = getattr(args, flag_a)
-    b = getattr(args, flag_b)
-    if a is None and len(pos) >= 1:
-        a = pos.pop(0)
-    if b is None and len(pos) >= 1:
-        b = pos.pop(0)
-    if a is None or b is None or pos:
-        raise SmdpcheckError(f"expected two models (positionally or via --{flag_a}/--{flag_b})")
-    return a, b
+    return ({"out": args.out, "states": len(product.states), "labels": list(product.labels)},
+            [f"wrote {args.out} ({len(product.states)} states)"], 0)
 
 
 def _cmd_faster_than(args):
-    fast_path, slow_path = _resolve_pair(args, "fast", "slow")
-    rep = _Report("faster-than", [fast_path, slow_path])
-    fast = _load_model(fast_path)
-    slow = _load_model(slow_path)
-    grid = GridSpec(t_max=args.tmax, points=args.tpoints, geometric=False)
-    search = SchedulerSearchSpec(step=args.step)
-    verdict = faster_than_bounded(fast, slow, args.depth, grid, search)
-    report = rep.finish(result={
+    verdict = faster_than_bounded(_load(args.fast), _load(args.slow), args.depth,
+                                  GridSpec(t_max=args.tmax, points=args.tpoints, geometric=False),
+                                  SchedulerSearchSpec(step=args.step))
+    w = verdict.witness
+    result = {
         "outcome": verdict.outcome,
         "meaning": ("Refuted: the witness re-verifies, and no fast scheduler in the explored "
                     "lattice plus coordinate ascent matched this adversary; "
@@ -188,119 +155,79 @@ def _cmd_faster_than(args):
         "candidates": verdict.candidates,
         "candidate_lattice": verdict.candidate_lattice,
         "candidates_truncated": verdict.candidates_truncated,
-        "witness": _witness_dict(verdict.witness),
-    })
+        "witness": None if w is None else {**vars(w), "slow_scheduler": w.slow_scheduler.choice,
+                                           "fast_scheduler": w.fast_scheduler.choice},
+    }
     lines = [f"{verdict.outcome} (depth {args.depth}, tmax {args.tmax}, step {args.step})"]
     if verdict.candidates_truncated:
         lines.append(f"  fast lattice truncated: {verdict.candidates} of "
                      f"{verdict.candidate_lattice} schedulers searched")
-    if verdict.witness:
-        w = verdict.witness
+    if w:
         lines.append(f"  witness: word {w.word} at t={w.t:g}: "
                      f"fast {w.prob_fast:.6f} < slow {w.prob_slow:.6f}")
         lines.append(f"  adversary: {w.slow_scheduler!r}")
     else:
         lines.append("  (no counterexample within bounds; this does not prove the relation)")
-    _emit(args, report, lines)
-    return 1 if verdict.refuted else 0
+    return result, lines, 1 if verdict.refuted else 0
 
 
-def _cmd_simulates(args):
-    left_path, right_path = _resolve_pair(args, "left", "right")
-    rep = _Report("simulates", [left_path, right_path])
-    left = _load_model(left_path)
-    right = _load_model(right_path)
-    res = simulates(left, right)
-    report = rep.finish(result={"holds": res.holds, "pairs": [list(p) for p in res.pairs]})
-    lines = [str(res.holds).lower()] + [f"  {a} <= {b}" for a, b in res.pairs]
-    _emit(args, report, lines)
-    return 0 if res.holds else 1
-
-
-def _cmd_bisimilar(args):
-    left_path, right_path = _resolve_pair(args, "left", "right")
-    rep = _Report("bisimilar", [left_path, right_path])
-    left = _load_model(left_path)
-    right = _load_model(right_path)
-    res = bisimilar(left, right)
-    report = rep.finish(result={"holds": res.holds, "pairs": [list(p) for p in res.pairs]})
-    lines = [str(res.holds).lower()] + [f"  {a} ~ {b}" for a, b in res.pairs]
-    _emit(args, report, lines)
-    return 0 if res.holds else 1
+def _cmd_relation(args):
+    relation, symbol, _ = _RELATIONS[args.cmd]
+    res = relation(_load(args.left), _load(args.right))
+    return ({"holds": res.holds, "pairs": [list(p) for p in res.pairs]},
+            [str(res.holds).lower()] + [f"  {a} {symbol} {b}" for a, b in res.pairs],
+            0 if res.holds else 1)
 
 
 def _cmd_monotonicity(args):
-    if args.mode == "strong" and args.n is not None:
-        raise ValueError("--n sets the depth of --mode bounded; "
-                         "strong mode checks paths up to the path bound")
-    paths = [args.fast, args.slow, args.ctx] + ([args.ctx2] if args.ctx2 else [])
-    rep = _Report("monotonicity", paths)
-    u = _load_model(args.fast)
-    v = _load_model(args.slow)
-    w = _load_model(args.ctx)
-    w2 = _load_model(args.ctx2) if args.ctx2 else w
+    u, v, w = _load(args.fast), _load(args.slow), _load(args.ctx)
+    w2 = _load(args.ctx2) if args.ctx2 else w
     op = _OPS[args.op]
     if args.mode == "strong":
-        report_obj = check_strong_monotonicity(u, v, w, w2, op, collect_all=args.all)
+        rep = check_strong_monotonicity(u, v, w, w2, op, collect_all=args.all)
     else:
         n = args.n if args.n is not None else path_bound(u, v, w, w2)
-        report_obj = check_monotonicity_bounded(u, v, w, w2, op, n, collect_all=args.all)
-    if args.emit_smt:
-        os.makedirs(args.emit_smt, exist_ok=True)
-        written = _emit_smt_queries(u, v, w, w2, op, args.emit_smt)
-    else:
-        written = []
-    report = rep.finish(result={
-        "verdict": report_obj.verdict,
-        "mode": report_obj.mode,
-        "bound": report_obj.bound,
-        "violations": [dataclasses.asdict(x) for x in report_obj.violations],
-        "smt_queries": written,
-    })
-    lines = [f"{report_obj.verdict} ({report_obj.mode.lower()} mode, paths up to {report_obj.bound})"]
-    lines += [f"  {x}" for x in report_obj.violations]
-    _emit(args, report, lines)
-    return 0 if report_obj.holds else 1
+        rep = check_monotonicity_bounded(u, v, w, w2, op, n, collect_all=args.all)
+    result = {
+        "verdict": rep.verdict,
+        "mode": rep.mode,
+        "bound": rep.bound,
+        "violations": [dataclasses.asdict(x) for x in rep.violations],
+        "smt_queries": _emit_smt_queries(u, v, w, w2, op, args.emit_smt) if args.emit_smt else [],
+    }
+    lines = [f"{rep.verdict} ({rep.mode.lower()} mode, paths up to {rep.bound})"]
+    return result, lines + [f"  {x}" for x in rep.violations], 0 if rep.holds else 1
 
 
 def _emit_smt_queries(u, v, w, w2, op, outdir):
-    """One dominance query per composite residence pair, named by side."""
+    """One dominance query per composite residence pair, named by side: the
+    fast side's composite dominates its own law, the slow side's own law its composite."""
+    os.makedirs(outdir, exist_ok=True)
     written = []
-    for i, (uu, ww) in enumerate((a, b) for a in u.states for b in w.states):
-        comp = compose_residence(op, u.residence_of(uu), w.residence_of(ww))
-        try:
-            text = export_smt_dominance(comp, u.residence_of(uu))
-        except NotExpressible:
-            continue
-        name = os.path.join(outdir, f"fast_{i:03d}_{uu}_{ww}.smt2")
-        with open(name, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        written.append(name)
-    for i, (vv, ww2) in enumerate((a, b) for a in v.states for b in w2.states):
-        comp = compose_residence(op, v.residence_of(vv), w2.residence_of(ww2))
-        try:
-            text = export_smt_dominance(v.residence_of(vv), comp)
-        except NotExpressible:
-            continue
-        name = os.path.join(outdir, f"slow_{i:03d}_{vv}_{ww2}.smt2")
-        with open(name, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        written.append(name)
+    for side, model, ctx in (("fast", u, w), ("slow", v, w2)):
+        for i, (x, y) in enumerate((a, b) for a in model.states for b in ctx.states):
+            own = model.residence_of(x)
+            comp = compose_residence(op, own, ctx.residence_of(y))
+            try:
+                text = export_smt_dominance(*((comp, own) if side == "fast" else (own, comp)))
+            except NotExpressible:
+                continue
+            name = os.path.join(outdir, f"{side}_{i:03d}_{x}_{y}.smt2")
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            written.append(name)
     return written
 
 
 def _cmd_simulate(args):
-    rep = _Report("simulate", [args.model] + ([args.scheduler] if args.scheduler else []))
-    m = _load_model(args.model)
-    sch = _load_scheduler(args.scheduler, m) if args.scheduler else uniform_scheduler(m)
+    m = _load(args.model)
+    sch = _load(args.scheduler, m) if args.scheduler else uniform_scheduler(m)
     word = _parse_word(args.word, m.labels)
-    est, half = estimate_cylinder(m, sch, word, args.t, args.samples, args.seed, workers=args.jobs)
+    est, half = estimate_cylinder(m, sch, word, args.t, args.samples, args.seed)
     lo, hi = wilson_bounds(est, args.samples)
-    report = rep.finish(result={"word": format_word(word), "t": args.t, "samples": args.samples,
-                                "seed": args.seed, "workers": args.jobs, "estimate": est,
-                                "ci99_halfwidth": half, "ci99_wilson": [lo, hi]})
-    _emit(args, report, [f"{est:.6f} +- {half:.6f} (99% CI), Wilson [{lo:.6f}, {hi:.6f}]"])
-    return 0
+    return ({"word": format_word(word), "t": args.t, "samples": args.samples, "seed": args.seed,
+             "estimate": est, "ci99_halfwidth": half, "ci99_wilson": [lo, hi]},
+            [f"{est:.6f} +- {half:.6f} (99% CI), Wilson [{lo:.6f}, {hi:.6f}]"], 0)
 
 
 def build_parser():
@@ -312,8 +239,7 @@ def build_parser():
     sp = sub.add_parser("validate", help="check a model (and optionally a scheduler) file")
     sp.add_argument("model")
     sp.add_argument("--scheduler")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_validate)
+    sp.set_defaults(fn=_cmd_validate, inputs=_model_inputs)
 
     sp = sub.add_parser("prob", help="time-bounded cylinder probability")
     sp.add_argument("--model", required=True)
@@ -322,8 +248,7 @@ def build_parser():
                     help="one character per label, or comma-separated labels")
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--engine", choices=["paths", "inductive"], default="paths")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_prob)
+    sp.set_defaults(fn=_cmd_prob, inputs=_model_inputs)
 
     sp = sub.add_parser("compose", help="synchronous product of two models")
     sp.add_argument("--left", required=True)
@@ -332,8 +257,7 @@ def build_parser():
     sp.add_argument("--out", required=True)
     sp.add_argument("--project", action="store_true",
                     help="intersect label sets instead of requiring equality")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_compose)
+    sp.set_defaults(fn=_cmd_compose, inputs=lambda args: [args.left, args.right])
 
     sp = sub.add_parser("faster-than", help="bounded faster-than check")
     sp.add_argument("models", nargs="*", help="FAST SLOW (alternative to --fast/--slow)")
@@ -343,22 +267,14 @@ def build_parser():
     sp.add_argument("--step", type=float, default=0.25)
     sp.add_argument("--tmax", type=float, default=10.0)
     sp.add_argument("--tpoints", type=int, default=5)
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_faster_than)
+    sp.set_defaults(fn=_cmd_faster_than, inputs=_pair_inputs("fast", "slow"))
 
-    sp = sub.add_parser("simulates", help="does the second model simulate the first?")
-    sp.add_argument("models", nargs="*", help="LEFT RIGHT")
-    sp.add_argument("--left")
-    sp.add_argument("--right")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_simulates)
-
-    sp = sub.add_parser("bisimilar", help="are the two models bisimilar?")
-    sp.add_argument("models", nargs="*", help="LEFT RIGHT")
-    sp.add_argument("--left")
-    sp.add_argument("--right")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_bisimilar)
+    for name, (_, _, text) in _RELATIONS.items():
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("models", nargs="*", help="LEFT RIGHT")
+        sp.add_argument("--left")
+        sp.add_argument("--right")
+        sp.set_defaults(fn=_cmd_relation, inputs=_pair_inputs("left", "right"))
 
     sp = sub.add_parser("monotonicity", help="anomaly-avoidance conditions for a composition")
     sp.add_argument("--fast", required=True)
@@ -370,8 +286,7 @@ def build_parser():
     sp.add_argument("--n", type=int, help="depth for bounded mode only (default: the path bound)")
     sp.add_argument("--all", action="store_true", help="collect all violations, not just the first")
     sp.add_argument("--emit-smt", metavar="DIR", help="write CDF-dominance SMT queries")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_monotonicity)
+    sp.set_defaults(fn=_cmd_monotonicity, inputs=_monotonicity_inputs)
 
     sp = sub.add_parser("simulate", help="Monte Carlo cylinder estimate")
     sp.add_argument("--model", required=True)
@@ -381,23 +296,33 @@ def build_parser():
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--samples", type=int, default=100000)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="number of seed streams; they run one after another in one process")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(fn=_cmd_simulate)
+    sp.set_defaults(fn=_cmd_simulate, inputs=_model_inputs)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--json", action="store_true")
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.fn(args)
-    # ValueError: an option value the library rejects, such as --t -1 or --n 0
-    except (SmdpcheckError, FileNotFoundError, ValueError) as exc:
+        # hashed before the command runs: compose --out may overwrite an input
+        inputs = [{"path": p, "sha256": _sha256(p)} for p in args.inputs(args)]
+        result, lines, code = args.fn(args)
+    # ValueError: an option value the library rejects, such as --t -1 or --n 0;
+    # OSError: a file that cannot be read or written, such as a directory
+    except (SmdpcheckError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        print(json.dumps({"schema": REPORT_SCHEMA, "command": args.cmd, "inputs": inputs,
+                          "result": result, "elapsed_seconds": round(time.monotonic() - t0, 6)},
+                         indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -356,20 +356,21 @@ def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylin
     continuation sub-CDF by product integration, which reads only the law's
     CDF: one kernel and one FFT per residence law and call, and one batched
     FFT product for the states of a level that share that law.  Atoms stay
-    symbolic.  The grid has at least 1024 points and grows with the sharpest
-    rate so that table interpolation stays below the cross-engine tolerance.
+    symbolic.  The grid has 1024 to 200,000 points and grows with the
+    sharpest rate so that table interpolation stays below the cross-engine
+    tolerance.  At t = 0 and t = inf the step recursion needs no grid.
     """
     word = c.word
     t = c.bound
     m.state_index(s)
     for a in word:
         m.label_index(a)
-    if t <= 0.0:
-        return _inductive_at_zero(m, sch, s, word, 0)
+    if t <= 0.0 or t == math.inf:
+        return _inductive_at_end(m, sch, s, word, 0, t)
 
     if grid_points is None:
         rate = max([1.0] + [_scales(m.residence_of(x))[1] for x in m.states])
-        grid_points = int(min(max(1024, math.ceil(250.0 * rate * t)), 200_000))
+        grid_points = max(1024, math.ceil(min(250.0 * rate * t, 200_000)))
     xs = np.linspace(0.0, t, grid_points + 1)
 
     # states needed per level
@@ -412,10 +413,11 @@ def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylin
     return float(min(1.0, max(0.0, tables[s].value_at_end(t))))
 
 
-def _inductive_at_zero(m, sch, s, word, k):
-    # At t = 0 only residence mass sitting exactly at zero contributes.
+def _inductive_at_end(m, sch, s, word, k, t):
+    # At t = 0 only residence mass sitting exactly at zero contributes; at
+    # t = inf every residence ends in time, so F(t) is 1 at each step.
     res = m.residence_of(s)
-    here = cdf_eval(res, 0.0)
+    here = cdf_eval(res, t)
     if here <= 0.0:
         return 0.0
     a = word[k]
@@ -426,5 +428,5 @@ def _inductive_at_zero(m, sch, s, word, k):
     if k + 1 == len(word):
         return here * w_label * sum(row.values())
     return here * w_label * _tree_sum(
-        p * _inductive_at_zero(m, sch, s2, word, k + 1)
+        p * _inductive_at_end(m, sch, s2, word, k + 1, t)
         for s2, p in sorted(row.items()) if p > 0.0)

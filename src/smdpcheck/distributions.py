@@ -433,7 +433,8 @@ def cdf_vec(d: Distribution, ts) -> np.ndarray:
     if isinstance(d, Dirac):
         return (ts >= d.point).astype(float)
     if isinstance(d, Exponential):
-        return -np.expm1(-np.minimum(700.0, d.rate * np.maximum(ts, 0.0)))
+        # clamped before the product, which would overflow at t near 1e308
+        return -np.expm1(-d.rate * np.minimum(np.maximum(ts, 0.0), 700.0 / d.rate))
     if isinstance(d, Uniform):
         return np.clip((ts - d.lo) / (d.hi - d.lo), 0.0, 1.0)
     if isinstance(d, PhaseType):

@@ -1,7 +1,8 @@
 """Statistical oracle: samples timed paths and estimates cylinder probabilities.
 
-All randomness flows from numpy PCG64 generators seeded per worker stream via
-SeedSequence spawning, so runs are reproducible for a fixed (seed, workers).
+All randomness flows from numpy PCG64 generators seeded from the caller's
+seed (in `estimate_cylinder`, through its first SeedSequence child), so runs
+are reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -146,33 +147,26 @@ def _estimate_chunk(m: Smdp, sch: Scheduler, word, t: float, size: int, rng) -> 
     return int(np.count_nonzero(alive & (total <= t)))
 
 
-def estimate_cylinder(m: Smdp, sch: Scheduler, word, t: float, samples: int, seed: int,
-                      workers: int = 1) -> Tuple[float, float]:
+def estimate_cylinder(m: Smdp, sch: Scheduler, word, t: float, samples: int,
+                      seed: int) -> Tuple[float, float]:
     """Fraction of sampled prefixes matching `word` within total time t.
 
     Returns (estimate, half-width): the half-width is the far side of the
     99% Wilson score interval, so it stays about z^2/n wide at an estimate
     of 0 or 1, where the normal half-width is 0.
-    The sample set is partitioned into `workers` streams whose generators are
-    spawned from the seed, so any execution order gives the same counts.
+    All samples come from one generator, on the first child spawned from the seed.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     if not word:
         raise ValueError("word must be nonempty")
-    if workers < 1:
-        raise ValueError("need at least 1 worker stream")
+    if not (t >= 0.0):
+        raise ValueError(f"bound must be >= 0, got {t}")
     word = tuple(word)
     for a in word:
         m.label_index(a)
-    children = np.random.SeedSequence(seed).spawn(workers)
-    base, extra = divmod(samples, len(children))
-    hits = 0
-    for i, child in enumerate(children):
-        size = base + (1 if i < extra else 0)
-        rng = np.random.Generator(np.random.PCG64(child))
-        hits += _estimate_chunk(m, sch, word, t, size, rng)
-    p = hits / samples
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
+    p = _estimate_chunk(m, sch, word, t, samples, rng) / samples
     lo, hi = wilson_bounds(p, samples)
     return p, max(p - lo, hi - p)
 

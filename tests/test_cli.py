@@ -299,8 +299,8 @@ def test_model_error_exits_2(tmp_path, capsys):
     ["prob", "--model", "fig2_U.smdp", "--word", "a", "--t", "-1"],
     ["prob", "--model", "fig2_U.smdp", "--word", "", "--t", "1"],
     ["simulate", "--model", "fig2_U.smdp", "--word", "a", "--t", "1", "--samples", "10"],
-    ["simulate", "--model", "fig2_U.smdp", "--word", "a", "--t", "1", "--samples", "1000",
-     "--jobs", "0"],
+    ["simulate", "--model", "fig2_U.smdp", "--word", "a", "--t", "nan"],
+    ["simulate", "--model", "fig2_U.smdp", "--word", "a", "--t", "-1"],
     ["monotonicity", "--fast", "fig2_U.smdp", "--slow", "fig2_V.smdp",
      "--ctx", "fig4_W_congruent.smdp", "--op", "min", "--mode", "bounded", "--n", "-1"],
     ["monotonicity", "--fast", "fig2_U.smdp", "--slow", "fig2_V.smdp",
@@ -313,3 +313,49 @@ def test_invalid_option_values_exit_2(models, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_io_errors_exit_2(models, capsys):
+    """A file that cannot be read or written is an error (exit 2), never a verdict (exit 1)."""
+    u, w = str(models / "fig2_U.smdp"), str(models / "fig4_W_congruent.smdp")
+    for argv in (["validate", str(models)],
+                 ["compose", "--left", u, "--right", w, "--op", "min", "--out", str(models)],
+                 ["monotonicity", "--fast", u, "--slow", str(models / "fig2_V.smdp"), "--ctx", w,
+                  "--op", "min", "--emit-smt", u]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith("error: [Errno ") and "Traceback" not in err, argv
+
+
+def test_simulate_has_no_jobs_option(models, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--model", str(models / "fig2_U.smdp"), "--word", "a", "--t", "1",
+              "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_report_field_names(models, capsys):
+    """Every command's --json report: the same top-level keys, and each command's result keys."""
+    u, v, w = (str(models / f"{name}.smdp") for name in ("fig2_U", "fig2_V", "fig4_W_congruent"))
+    commands = {
+        "validate": ([u], ["valid", "violations"]),
+        "prob": (["--model", u, "--word", "aa", "--t", "2"], ["word", "t", "engine", "probability"]),
+        "compose": (["--left", u, "--right", w, "--op", "min", "--out", str(models / "uw.smdp")],
+                    ["out", "states", "labels"]),
+        "faster-than": ([u, v, "--depth", "2"],
+                        ["outcome", "meaning", "depth", "tmax", "step", "candidates",
+                         "candidate_lattice", "candidates_truncated", "witness"]),
+        "simulates": ([u, v], ["holds", "pairs"]),
+        "bisimilar": ([u, v], ["holds", "pairs"]),
+        "monotonicity": (["--fast", u, "--slow", v, "--ctx", w, "--op", "min"],
+                         ["verdict", "mode", "bound", "violations", "smt_queries"]),
+        "simulate": (["--model", u, "--word", "aa", "--t", "2", "--samples", "1000"],
+                     ["word", "t", "samples", "seed", "estimate", "ci99_halfwidth", "ci99_wilson"]),
+    }
+    for command, (argv, result_keys) in commands.items():
+        _, report = run_json(capsys, command, *argv)
+        assert list(report) == ["schema", "command", "inputs", "result", "elapsed_seconds"], command
+        assert report["command"] == command
+        assert list(report["result"]) == result_keys, command

@@ -237,6 +237,23 @@ def test_inductive_zero_bound_with_continuous_residences(fig2_U):
     assert prob_cylinder_inductive(fig2_U, sch, "u0", TimeBoundedCylinder(("a", "a"), 0.0)) == 0.0
 
 
+def test_inductive_at_infinite_and_huge_bounds():
+    """t = inf takes the end-point recursion, which reads F(inf) = 1 at each
+    step; t = 1e308 caps the grid before its size could overflow."""
+    for name in corpus.names():
+        if not name.endswith(".smdp"):
+            continue
+        m = corpus.load(name)
+        sch = uniform_scheduler(m)
+        for word in itertools.product(m.labels, repeat=2):
+            for t in (float("inf"), 1e308):
+                c = TimeBoundedCylinder(word, t)
+                paths = prob_cylinder_paths(m, sch, m.initial, c)
+                tol = 1e-12 if t == float("inf") else 1e-5
+                assert prob_cylinder_inductive(m, sch, m.initial, c) == pytest.approx(
+                    paths, abs=tol), (name, word, t)
+
+
 def _palette_model(rng, n_states, n_laws):
     """One-label model whose residences come from a palette of `n_laws` laws:
     exponential, Dirac, uniform, phase-type, shifted and min-composite ones."""

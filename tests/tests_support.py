@@ -32,7 +32,7 @@ from smdpcheck.distributions import (
 from smdpcheck.composition import compose, composite_name, require_same_labels
 from smdpcheck.cylinders import (
     TimeBoundedCylinder,
-    _inductive_at_zero,
+    _inductive_at_end,
     _Tab,
     word_classes,
 )
@@ -658,7 +658,7 @@ def reference_prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBo
     for a in word:
         m.label_index(a)
     if t <= 0.0:
-        return _inductive_at_zero(m, sch, s, word, 0)
+        return _inductive_at_end(m, sch, s, word, 0, t)
 
     if grid_points is None:
         rate = max([1.0] + [_scales(m.residence_of(x))[1] for x in m.states])
