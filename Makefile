@@ -1,4 +1,4 @@
-.PHONY: install test acceptance reproduce reproduce-check known-defects check bench-pairs replay-diff
+.PHONY: install test acceptance reproduce reproduce-check known-defects check bench-pairs replay-diff cli-diff
 
 # Diffs two reproduce reports over every field but elapsed_seconds.
 define REPORT_DIFF
@@ -53,3 +53,8 @@ bench-pairs:
 #   make replay-diff W=anomaly-audit SEEDS=1-3 N=800 BASE=HEAD
 replay-diff:
 	python3 tools/replay_diff.py --workload $(W) --seeds $(SEEDS) --n $(N) --base $(or $(BASE),HEAD)
+
+# Output, exit code and written files of every case in tools/cli_diff.py, working tree against BASE:
+#   make cli-diff BASE=HEAD
+cli-diff:
+	python3 tools/cli_diff.py --base $(or $(BASE),HEAD)

@@ -3,7 +3,8 @@
 Exit codes: 0 = verdict holds / value computed, 1 = refuted or failing
 verdict (witness in the report), 2 = usage, model or I/O error, invalid
 option values included.  Every command accepts --json for machine-readable
-reports.
+reports, in strict JSON: a non-finite float is the string "inf", "-inf" or
+"nan".
 
 Each command resolves its input files, which `main` hashes before the
 command runs, and returns (result, human lines, exit code); `main` alone
@@ -16,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -46,6 +48,16 @@ _OPS = {"min": CompositionOperator.MINIMUM, "max": CompositionOperator.MAXIMUM,
 # command -> (relation, the symbol a related pair prints with, help)
 _RELATIONS = {"simulates": (simulates, "<=", "does the second model simulate the first?"),
               "bisimilar": (bisimilar, "~", "are the two models bisimilar?")}
+
+
+def _strict(x):
+    """x with each non-finite float as the string "inf", "-inf" or "nan",
+    which RFC 8259 JSON has no numbers for."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    return [_strict(v) for v in x] if isinstance(x, (list, tuple)) else x
 
 
 def _sha256(path):
@@ -317,8 +329,8 @@ def main(argv=None):
         return 2
     if args.json:
         print(json.dumps({"schema": REPORT_SCHEMA, "command": args.cmd, "inputs": inputs,
-                          "result": result, "elapsed_seconds": round(time.monotonic() - t0, 6)},
-                         indent=2))
+                          "result": _strict(result), "elapsed_seconds": round(time.monotonic() - t0, 6)},
+                         indent=2, allow_nan=False))
     else:
         for line in lines:
             print(line)

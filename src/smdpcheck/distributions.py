@@ -198,8 +198,7 @@ def render(d: Distribution) -> str:
 # are nonnegative, so the truncation error bounds the absolute error.  The
 # stop depends on lam*t alone and each point is summed on its own, left to
 # right, so a point's value does not depend on the other points of the call
-# nor on what the caches below hold: cdf_eval is a one-point call of the
-# kernel that cdf_vec and pdf_vec use.
+# nor on what the caches below hold.
 
 # Above this value of lam*t the term-by-term series is too long; the matrix
 # form below covers the same uniformization at a reduced step plus squaring.
@@ -393,42 +392,19 @@ def _phase_series(rates, ts):
 
 
 # Few lookups repeat: replaying the first 1,200 anomaly-audit instances of
-# seed 41 makes 270,805 lookups, of which 5,042 hit at 1 << 16 entries (the
-# cache is full by then, and the replay peaks at 71.2 MB RSS) and 965 at
-# 1 << 12 entries (peak 51.7 MB).
+# seed 41 makes 263,383 lookups, of which 373 hit (peak 53.4 MB RSS).
 @lru_cache(maxsize=1 << 12)
 def cdf_eval(d: Distribution, t: float) -> float:
-    """F_d(t).  Total: t < 0 gives 0.0 and t = +inf gives 1.0."""
+    """F_d(t), a one-point call of cdf_vec.  Total: t < 0 gives 0.0 and
+    t = +inf gives 1.0."""
     if t != t:  # NaN
         raise ValueError("t must not be NaN")
-    if t < 0.0:
-        return 0.0
-    if math.isinf(t):
-        return 1.0
-    if isinstance(d, Dirac):
-        return 1.0 if t >= d.point else 0.0
-    if isinstance(d, Exponential):
-        return -math.expm1(-min(700.0, d.rate * t))
-    if isinstance(d, Uniform):
-        if t <= d.lo:
-            return 0.0
-        if t >= d.hi:
-            return 1.0
-        return (t - d.lo) / (d.hi - d.lo)
-    if isinstance(d, PhaseType):
-        return float(_phase_series(d.rates, (t,))[0][0])
-    if isinstance(d, Shifted):
-        return cdf_eval(d.base, t - d.shift)
-    if isinstance(d, MinMaxCdf):
-        a, b = cdf_eval(d.parts[0], t), cdf_eval(d.parts[1], t)
-        return min(a, b) if d.kind == "min" else max(a, b)
-    if isinstance(d, NumericConvolution):
-        return float(_conv_cdf_vec(d.factors, (t,))[0])
-    raise TypeError(f"not a Distribution: {d!r}")
+    return float(cdf_vec(d, (t,))[0])
 
 
 def cdf_vec(d: Distribution, ts) -> np.ndarray:
-    """Vectorized cdf_eval over an array of times."""
+    """F_d at every time in ts, each time on its own: the one CDF code of
+    each law, which cdf_eval calls with one time."""
     ts = np.asarray(ts, dtype=float)
     if isinstance(d, Dirac):
         return (ts >= d.point).astype(float)
@@ -490,7 +466,7 @@ def _pdf_vec(d: Distribution, ts: np.ndarray, atoms: bool) -> np.ndarray:
 # degree 47.  The terms of each time are summed with math.fsum, which rounds
 # once and ignores order, so the zero-width pieces that pad a batch to one
 # shape change no bits: a time's value does not depend on the other times
-# of the call, and cdf_eval is a one-point call of the kernel cdf_vec uses.
+# of the call.
 
 _GL_POINTS = 24
 _STIFF_SPAN = 40.0
@@ -506,10 +482,9 @@ def _gauss_legendre(points: int = _GL_POINTS):
     return leggauss(points)
 
 
-def _bisect_sign_change(a, b, lo, hi):
+def _bisect_sign_change(a, b, lo, hi, above):
     """A point where F_a - F_b changes sign in [lo, hi], bisected down to
-    adjacent floats; the sign at lo must be nonzero."""
-    above = cdf_eval(a, lo) > cdf_eval(b, lo)
+    adjacent floats; `above` is whether F_a > F_b at lo."""
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         diff = cdf_eval(a, mid) - cdf_eval(b, mid)
         if diff == 0.0:
@@ -522,13 +497,16 @@ def _bisect_sign_change(a, b, lo, hi):
 
 
 def _crossings(d: MinMaxCdf) -> tuple:
-    """Where the two parts' CDFs cross: each sign change of F_a - F_b on the
-    dominance grid, bisected.  Not cached itself: _kinks, its caller, is."""
+    """Where the two parts' CDFs cross: each sign change between consecutive
+    nonzero values of F_a - F_b on the dominance grid, found in one scan and
+    bisected.  Not cached itself: _kinks, its caller, is."""
     a, b = d.parts
     ts, diffs = _grid_diffs(a, b)
     signed = np.flatnonzero(diffs)
-    return tuple(_bisect_sign_change(a, b, float(ts[i]), float(ts[j]))
-                 for i, j in zip(signed[:-1], signed[1:]) if (diffs[i] > 0.0) != (diffs[j] > 0.0))
+    above = diffs[signed] > 0.0
+    flips = np.flatnonzero(above[:-1] != above[1:])
+    return tuple(_bisect_sign_change(a, b, float(ts[signed[k]]), float(ts[signed[k + 1]]), bool(above[k]))
+                 for k in flips.tolist())
 
 
 @lru_cache(maxsize=1 << 12)

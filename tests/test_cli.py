@@ -359,3 +359,17 @@ def test_report_field_names(models, capsys):
         assert list(report) == ["schema", "command", "inputs", "result", "elapsed_seconds"], command
         assert report["command"] == command
         assert list(report["result"]) == result_keys, command
+
+
+def test_json_reports_are_strict_at_infinite_time(models, capsys):
+    """RFC 8259 has no Infinity: a non-finite t is written as the string "inf"."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    u = models / "fig2_U.smdp"
+    prob = ["prob", "--model", u, "--word", "aa", "--t", "inf"]
+    for argv in (prob, prob + ["--engine", "inductive"],
+                 ["simulate", "--model", u, "--word", "aa", "--t", "inf", "--samples", "1000"]):
+        assert main([str(a) for a in argv] + ["--json"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["result"]["t"] == "inf", argv

@@ -27,6 +27,7 @@ from smdpcheck.distributions import (
     _jumps,
     _kinks,
     _scales,
+    _shifted_point,
     atom_mass,
     cdf_eval,
     cdf_vec,
@@ -154,15 +155,60 @@ def test_cdf_nondecreasing_and_bounded():
 
 def test_cdf_vec_agrees_with_scalar():
     ts = np.linspace(0.0, 6.0, 37)
-    for d in (Exponential(2.0), Uniform(0.3, 1.1), Dirac(1.5)):
+    closed_forms = ((Exponential(2.0), lambda t: -math.expm1(-2.0 * t)),
+                    (Uniform(0.3, 1.1), lambda t: min(1.0, max(0.0, (t - 0.3) / 0.8))),
+                    (Dirac(1.5), lambda t: 1.0 if t >= 1.5 else 0.0))
+    for d, closed_form in closed_forms:
         vec = cdf_vec(d, ts)
         for t, v in zip(ts, vec):
-            assert v == pytest.approx(cdf_eval(d, float(t)), abs=1e-12)
+            assert v == pytest.approx(closed_form(float(t)), abs=1e-12)
     # phase-type laws go through one kernel either way: the same bits
     for d in (PhaseType((2.0, 2.0, 0.5)), Shifted(PhaseType((1.0, 2.0)), 0.5)):
         vec = cdf_vec(d, ts)
         for t, v in zip(ts, vec):
             assert v == cdf_eval(d, float(t))
+
+
+def _law_of_family(rng, family):
+    """A seeded law of one of the seven families, with unrounded parameters."""
+    def rate():
+        return rng.uniform(0.05, 5.0)
+
+    lo = rng.uniform(0.0, 2.0)
+    uniform = Uniform(lo, lo + rng.uniform(0.1, 3.0))
+    if family is Dirac:
+        return Dirac(rng.uniform(0.0, 3.0))
+    if family is Exponential:
+        return Exponential(rate())
+    if family is Uniform:
+        return uniform
+    if family is PhaseType:
+        return PhaseType(tuple(rate() for _ in range(rng.randint(2, 4))))
+    if family is Shifted:
+        base = _law_of_family(rng, rng.choice((Dirac, Exponential, Uniform, PhaseType)))
+        return Shifted(base, rng.uniform(0.0, 2.0))
+    if family is MinMaxCdf:
+        other = rng.choice((uniform, Dirac(rng.uniform(0.0, 3.0)), PhaseType((rate(), rate()))))
+        return MinMaxCdf(rng.choice(("min", "max")), (Exponential(rate()), other))
+    return NumericConvolution((_random_factor(rng), _random_factor(rng)))
+
+
+def test_cdf_eval_is_a_one_point_cdf_vec_call_for_every_law():
+    # cdf_eval has no closed form of its own: for every family, each time's
+    # value is the matching entry of a cdf_vec call over a shuffled batch of
+    # t < 0, t = 0, t = inf, the law's kinks (atoms, uniform ends, shifts,
+    # crossings) and random times
+    rng = random.Random(2204)
+    pairs = 0
+    for family in (Dirac, Exponential, Uniform, PhaseType, Shifted, MinMaxCdf, NumericConvolution):
+        for _ in range(12):
+            d = _law_of_family(rng, family)
+            ts = [-1.5, 0.0, math.inf, *_kinks(d)[:6]] + [rng.uniform(0.0, 8.0) for _ in range(28)]
+            batch = rng.sample(ts, len(ts))
+            for t, v in zip(batch, cdf_vec(d, batch).tolist()):
+                assert cdf_eval(d, t).hex() == v.hex(), (render(d), t)
+            pairs += len(batch)
+    assert pairs >= 2000
 
 
 def test_phase_type_scalar_and_vector_agree_bitwise():
@@ -639,6 +685,14 @@ def test_dominates_dirac_points():
     assert dominates(Dirac(2.0), Dirac(1.0)).outcome == "FailsAtWitness"
 
 
+def test_dominates_rescans_a_failed_rule_on_8192_points():
+    # the rule fails, but the 512-point grid (spacing 0.078 up to 40) has no
+    # time in [1.0, 1.01): the 8192-point rescan finds one
+    assert not (_grid_diffs(Dirac(1.01), Dirac(1.0))[1] < 0.0).any()
+    v = dominates(Dirac(1.01), Dirac(1.0))
+    assert v.outcome == "FailsAtWitness" and v.witness_t == 1.0009765625
+
+
 def test_dominates_grid_verdict_for_mixed_families():
     v = dominates(Dirac(0.2), Exponential(1.0))
     assert v.outcome in ("HoldsOnGrid", "FailsAtWitness")
@@ -850,6 +904,26 @@ def test_interval_measure_takes_atoms_where_the_cdf_steps():
     assert measure_interval(shifted, step, step) == 1.0
     assert measure_interval(shifted, 0.3 + 2.681, 5.0) == 1.0
     assert measure_interval(shifted, 0.0, step, closed_hi=False) == 0.0
+
+
+def test_shifted_point_is_the_least_float_past_the_shift():
+    # x + shift rounds to either side of the least y with y - shift >= x;
+    # y - shift is nondecreasing in y, so a scan up from 8 floats below
+    # x + shift finds it
+    rng = random.Random(586)
+    moved = {-1: 0, 1: 0}
+    for _ in range(20000):
+        x, shift = rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)
+        y = x + shift
+        for _ in range(8):
+            y = math.nextafter(y, -math.inf)
+        assert y - shift < x
+        while y - shift < x:
+            y = math.nextafter(y, math.inf)
+        assert _shifted_point(x, shift) == y
+        if y != x + shift:
+            moved[1 if y > x + shift else -1] += 1
+    assert moved[-1] > 100 and moved[1] > 100  # both of its loops run
 
 
 def test_convolution_atoms_are_sums_of_the_factors_atoms():

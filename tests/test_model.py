@@ -75,6 +75,55 @@ def test_dangling_references_reported():
     assert kinds == {"DanglingState", "DanglingLabel"}
 
 
+_HEAD = "labels: a\nstates: s0\ninitial: s0\n"  # lines 1-3
+
+
+@pytest.mark.parametrize("parse, text, line, message", [
+    (parse_model, _HEAD + "transitions:\n  s0 a s0 1/x\n", 5, "bad rational '1/x'"),
+    (parse_model, _HEAD + "transitions:\n  s0 a s0 1/0\n", 5, "bad rational '1/0'"),
+    (parse_model, _HEAD + "transitions:\n  s0 a s0 one\n", 5, "bad number 'one'"),
+    (parse_model, _HEAD + "residence:\n  s0 exp(-1)\n", 5, "Exponential rate must be finite and > 0"),
+    (parse_model, _HEAD + "residence:\n  s0 uniform(2,1)\n", 5, "Uniform requires 0 <= lo < hi"),
+    (parse_model, "labels: a\nlabels: b\n", 2, "duplicate section 'labels'"),
+    (parse_model, "labels: a\nstates: s0 s1\ninitial: s0 s1\n", 3, "initial takes exactly one state"),
+    (parse_model, _HEAD + "residence: s0 exp(1)\n", 4, "takes indented lines, not inline values"),
+    (parse_model, _HEAD + "residence:\n  s0 exp(1) exp(2)\n", 5, "residence line must be"),
+    (parse_model, _HEAD + "transitions:\n  s0 a s0\n", 5, "transition line must be"),
+    (parse_model, _HEAD + "transitions:\n  s0 a s0 1/2\n  s0 a s0 1/2\n", 6, "duplicate transition s0 a s0"),
+    (parse_model, "s0 a s0 1\n" + _HEAD, 1, "unexpected line outside a section"),
+    (parse_model, "labels: a\nstates: s0\n", 0, "missing initial: section"),
+    (parse_model, "labels: a\ninitial: s0\n", 0, "missing states: section"),
+    (parse_model, "states: s0\ninitial: s0\n", 0, "missing labels: section"),
+    (parse_scheduler, "s0 a 1\ns0 a\n", 2, "scheduler line must be"),
+    (parse_scheduler, "s0 a 0.5\ns0 a 0.5\n", 2, "duplicate scheduler entry s0 a"),
+])
+def test_parse_errors_name_their_line(parse, text, line, message):
+    with pytest.raises(ModelFormatError) as exc:
+        parse(text)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: ") and message in str(exc.value)
+
+
+_E = Exponential(1.0)
+
+
+@pytest.mark.parametrize("model, scheduler, found", [
+    (Smdp(["a"], [], "s0", {}, {}), None, [("NoStates", "-"), ("BadInitial", "s0")]),
+    (Smdp([], ["s0"], "s0", {"s0": _E}, {}), None, [("NoLabels", "-")]),
+    (Smdp(["a", "a"], ["s0"], "s0", {"s0": _E}, {}), None, [("DuplicateName", "labels")]),
+    (Smdp(["a"], ["s0"], "s1", {"s0": _E}, {}), None, [("BadInitial", "s1")]),
+    (Smdp(["a"], ["s0"], "s0", {"s0": _E}, {("ghost", "a"): {"s0": 1.0}}), None,
+     [("DanglingState", "ghost")]),
+    (Smdp(["a"], ["s0"], "s0", {"s0": _E}, {}), Scheduler({"s0": {"a": 0.5, "b": 0.5}}),
+     [("DanglingLabel", "b")]),
+    (Smdp(["a", "b"], ["s0"], "s0", {"s0": _E}, {}), Scheduler({"s0": {"a": 1.5, "b": -0.5}}),
+     [("BadProbability", "s0,b")]),
+])
+def test_validation_kinds(model, scheduler, found):
+    problems = validate_model(model) if scheduler is None else validate_scheduler(model, scheduler)
+    assert [(v.kind, v.subject) for v in problems] == found
+
+
 def test_effective_transition():
     v = corpus.load("fig3_V.smdp")
     sch = corpus.load_scheduler("fig3_V_half.sched")

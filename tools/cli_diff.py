@@ -82,6 +82,8 @@ CASES = [
     SIM[:-4] + ["--t", "-1"],
     SIM + ["--jobs", "2"],
     ["prob", "--model", U, "--word", "aa", "--t", "inf", "--engine", "inductive"],
+    ["prob", "--model", U, "--word", "aa", "--t", "inf"],
+    ["simulate", "--model", U, "--word", "aa", "--t", "inf", "--samples", "2000"],
     ["prob", "--model", "branchy.smdp", "--word", "aa", "--t", "1e308", "--engine", "inductive"],
     ["validate", "."],
     ["compose", "--left", U, "--right", W, "--op", "min", "--out", "."],
