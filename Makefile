@@ -1,4 +1,4 @@
-.PHONY: install test acceptance reproduce reproduce-check known-defects check bench-pairs replay-diff cli-diff
+.PHONY: install test acceptance reproduce reproduce-check known-defects check bench-pairs replay-diff replay-check cli-diff
 
 # Diffs two reproduce reports over every field but elapsed_seconds.
 define REPORT_DIFF
@@ -53,6 +53,17 @@ bench-pairs:
 #   make replay-diff W=anomaly-audit SEEDS=1-3 N=800 BASE=HEAD
 replay-diff:
 	python3 tools/replay_diff.py --workload $(W) --seeds $(SEEDS) --n $(N) --base $(or $(BASE),HEAD)
+
+# replay-diff over the replay set (ft-sweep seeds 7, 11, 12 at N = 117, deep-paths seed 7
+# at N = 60, anomaly-audit seeds 7, 11 at N = 300); exits 1 if any op differs or is wrong:
+#   make replay-check BASE=HEAD
+replay-check:
+	@status=0; \
+	for run in "ft-sweep 7,11,12 117" "deep-paths 7 60" "anomaly-audit 7,11 300"; do \
+		set -- $$run; \
+		python3 tools/replay_diff.py --workload $$1 --seeds $$2 --n $$3 --base $(or $(BASE),HEAD) || status=1; \
+	done; \
+	exit $$status
 
 # Output, exit code and written files of every case in tools/cli_diff.py, working tree against BASE:
 #   make cli-diff BASE=HEAD

@@ -206,10 +206,10 @@ def validate_scheduler(m: Smdp, sch: Scheduler) -> List[Violation]:
         for a, w in sorted(row.items()):
             if a not in labels:
                 out.append(Violation("DanglingLabel", a, f"scheduler label at state {s}"))
-            if w < 0.0:
-                out.append(Violation("BadProbability", f"{s},{a}", f"negative weight {w!r}"))
+            if not w >= 0.0:  # NaN fails this test too
+                out.append(Violation("BadProbability", f"{s},{a}", f"weight {w!r} is not >= 0"))
             mass += w
-        if abs(mass - 1.0) > MASS_TOL:
+        if not abs(mass - 1.0) <= MASS_TOL:
             out.append(Violation("MassNotOne", s, f"weights sum to {mass!r}"))
     for s in m.states:
         if s not in sch.choice:

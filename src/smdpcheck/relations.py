@@ -37,7 +37,7 @@ def format_word(word) -> str:
     return "".join(word) if all(len(a) == 1 for a in word) else ",".join(word)
 
 _SLACK = 1e-9     # probability slack of the faster-than comparison
-_FLOW_SCALE = 10 ** 9  # quantization of masses for exact integer max-flow
+_FLOW_SCALE = 10 ** 9  # masses are compared in quanta of 1e-9
 _EVAL_BUDGET = 1 << 20  # float64 entries of the power array of one evaluation block
 
 
@@ -185,27 +185,6 @@ class _Stack:
                          for (lo, hi), F in zip(self.spans, self.F)], axis=1)
 
 
-def _positive_words(m: Smdp, sigma: np.ndarray, depth: int):
-    """Words up to `depth` with positive trace probability, in shortlex order."""
-    live = {(): {m.initial}}
-    for _ in range(depth):
-        nxt: Dict[tuple, set] = {}
-        for prefix, states in live.items():
-            for a in m.labels:
-                ai = m.label_index(a)
-                targets = set()
-                for s in states:
-                    if sigma[m.state_index(s), ai] > 0.0:
-                        targets.update(s2 for s2, p in m.succ(s, a).items() if p > 0.0)
-                if targets:
-                    word = prefix + (a,)
-                    nxt[word] = targets
-                    yield word
-        live = nxt
-        if not live:
-            return
-
-
 # ---------------------------------------------------------------------------
 # coordinate ascent on scheduler matrices
 
@@ -254,12 +233,15 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
     """Bounded check that u is faster than v.
 
     For every adversary scheduler of v from the search lattice, the checker
-    looks for one scheduler of u that matches every positive-trace word up to
-    `depth` at every grid time (one scheduler per adversary, as in the
-    cylinder-wise characterisation of the preorder).  The first adversary
-    with no match yields a Refuted verdict with a numeric witness; surviving
-    all adversaries yields NotRefuted, which is evidence only up to these
-    bounds.
+    looks for one scheduler of u that matches every word up to `depth` at
+    every grid time (one scheduler per adversary, as in the cylinder-wise
+    characterisation of the preorder).  The words are those v spells on some
+    path; one walk tabulates them all, and the candidates are evaluated on
+    them once.  A word that an adversary spells with probability 0 has slow
+    value exactly 0.0, which no fast value fails, so every adversary is
+    checked against the same words.  The first adversary with no match
+    yields a Refuted verdict with a numeric witness; surviving all
+    adversaries yields NotRefuted, which is evidence only up to these bounds.
     """
     require_same_labels(u, v)
     if depth < 1:
@@ -280,38 +262,36 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
     lattice = len(u_options) ** len(u.states)
     counts = dict(candidates=len(candidates), candidate_lattice=lattice,
                   candidates_truncated=len(candidates) < lattice)
-    # word -> level and table of u and of v; shortlex order puts each prefix first
+    # word -> levels of u and of v, for the words whose level of v is nonempty; breadth
+    # first, so each prefix comes before its extensions, and those go in label order
     levels = {(): (initial_level(u, u.initial), initial_level(v, v.initial))}
-    tables: Dict[tuple, tuple] = {}
-    rows: Dict[object, np.ndarray] = {}  # law -> CDF on ts
-    stacks: Dict[tuple, Tuple[_Stack, _Stack]] = {}  # words -> (fast u, slow v)
     convolutions: dict = {}  # extend_level's memo for u and v; `levels` keeps its laws alive
-    evaluated = None  # the fast stack that cand_vals and cand_max belong to
+    live = [()]
+    for prefix in live:  # grows while it is walked
+        if len(prefix) < depth:
+            for a in v.labels:
+                lvs = tuple(extend_level(m, lv, a, convolutions)
+                            for m, lv in zip((u, v), levels[prefix]))
+                if lvs[1]:  # v spells prefix + a on some path
+                    live.append(prefix + (a,))
+                    levels[live[-1]] = lvs
+    words = live[1:]
+    if not words:
+        return FasterThanVerdict("NotRefuted", depth, grid, search, **counts)
+    rows: Dict[object, np.ndarray] = {}  # law -> CDF on ts
+    tables = [[_word_table(m, levels[w][k], ts, rows) for w in words] for k, m in enumerate((u, v))]
+    fast, slow_stack = _Stack(tables[0]), _Stack(tables[1])
+    cand_vals = fast.eval(candidates)  # (n_candidates, n_words, n_ts)
+    cand_max = cand_vals.max(axis=0)
 
     for sigma in _scheduler_products(v, v_options):
-        words = tuple(_positive_words(v, sigma, depth))
-        if not words:
-            continue
-        for w in words:
-            if w not in tables:
-                levels[w] = tuple(extend_level(m, lv, w[-1], convolutions)
-                                  for m, lv in zip((u, v), levels[w[:-1]]))
-                tables[w] = tuple(_word_table(m, lv, ts, rows) for m, lv in zip((u, v), levels[w]))
-        if words not in stacks:
-            stacks[words] = tuple(_Stack([tables[w][k] for w in words]) for k in (0, 1))
-        fast, slow_stack = stacks[words]
         slow = slow_stack.eval(sigma[None])[0]  # (n_words, n_ts)
-        if fast is not evaluated:  # the candidates' values depend on the word set alone
-            cand_vals = None  # drop the last word set's values before making the next
-            cand_vals = fast.eval(candidates)  # (n_candidates, n_words, n_ts)
-            cand_max, evaluated = cand_vals.max(axis=0), fast
-
         found = None  # (kind, word index, time index, prob_fast, fast scheduler)
         fail_mask = cand_max < slow - _SLACK
         if fail_mask.any():
             wi, ti = np.unravel_index(np.argmax(fail_mask), fail_mask.shape)
             ci = int(cand_vals[:, wi, ti].argmax())
-            one = _Stack([tables[words[wi]][0]])
+            one = _Stack([tables[0][wi]])
             x_best, val = _ascend(lambda xs: one.eval(xs)[:, 0, ti],
                                   candidates[ci], cand_vals[ci, wi, ti], search)
             if val < slow[wi, ti] - _SLACK:
@@ -354,33 +334,35 @@ def _quantize(p: float) -> int:
 def _weight_function_exists(row1: Dict[str, float], row2: Dict[str, float], allowed) -> bool:
     """Feasibility of a coupling with marginals row1/row2 supported on allowed.
 
-    Decided by integer max-flow on masses quantized at 1e-9, so float
-    feasibility noise cannot flip the answer.
+    Decided by max-flow on the masses that round to at least one quantum
+    (1e-9); the row totals and the flow value need only agree within one
+    quantum per entry, so that three branches of 1/3 couple with one of 1.
     """
-    q1 = {s: _quantize(p) for s, p in row1.items() if _quantize(p) > 0}
-    q2 = {s: _quantize(p) for s, p in row2.items() if _quantize(p) > 0}
-    total1, total2 = sum(q1.values()), sum(q2.values())
-    if total1 != total2:
+    p1 = {s: p for s, p in row1.items() if _quantize(p) > 0}
+    p2 = {s: p for s, p in row2.items() if _quantize(p) > 0}
+    total1, tol = sum(p1.values()), (len(p1) + len(p2)) / _FLOW_SCALE
+    if abs(total1 - sum(p2.values())) > tol:
         return False
-    if total1 == 0:
-        return True
-    if len(q1) == 1 or len(q2) == 1:  # a lone state couples with every state on the other side
-        return all((s, s2) in allowed for s in q1 for s2 in q2)
+    if not p1 or not p2:
+        return not (p1 or p2)
+    if len(p1) == 1 or len(p2) == 1:  # a lone state couples with every state on the other side
+        return all((s, s2) in allowed for s in p1 for s2 in p2)
     # source 0 -> (1, row1's state) -> (2, row2's state) -> sink 3
-    cap: Dict[object, Dict[object, int]] = {0: {(1, s): q for s, q in q1.items()}, 3: {}}
-    cap.update({(1, s): {(2, s2): total1 for s2 in q2 if (s, s2) in allowed} for s in q1})
-    cap.update({(2, s2): {3: q} for s2, q in q2.items()})
-    return _max_flow(cap, 0, 3) == total1
+    cap: Dict[object, Dict[object, float]] = {0: {(1, s): p for s, p in p1.items()}, 3: {}}
+    cap.update({(1, s): {(2, s2): np.inf for s2 in p2 if (s, s2) in allowed} for s in p1})
+    cap.update({(2, s2): {3: p} for s2, p in p2.items()})
+    return _max_flow(cap, 0, 3, 1 / _FLOW_SCALE) >= total1 - tol
 
 
-def _max_flow(cap: Dict[object, Dict[object, int]], source, sink) -> int:
-    """Max-flow value by shortest augmenting paths on integer residual capacities `cap`."""
-    flow = 0
+def _max_flow(cap: Dict[object, Dict[object, float]], source, sink, tol: float) -> float:
+    """Max-flow value by shortest augmenting paths on residual capacities `cap`,
+    using only residuals above `tol`."""
+    flow = 0.0
     while True:
         parent, queue = {source: source}, [source]
         for a in queue:
             for b, c in cap[a].items():
-                if c > 0 and b not in parent:
+                if c > tol and b not in parent:
                     parent[b] = a
                     queue.append(b)
         if sink not in parent:
@@ -392,7 +374,7 @@ def _max_flow(cap: Dict[object, Dict[object, int]], source, sink) -> int:
         push = min(cap[a][b] for a, b in edges)
         for a, b in edges:
             cap[a][b] -= push
-            cap[b][a] = cap[b].get(a, 0) + push
+            cap[b][a] = cap[b].get(a, 0.0) + push
         flow += push
 
 
@@ -462,13 +444,12 @@ def bisimilar(u: Smdp, v: Smdp) -> RelationResult:
             m = model_of(tag)
             sig = []
             for a in u.labels:
-                masses: Dict[int, int] = {}
+                masses: Dict[int, float] = {}  # block -> mass, rounded once summed
                 for s2, p in m.succ(s, a).items():
-                    q = _quantize(p)
-                    if q > 0:
-                        bid = block_of[(tag, s2)]
-                        masses[bid] = masses.get(bid, 0) + q
-                sig.append(tuple(sorted(masses.items())))
+                    bid = block_of[(tag, s2)]
+                    masses[bid] = masses.get(bid, 0.0) + p
+                quanta = {bid: _quantize(p) for bid, p in masses.items()}
+                sig.append(tuple(sorted((bid, q) for bid, q in quanta.items() if q > 0)))
             sigs[(tag, s)] = (block_of[(tag, s)], tuple(sig))
         new_ids: Dict[tuple, int] = {}
         new_block_of = {}

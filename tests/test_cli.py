@@ -241,6 +241,22 @@ def test_validate_with_scheduler(models, capsys):
     assert code == 2  # scheduler states do not exist in this model
 
 
+def test_nan_scheduler_weight_is_invalid(models, capsys):
+    """A NaN weight fails both scheduler checks: validate reports it, and the
+    commands that load the scheduler exit 2 with an error, not a probability."""
+    (models / "nan.sched").write_text("u0 a nan\nu1 a 1\nu2 a 1\n")
+    u, sched = models / "fig2_U.smdp", models / "nan.sched"
+    code, out = run(capsys, "validate", u, "--scheduler", sched)
+    assert code == 2 and "BadProbability(u0,a)" in out and "MassNotOne(u0)" in out
+    prob = ["prob", "--model", u, "--scheduler", sched, "--word", "aa", "--t", "2"]
+    for argv in (prob, prob + ["--engine", "inductive"],
+                 ["simulate", "--model", u, "--scheduler", sched, "--word", "aa", "--t", "2"]):
+        code = main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith("error: ") and "invalid scheduler" in err and "Traceback" not in err, argv
+
+
 def test_simulate_cli(models, capsys):
     code, report = run_json(capsys, "simulate", "--model", models / "fig2_U.smdp",
                             "--word", "aa", "--t", "2", "--samples", "50000",

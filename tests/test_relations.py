@@ -3,7 +3,6 @@
 import functools
 import itertools
 import random
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -19,7 +18,6 @@ from smdpcheck.relations import (
     _SLACK,
     SchedulerSearchSpec,
     _ascend,
-    _positive_words,
     _Stack,
     _scheduler_products,
     _simplex_options,
@@ -30,6 +28,7 @@ from smdpcheck.relations import (
     simulates,
 )
 from tests_support import (
+    _positive_words,
     random_two_label_model,
     reference_ascend,
     reference_bisimilar,
@@ -169,25 +168,54 @@ def test_adversary_lattice_guard():
 
 
 def test_faster_than_matches_one_call_per_candidate_reference():
-    """Stacked tables, the batched ascent and prefix-extended levels keep every bit."""
+    """Stacked tables, the batched ascent and prefix-extended levels keep every bit.
+    With three labels at step 0.5 no lattice option weights every label, so a word
+    that reads all three at one state is positive under no adversary; such words
+    change no verdict, and neither does a slow model that spells no word."""
     kinds = Counter()
+
+    def check(u, v, depth, search, case):
+        got = faster_than_bounded(u, v, depth, search=search)
+        want = reference_faster_than(u, v, depth, search=search)
+        assert got.outcome == want.outcome, case
+        kind = want.witness.kind if want.refuted else want.outcome
+        kinds[kind] += 1
+        if want.refuted:
+            g, w = got.witness, want.witness
+            assert (g.kind, g.word, g.t, g.prob_fast, g.prob_slow) == (
+                w.kind, w.word, w.t, w.prob_fast, w.prob_slow), case
+            for mine, theirs, m in ((g.slow_scheduler, w.slow_scheduler, v),
+                                    (g.fast_scheduler, w.fast_scheduler, u)):
+                assert np.array_equal(mine.matrix(m), theirs.matrix(m)), case
+        return kind
+
     for seed in range(9000, 9060):
         rng = random.Random(seed)
         u = random_two_label_model(rng, live_initial=True)
         v = random_two_label_model(rng, live_initial=True)
-        depth, search = 2 + seed % 3, SchedulerSearchSpec(step=(0.5, 0.25)[(seed // 3) % 2])
-        got = faster_than_bounded(u, v, depth, search=search)
-        want = reference_faster_than(u, v, depth, search=search)
-        assert got.outcome == want.outcome, seed
-        kinds[want.witness.kind if want.refuted else want.outcome] += 1
-        if want.refuted:
-            g, w = got.witness, want.witness
-            assert (g.kind, g.word, g.t, g.prob_fast, g.prob_slow) == (
-                w.kind, w.word, w.t, w.prob_fast, w.prob_slow), seed
-            for mine, theirs, m in ((g.slow_scheduler, w.slow_scheduler, v),
-                                    (g.fast_scheduler, w.fast_scheduler, u)):
-                assert np.array_equal(mine.matrix(m), theirs.matrix(m)), seed
+        check(u, v, 2 + seed % 3, SchedulerSearchSpec(step=(0.5, 0.25)[(seed // 3) % 2]), seed)
     assert kinds == {"per-cylinder-max": 46, "joint-best": 6, "NotRefuted": 8}
+
+    labels, search = ("a", "b", "c"), SchedulerSearchSpec(step=0.5)
+    options = _simplex_options(len(labels), search.step)
+    assert all(min(w) == 0.0 for w in options)
+    kinds.clear()
+    unweighted = 0  # NotRefuted pairs whose slow model spells a word no adversary weights
+    for seed in range(9100, 9115):
+        rng = random.Random(seed)
+        u = random_two_label_model(rng, n_max=2, live_initial=True, labels=labels)
+        v = random_two_label_model(rng, n_max=2, live_initial=True, labels=labels)
+        spelled = set(_positive_words(v, np.ones((len(v.states), len(labels))), 3))
+        positive = {w for sigma in _scheduler_products(v, options) for w in _positive_words(v, sigma, 3)}
+        for fast in (u, v):
+            unweighted += check(fast, v, 3, search, seed) == "NotRefuted" and positive < spelled
+    assert kinds == {"NotRefuted": 16, "per-cylinder-max": 12, "joint-best": 2} and unweighted == 6
+
+    dead = Smdp(list(labels), ["r"], "r", {"r": Exponential(0.1)}, {})
+    for seed in range(3):
+        u = random_two_label_model(random.Random(seed), live_initial=True, labels=labels)
+        assert check(u, dead, 3, search, seed) == "NotRefuted"
+        assert check(dead, u, 2, search, seed) != "NotRefuted"
 
 
 def test_stacked_tables_match_one_point_evaluation():
@@ -276,17 +304,19 @@ def test_ascent_is_skipped_for_matched_adversaries(monkeypatch):
     u = random_two_label_model(rng, live_initial=True)
     v = random_two_label_model(rng, live_initial=True)
     search = SchedulerSearchSpec(step=0.5)
-    events = []  # the adversary of each _positive_words call, then its ascents
+    events = []  # each adversary as the lattice yields it, then its ascents
 
-    def positive_words(m, sigma, depth):
-        events.append(sigma.copy())
-        return _positive_words(m, sigma, depth)
+    def products(m, options, limit=None):
+        for sigma in _scheduler_products(m, options, limit):
+            if m is v:
+                events.append(sigma.copy())
+            yield sigma
 
     def ascend(*args):
         events.append("ascend")
         return _ascend(*args)
 
-    monkeypatch.setattr(relations, "_positive_words", positive_words)
+    monkeypatch.setattr(relations, "_scheduler_products", products)
     monkeypatch.setattr(relations, "_ascend", ascend)
     got = faster_than_bounded(u, v, 2, search=search)
     monkeypatch.undo()
@@ -311,10 +341,10 @@ def test_ascent_is_skipped_for_matched_adversaries(monkeypatch):
         assert matched(events[i]) == (i not in ascended), events[i]
 
 
-def test_candidate_values_are_kept_for_one_word_set_at_a_time(monkeypatch):
-    """At step 0.25 over 6 states (4096 candidates), evaluating a word set's
-    candidates finds no other word set's values alive, and adversaries with
-    the word set of the one before reuse its values."""
+def test_candidates_are_evaluated_once_per_call(monkeypatch):
+    """At step 0.25 over 6 states (4096 candidates), the candidates are evaluated
+    once, on every word v spells, although the adversaries' positive words
+    form three word sets: all six words, then {b, bb}, then {a, aa}."""
     labels = ("a", "b")
     names = [f"s{i}" for i in range(6)]
     u = Smdp(labels, names, "s0", {s: Exponential(50.0) for s in names},
@@ -322,20 +352,21 @@ def test_candidate_values_are_kept_for_one_word_set_at_a_time(monkeypatch):
     v = Smdp(labels, ["r"], "r", {"r": Exponential(0.05)}, {("r", a): {"r": 1.0} for a in labels})
     search = SchedulerSearchSpec(step=0.25)
     evaluate = _Stack.eval
-    alive, sizes = [], []
+    shapes = []
 
     def eval_stack(self, X):
         out = evaluate(self, X)
         if len(X) == search.max_candidates:
-            sizes.append(sum(ref().size for ref in alive if ref() is not None))
-            alive.append(weakref.ref(out))
+            shapes.append(out.shape)
         return out
 
     monkeypatch.setattr(_Stack, "eval", eval_stack)
     verdict = faster_than_bounded(u, v, 2, search=search)
     assert verdict.outcome == "NotRefuted" and verdict.candidates == search.max_candidates
-    # adversaries in lattice order: three mixed ones share all six words, then {b, bb}, {a, aa}
-    assert sizes == [0, 0, 0]
+    assert shapes == [(search.max_candidates, 6, 5)]
+    word_sets = {tuple(_positive_words(v, sigma, 2))
+                 for sigma in _scheduler_products(v, _simplex_options(2, search.step))}
+    assert len(word_sets) == 3
 
 
 def _states_only(n_states, labels=("a", "b")):
@@ -426,6 +457,23 @@ def test_simulation_needs_matching_masses():
     assert not simulates(a, b).holds
     assert not simulates(b, a).holds
 
+
+
+def test_equal_branches_match_one_branch_of_their_total_mass():
+    """Three branches of 1/3 (or seven of 1/7) into exp(1) sinks against one
+    branch of 1 into an exp(1) sink: masses rounded one by one to 1e-9 sum to
+    999999999 (or 1000000001) quanta, yet the states are bisimilar and
+    simulate each other."""
+    chain = Smdp(["a"], ["r0", "r1"], "r0", {"r0": Exponential(1.0), "r1": Exponential(1.0)},
+                 {("r0", "a"): {"r1": 1.0}})
+    for n in (3, 7):
+        sinks = [f"x{i}" for i in range(n)]
+        fan = Smdp(["a"], ["s0"] + sinks, "s0", {s: Exponential(1.0) for s in ["s0"] + sinks},
+                   {("s0", "a"): {x: 1 / n for x in sinks}})
+        assert simulates(fan, chain).holds and simulates(chain, fan).holds, n
+        assert bisimilar(fan, chain).holds and bisimilar(chain, fan).holds, n
+        assert _weight_function_exists({x: 1 / n for x in sinks}, {"y0": 0.5, "y1": 0.5},
+                                       {(x, y) for x in sinks for y in ("y0", "y1")}), n
 
 
 def test_coupling_feasibility():

@@ -50,7 +50,6 @@ from smdpcheck.relations import (
     FasterThanVerdict,
     FtWitness,
     SchedulerSearchSpec,
-    _positive_words,
     _quantize,
     _scheduler_products,
     _simplex_options,
@@ -273,10 +272,9 @@ def reference_bisimilar(u, v):
             for a in u.labels:
                 masses = {}
                 for s2, p in m.succ(s, a).items():
-                    if _quantize(p) > 0:
-                        b = block[(tag, s2)]
-                        masses[b] = masses.get(b, 0) + _quantize(p)
-                sig.append(tuple(sorted(masses.items())))
+                    masses[block[(tag, s2)]] = masses.get(block[(tag, s2)], 0.0) + p
+                quanta = {b: _quantize(p) for b, p in masses.items()}  # rounded once summed
+                sig.append(tuple(sorted((b, q) for b, q in quanta.items() if q > 0)))
             keys[(tag, s)] = (block[(tag, s)], tuple(sig))
         ids = {}
         new_block = {st: ids.setdefault(keys[st], len(ids)) for st in keys}
@@ -503,6 +501,27 @@ def reference_ascend(objective, x0: np.ndarray, search: SchedulerSearchSpec):
 def _first_true(mask: np.ndarray) -> Tuple[int, int]:
     flat = int(np.argmax(mask))
     return flat // mask.shape[1], flat % mask.shape[1]
+
+
+def _positive_words(m: Smdp, sigma: np.ndarray, depth: int):
+    """Words up to `depth` with positive trace probability, in shortlex order."""
+    live = {(): {m.initial}}
+    for _ in range(depth):
+        nxt: Dict[tuple, set] = {}
+        for prefix, states in live.items():
+            for a in m.labels:
+                ai = m.label_index(a)
+                targets = set()
+                for s in states:
+                    if sigma[m.state_index(s), ai] > 0.0:
+                        targets.update(s2 for s2, p in m.succ(s, a).items() if p > 0.0)
+                if targets:
+                    word = prefix + (a,)
+                    nxt[word] = targets
+                    yield word
+        live = nxt
+        if not live:
+            return
 
 
 def reference_faster_than(u: Smdp, v: Smdp, depth: int,

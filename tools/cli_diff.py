@@ -6,8 +6,8 @@ commit and compares what each prints, its exit code and the files it writes.
 Run it from the root of the repository.  BASE is exported with `git archive`,
 as `tools/bench_pairs.py` does.  Each case runs `python3 -m smdpcheck.cli`
 from its tree's own `src/`, in a fresh directory holding a copy of the model
-corpus and three hand-made models, once as written and once with `--json`
-(help cases run once).  `elapsed_seconds` is dropped from a JSON report before
+corpus, three hand-made models and a scheduler with a NaN weight, once as
+written and once with `--json` (help cases run once).  `elapsed_seconds` is dropped from a JSON report before
 the comparison; every other byte of stdout and stderr counts, and so does
 every file a case writes (`compose --out`, `monotonicity --emit-smt`).  The
 report lists each case that differs, with both sides; the exit status is 1
@@ -90,6 +90,10 @@ CASES = [
     MONO + ["--emit-smt", U],
     ["simulate", "--model", "fig3_V.smdp", "--scheduler", "fig3_V_half.sched", "--word", "ba",
      "--t", "3", "--samples", "3000", "--seed", "7"],
+    ["validate", U, "--scheduler", "nan.sched"],
+    ["prob", "--model", U, "--scheduler", "nan.sched", "--word", "aa", "--t", "2"],
+    ["prob", "--model", U, "--scheduler", "nan.sched", "--word", "aa", "--t", "2", "--engine", "inductive"],
+    ["simulate", "--model", U, "--scheduler", "nan.sched", "--word", "aa", "--t", "2", "--samples", "2000"],
 ]
 HELP = [["--help"], ["--version"]] + [[cmd, "--help"] for cmd in (
     "validate", "prob", "compose", "faster-than", "simulates", "bisimilar", "monotonicity", "simulate")]
@@ -102,6 +106,7 @@ def setup(workdir: Path, tree: Path):
     (workdir / "mass.smdp").write_text("labels: a\nstates: s0\ninitial: s0\nresidence:\n"
                                        "  s0 exp(1)\ntransitions:\n  s0 a s0 1.2\n")
     (workdir / "syntax.smdp").write_text("labels: a\nstates: s0\nnot_a_section: s0\n")
+    (workdir / "nan.sched").write_text("u0 a nan\nu1 a 1\nu2 a 1\n")
     names = [f"s{i}" for i in range(6)]
     (workdir / "wide.smdp").write_text(
         "labels: a b\nstates: " + " ".join(names) + "\ninitial: s0\nresidence:\n"
