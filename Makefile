@@ -1,4 +1,4 @@
-.PHONY: install test acceptance reproduce reproduce-check known-defects check bench-pairs replay-diff replay-check cli-diff
+.PHONY: install test acceptance reproduce reproduce-check known-defects check bench-pairs op-times replay-diff replay-check cli-diff
 
 # Diffs two reproduce reports over every field but elapsed_seconds.
 define REPORT_DIFF
@@ -48,6 +48,12 @@ check:
 #   make bench-pairs W=deep-paths SEEDS=631-635 BASE=HEAD
 bench-pairs:
 	python3 tools/bench_pairs.py --workload $(W) --seeds $(SEEDS) --base $(or $(BASE),HEAD)
+
+# Least CPU time per op key over REPS replays of the first N instances per seed, working
+# tree against BASE, alternating which runs first:
+#   make op-times W=deep-paths SEEDS=7 N=30 REPS=5 BASE=HEAD
+op-times:
+	python3 tools/op_times.py --workload $(W) --seeds $(SEEDS) --n $(N) --reps $(or $(REPS),5) --base $(or $(BASE),HEAD)
 
 # Every op result of the first N instances per seed, working tree against BASE, bit for bit:
 #   make replay-diff W=anomaly-audit SEEDS=1-3 N=800 BASE=HEAD

@@ -18,12 +18,15 @@ from .distributions import (
     Dirac,
     Distribution,
     Shifted,
+    _flatten_for_product,
     _gauss_legendre,
     _jumps,
+    _product_core,
     _scales,
+    _shifted,
     cdf_eval,
+    cdf_table,
     cdf_vec,
-    convolve,
     measure_interval,
     sort_key,
 )
@@ -160,52 +163,60 @@ def _rect_rec(m, sch, s, steps, k):
 
 
 def initial_level(m: Smdp, start: str) -> Dict[tuple, float]:
-    """The level of the empty word: {(state, law, visit_counts): mass}."""
+    """The level of the empty word: {(state, shift, visit_counts): mass}."""
     m.state_index(start)
-    return {(start, Dirac(0.0), (0,) * (len(m.states) * len(m.labels))): 1.0}
+    return {(start, 0.0, (0,) * (len(m.states) * len(m.labels))): 1.0}
 
 
-def extend_level(m: Smdp, level: Dict[tuple, float], a: str,
-                 memo: Optional[dict] = None) -> Dict[tuple, float]:
+def extend_level(m: Smdp, level: Dict[tuple, float], a: str) -> Dict[tuple, float]:
     """The level of a word one letter `a` longer than the word of `level`.
-
-    `memo`, if given, maps (id(law), id(residence)) to convolve(law,
-    residence) across the calls that share it.  It is keyed by identity
-    because laws that are == may differ in their bits (Dirac(0.0) and
-    Dirac(-0.0), Exponential(1) and Exponential(1.0)), and the result
-    carries those bits; the caller keeps the levels it extends alive while
-    the memo lives, so that no identity is reused.
-    """
-    ai = m.label_index(a)
-    n_l = len(m.labels)
+    Leaving a state adds its residence's Dirac points and shifts to the
+    entry's shift with the float additions convolve makes: 0.0 + shift,
+    then each part."""
+    ai, n_l = m.label_index(a), len(m.labels)
+    moves = {}  # state -> (its residence's Dirac points and shifts, its counts index, successors)
     nxt: Dict[tuple, float] = {}
-    for (state, law, counts), mass in level.items():
-        row = m.succ(state, a)
-        if not row:
-            continue
-        res = m.residence_of(state)
-        if memo is None:
-            law2 = convolve(law, res)
-        else:
-            law2 = memo.get((id(law), id(res)))
-            if law2 is None:
-                law2 = memo[id(law), id(res)] = convolve(law, res)
-        k = m.state_index(state) * n_l + ai
+    for (state, shift, counts), mass in level.items():
+        if state not in moves:
+            row, shifts = m.succ(state, a), []
+            _flatten_for_product(m.residence_of(state), shifts, [], [])
+            moves[state] = (shifts, m.state_index(state) * n_l + ai,
+                            [(s2, row[s2]) for s2 in sorted(row, key=m.state_index) if row[s2] > 0.0])
+        shifts, k, succ = moves[state]
+        shift2 = 0.0 + shift
+        for x in shifts:
+            shift2 += x
         counts2 = counts[:k] + (counts[k] + 1,) + counts[k + 1:]
-        for s2 in sorted(row, key=m.state_index):
-            p = row[s2]
-            if p > 0.0:
-                key = (s2, law2, counts2)
-                nxt[key] = nxt.get(key, 0.0) + mass * p
+        for s2, p in succ:
+            key = (s2, shift2, counts2)
+            nxt[key] = nxt.get(key, 0.0) + mass * p
     return nxt
 
 
-def merge_level(level: Dict[tuple, float]) -> Dict[Tuple[Distribution, tuple], float]:
-    """Drops the current state of a level's entries: {(law, visit_counts): mass}."""
-    classes: Dict[Tuple[Distribution, tuple], float] = {}
-    for (_, law, counts), mass in level.items():
-        classes[(law, counts)] = classes.get((law, counts), 0.0) + mass
-    return classes
+def merge_level(m: Smdp, level: Dict[tuple, float], cores: dict) -> Dict[Tuple[Distribution, tuple], float]:
+    """Drops the current state of a level's entries: {(law, visit_counts): mass}.
+
+    A class's law is built once, from its shift and the core of the
+    residences its counts imply.  `cores`, shared by calls on the same model
+    while the model lives, holds the cores by counts and by the residence
+    multiset those imply, each residence known by its identity: states that
+    share a residence object share a core, and == laws with other bits
+    (Exponential(1) and Exponential(1.0)) do not.
+    """
+    classes: Dict[tuple, float] = {}
+    for (_, shift, counts), mass in level.items():
+        classes[shift, counts] = classes.get((shift, counts), 0.0) + mass
+    n_l = len(m.labels)
+    merged = {}
+    for (shift, counts), mass in classes.items():
+        if counts not in cores:
+            parts = [m.residence_of(m.states[pos // n_l]) for pos, k in enumerate(counts) for _ in range(k)]
+            key = ("residences", *sorted(map(id, parts)))  # by identity; the str keeps it apart from counts
+            if key not in cores:
+                cores[key] = _product_core(parts)
+            cores[counts] = cores[key]
+        merged[_shifted(cores[counts], shift), counts] = mass
+    return merged
 
 
 def word_classes(m: Smdp, start: str, word) -> Dict[Tuple[Distribution, tuple], float]:
@@ -218,13 +229,13 @@ def word_classes(m: Smdp, start: str, word) -> Dict[Tuple[Distribution, tuple], 
     memoryless scheduler sigma a path weighs its mass times the monomial
     prod sigma[si, ai] ** count, so these classes are everything the
     path-sum engines need.  Paths merge level by level on (current state,
-    law, counts); the law is carried forward in path order, because Dirac
-    shift sums depend on the order of their float additions.
+    shift, counts); the shift is carried forward in path order, because
+    Dirac shift sums depend on the order of their float additions.
     """
     level = initial_level(m, start)
     for a in word:
         level = extend_level(m, level, a)
-    return merge_level(level)
+    return merge_level(m, level, {})
 
 
 def word_terms(m: Smdp, sch: Scheduler, start: str, word) -> Dict[Distribution, float]:
@@ -246,7 +257,8 @@ def prob_cylinder_paths(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylinder)
     """Sum over state paths of effective weight times the convolution CDF."""
     terms = word_terms(m, sch, s, c.word)
     ordered = sorted(terms.items(), key=lambda kv: sort_key(kv[0]))
-    return _tree_sum(w * cdf_eval(d, c.bound) for d, w in ordered)
+    cdfs = cdf_table([d for d, _ in ordered], (c.bound,))[:, 0].tolist()
+    return _tree_sum(w * F for (_, w), F in zip(ordered, cdfs))
 
 
 def trace_probability(m: Smdp, sch: Scheduler, word) -> float:

@@ -8,6 +8,7 @@ Stieltjes quadrature otherwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ __all__ = [
     "GridSpec",
     "cdf_eval",
     "cdf_vec",
+    "cdf_table",
     "pdf_vec",
     "atom_mass",
     "measure_interval",
@@ -195,10 +197,7 @@ def render(d: Distribution) -> str:
 # sum_k Pois(k; lam*t) * |e_1 M^k|_1 and the density is the same series over
 # the absorbing flux, the last entry of e_1 M^k times s_n.  Each time point
 # stops at the first k whose Poisson mass reaches 1 - _PHASE_EPS; all terms
-# are nonnegative, so the truncation error bounds the absolute error.  The
-# stop depends on lam*t alone and each point is summed on its own, left to
-# right, so a point's value does not depend on the other points of the call
-# nor on what the caches below hold.
+# are nonnegative, so the truncation error bounds the absolute error.
 
 # Above this value of lam*t the term-by-term series is too long; the matrix
 # form below covers the same uniformization at a reduced step plus squaring.
@@ -277,18 +276,12 @@ class _PhaseRows(_Lru):
 
 _phase_rows = _PhaseRows(budget=1 << 22)  # 4 MiB
 # Keyed by (lam*t, eps).  The first 30 deep-paths instances of seed 7 ask
-# for 2,209 distinct lam*t in 21,634 calls, mostly short series: a 256 KiB
-# budget misses about as often as 1 MiB there, and a 30 s deep-paths run
-# peaks 1.9 MB lower.  The weights of one point near lam*t = 20000 take 170 KB.
+# for 2,209 distinct lam*t in 2,220 calls (one per distinct lam*t of a
+# _phase_kernel call), mostly short series.  The weights of one point near
+# lam*t = 20000 take 170 KB.
 _poisson_cache = _Lru(budget=1 << 18)  # 256 KiB
 _lgamma = []  # lgamma(k + 1) for k = 0, 1, ...
 _SERIES_BLOCK = 1 << 16  # (point, term) products summed per block
-
-
-def _poisson_cap(q):
-    """The last k _poisson_weights(q, eps) may reach: a hard cap, since float
-    summation can plateau just below the target coverage."""
-    return int(q + 12.0 * math.sqrt(q + 1.0) + 60.0)
 
 
 def _poisson_weights(q, eps):
@@ -298,7 +291,7 @@ def _poisson_weights(q, eps):
     weights = _poisson_cache.get((q, eps))
     if weights is not None:
         return weights
-    cap = _poisson_cap(q)
+    cap = int(q + 12.0 * math.sqrt(q + 1.0) + 60.0)  # float sums can plateau below 1 - eps
     while len(_lgamma) <= cap:
         _lgamma.append(math.lgamma(len(_lgamma) + 1))
     logq = math.log(q)
@@ -343,56 +336,93 @@ def _phase_expm_row(rates, t):
     return S[0]
 
 
-def _phase_series(rates, ts):
-    """(F(t), f(t)) of PhaseType(rates) at every time in ts, as two arrays.
+def _phase_kernel(jobs, density: bool = False) -> list:
+    """F of PhaseType(rates), or with `density` its f, at the times ts of each
+    job (rates, ts): one array per job, shaped as its ts.
 
-    Regimes per point: F = f = 0 for t <= 0 and where lam*t underflows to 0
-    (a sum of two or more stages has density 0 at 0); F = 1, f = 0 once the
-    tail is negligible; the matrix form above lam*t = _Q_DIRECT_LIMIT; else
-    the uniformization series.
+    The regimes are told apart for all points of all jobs at once: 0 for
+    t <= 0 and where lam*t underflows to 0 (a sum of two or more stages has
+    density 0 at 0); F = 1, f = 0 once the tail is negligible; the matrix
+    form above lam*t = _Q_DIRECT_LIMIT; else the series.  The series points
+    go smallest lam*t first, in blocks of at most _SERIES_BLOCK terms, with
+    each distinct lam*t's Poisson weights and each law's rows looked up once.
+    np.add.accumulate sums a point's weights, padded with zeros to its
+    block's longest, times its law's row left to right, and a padding term
+    adds +0.0 to a sum >= 0: a point's bits depend on its law and t alone.
     """
-    ts = np.asarray(ts, dtype=float)
-    n, lam = len(rates), rates[-1]
-    cdf, pdf = np.zeros(ts.size), np.zeros(ts.size)
-    series = []  # (lam*t, point index)
-    for i, t in enumerate(ts.ravel().tolist()):
-        q = lam * t
-        if not q > 0.0:
-            continue
-        # P(sum X_i > t) <= sum_i P(X_i > t/n) < 1e-15: F is 1.0 to double precision
-        if sum(math.exp(-min(700.0, r * t / n)) for r in rates) < 1e-15:
-            cdf[i] = 1.0
-        elif q > _Q_DIRECT_LIMIT:
-            row = _phase_expm_row(rates, t)
-            cdf[i], pdf[i] = min(1.0, max(0.0, 1.0 - float(row.sum()))), max(0.0, float(row[-1]) * lam)
-        else:
-            series.append((q, i))
-    # Blocks of points, smallest lam*t first, each point's weights padded
-    # with zeros to the block's longest: np.add.accumulate sums each point's
-    # terms left to right, and a padding term adds +0.0 to a sum >= 0.
-    series.sort()
-    stages = rates[::-1]
-    rows = max(1, _SERIES_BLOCK // _poisson_cap(series[-1][0])) if series else 1
-    for lo in range(0, len(series), rows):
-        block = [(i, _poisson_weights(q, _PHASE_EPS)) for q, i in series[lo:lo + rows]]
-        size = max(len(w) for _, w in block)
-        surv, col = _phase_rows(stages, size)
-        weights = np.zeros((len(block), size))
-        for row, (_, w) in zip(weights, block):
-            row[:len(w)] = w
-        index = [i for i, _ in block]
-        survival = np.add.accumulate(weights * surv[:size], axis=1)[:, -1]
-        cdf[index] = np.minimum(1.0, np.maximum(0.0, 1.0 - survival))
-        pdf[index] = np.maximum(0.0, np.add.accumulate(weights * (col[:size] * stages[-1]), axis=1)[:, -1])
-    return cdf.reshape(ts.shape), pdf.reshape(ts.shape)
+    index, law, lam, ends = {}, [], [], []  # rates -> law number; per point its law and largest rate
+    ts = [np.asarray(t, dtype=float) for _, t in jobs]
+    for (rates, _), t in zip(jobs, ts):
+        law += [index.setdefault(rates, len(index))] * t.size
+        lam += [rates[-1]] * t.size
+        ends.append(len(law))
+    laws, law = list(index), np.array(law)
+    T = np.concatenate(ts, axis=None) if len(ts) > 1 else ts[0].ravel()
+    out = np.zeros(T.size)
+    with np.errstate(over="ignore"):  # as in Python, a product past the largest float is inf
+        q = np.array(lam) * T
+        live = q > 0.0
+        # P(sum X_i > t) <= sum_i P(X_i > t/n) < 1e-15 makes F 1.0 to double precision.  The
+        # sum is at least its slowest stage's term, so r_min*t/n and lam*t exceed 34.5, and
+        # np.exp gives that term within an ulp of math.exp: the sum is needed below 2e-15 only.
+        hot = (q > 34.0).nonzero()[0]
+        if hot.size:
+            slow, n = np.array([(rates[0], len(rates)) for rates in laws])[law[hot]].T
+            near = np.exp(-np.minimum(700.0, slow * T[hot] / n)) < 2e-15
+            for i in hot[near | (q[hot] > _Q_DIRECT_LIMIT)].tolist():
+                rates, t = laws[law[i]], float(T[i])
+                if sum(math.exp(-min(700.0, r * t / len(rates))) for r in rates) < 1e-15:
+                    out[i], live[i] = 0.0 if density else 1.0, False
+                elif q[i] > _Q_DIRECT_LIMIT:
+                    row = _phase_expm_row(rates, t)
+                    out[i], live[i] = (max(0.0, float(row[-1]) * rates[-1]) if density
+                                       else min(1.0, max(0.0, 1.0 - float(row.sum())))), False
+    where = live.nonzero()[0]
+    if where.size > 1:
+        where = where[q[where].argsort(kind="stable")]
+    which, weights, longest = [], [], []  # per series point its distinct lam*t; per distinct lam*t
+    for x in q[where].tolist():
+        if not which or x != last:
+            last = x
+            weights.append(_poisson_weights(x, _PHASE_EPS))
+            longest.append(max(len(weights[-1]), longest[-1] if longest else 0))
+        which.append(len(weights) - 1)
+    laws_of, rows = law[where].tolist(), {}
+    for k, d in dict(zip(laws_of, which)).items():  # a law's last point has its largest lam*t
+        surv, col = _phase_rows(laws[k][::-1], longest[d])
+        rows[k] = col * laws[k][0] if density else surv
+    step = max(1, _SERIES_BLOCK // longest[-1]) if longest else 1
+    for lo in range(0, len(which), step):
+        hi = min(lo + step, len(which))
+        d0, d1 = which[lo], which[hi - 1] + 1
+        present = sorted(set(laws_of[lo:hi])) if len(rows) > 1 else list(rows)
+        W = _padded(weights[d0:d1], longest[d1 - 1])
+        R = _padded([rows[k] for k in present], longest[d1 - 1])
+        if len(W) < hi - lo:
+            W = W[np.subtract(which[lo:hi], d0)]
+        if len(R) > 1:
+            R = R[np.searchsorted(present, laws_of[lo:hi])]
+        acc = np.add.accumulate(W * R, axis=1)[:, -1]
+        out[where[lo:hi]] = np.maximum(0.0, acc) if density else np.minimum(1.0, np.maximum(0.0, 1.0 - acc))
+    return [out[end - t.size:end].reshape(t.shape) for t, end in zip(ts, ends)]
+
+
+def _padded(arrays, width: int) -> np.ndarray:
+    """The arrays as the rows of a matrix, each cut or padded with zeros to width."""
+    if len(arrays) == 1 and len(arrays[0]) >= width:
+        return arrays[0][None, :width]
+    matrix = np.zeros((len(arrays), width))
+    for row, a in zip(matrix, arrays):
+        row[:min(len(a), width)] = a[:width]
+    return matrix
 
 
 # ---------------------------------------------------------------------------
 # CDF evaluation
 
 
-# Few lookups repeat: replaying the first 1,200 anomaly-audit instances of
-# seed 41 makes 263,383 lookups, of which 373 hit (peak 53.4 MB RSS).
+# The engines evaluate through cdf_vec and cdf_table: replaying the first
+# 1,200 anomaly-audit instances of seed 41 makes no lookups.
 @lru_cache(maxsize=1 << 12)
 def cdf_eval(d: Distribution, t: float) -> float:
     """F_d(t), a one-point call of cdf_vec.  Total: t < 0 gives 0.0 and
@@ -414,7 +444,7 @@ def cdf_vec(d: Distribution, ts) -> np.ndarray:
     if isinstance(d, Uniform):
         return np.clip((ts - d.lo) / (d.hi - d.lo), 0.0, 1.0)
     if isinstance(d, PhaseType):
-        return _phase_series(d.rates, ts)[0]
+        return _phase_kernel([(d.rates, ts)])[0]
     if isinstance(d, Shifted):
         return cdf_vec(d.base, ts - d.shift)
     if isinstance(d, MinMaxCdf):
@@ -424,6 +454,24 @@ def cdf_vec(d: Distribution, ts) -> np.ndarray:
     if isinstance(d, NumericConvolution):
         return _conv_cdf_vec(d.factors, ts)
     raise TypeError(f"not a Distribution: {d!r}")
+
+
+def cdf_table(laws, ts) -> np.ndarray:
+    """cdf_vec(law, ts) of each law as the rows of one array, with the
+    phase-type laws, bare or shifted, in one _phase_kernel call."""
+    ts = np.asarray(ts, dtype=float).ravel()
+    table = np.empty((len(laws), ts.size))
+    jobs, rows = [], []
+    for i, d in enumerate(laws):
+        base, at = (d.base, ts - d.shift) if isinstance(d, Shifted) else (d, ts)
+        if isinstance(base, PhaseType):
+            jobs.append((base.rates, at))
+            rows.append(i)
+        else:
+            table[i] = cdf_vec(d, ts)
+    if jobs:
+        table[rows] = _phase_kernel(jobs)
+    return table
 
 
 def pdf_vec(d: Distribution, ts) -> np.ndarray:
@@ -439,7 +487,7 @@ def _pdf_vec(d: Distribution, ts: np.ndarray, atoms: bool) -> np.ndarray:
     if isinstance(d, Uniform):
         return np.where((ts >= d.lo) & (ts <= d.hi), 1.0 / (d.hi - d.lo), 0.0)
     if isinstance(d, PhaseType):
-        return _phase_series(d.rates, ts)[1]
+        return _phase_kernel([(d.rates, ts)], density=True)[0]
     if isinstance(d, Shifted):
         return _pdf_vec(d.base, ts - d.shift, atoms)
     if isinstance(d, MinMaxCdf):
@@ -471,6 +519,7 @@ def _pdf_vec(d: Distribution, ts: np.ndarray, atoms: bool) -> np.ndarray:
 _GL_POINTS = 24
 _STIFF_SPAN = 40.0
 _KERNEL_BLOCK = 1 << 17  # (time, node) pairs evaluated per block
+_BISECT_DEPTH = 6  # halvings per batch of a crossing's bisection: 63 midpoints a cdf_vec call
 _DENSITY_PREFERENCE = {Uniform: 0, Exponential: 1, PhaseType: 2, Shifted: 3, MinMaxCdf: 4, NumericConvolution: 5}
 
 
@@ -484,16 +533,26 @@ def _gauss_legendre(points: int = _GL_POINTS):
 
 def _bisect_sign_change(a, b, lo, hi, above):
     """A point where F_a - F_b changes sign in [lo, hi], bisected down to
-    adjacent floats; `above` is whether F_a > F_b at lo."""
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        diff = cdf_eval(a, mid) - cdf_eval(b, mid)
-        if diff == 0.0:
-            return mid
-        if (diff > 0.0) == above:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    adjacent floats; `above` is whether F_a > F_b at lo.  Each batch
+    evaluates the breadth-first tree of the midpoints the next
+    _BISECT_DEPTH halvings could visit (node i halves into 2i + 1 below and
+    2i + 2 above) and walks it as the one-midpoint loop does."""
+    while True:
+        nodes = [(lo, hi)]
+        for l, h in itertools.islice(nodes, (1 << (_BISECT_DEPTH - 1)) - 1):  # grows while read
+            nodes += ((l, 0.5 * (l + h)), (0.5 * (l + h), h))
+        mids = [0.5 * (l + h) for l, h in nodes]
+        diffs = (cdf_vec(a, mids) - cdf_vec(b, mids)).tolist()
+        i = 0
+        for _ in range(_BISECT_DEPTH):
+            if not lo < mids[i] < hi:
+                return hi
+            if diffs[i] == 0.0:
+                return mids[i]
+            if (diffs[i] > 0.0) == above:
+                lo, i = mids[i], 2 * i + 2
+            else:
+                hi, i = mids[i], 2 * i + 1
 
 
 def _crossings(d: MinMaxCdf) -> tuple:
@@ -641,42 +700,53 @@ def measure_interval(d: Distribution, lo: float, hi: float,
 # convolution
 
 
-def _flatten_for_product(d: Distribution, shift_acc, rates_acc, other_acc):
-    """Splits d into (total shift, exponential rates, opaque factors)."""
+def _flatten_for_product(d: Distribution, shifts, rates, others):
+    """Splits d into its Dirac points and shifts, its exponential rates and
+    its opaque factors, appended in the order of its parts."""
     if isinstance(d, Dirac):
-        shift_acc[0] += d.point
+        shifts.append(d.point)
     elif isinstance(d, Exponential):
-        rates_acc.append(d.rate)
+        rates.append(d.rate)
     elif isinstance(d, PhaseType):
-        rates_acc.extend(d.rates)
+        rates.extend(d.rates)
     elif isinstance(d, Shifted):
-        shift_acc[0] += d.shift
-        _flatten_for_product(d.base, shift_acc, rates_acc, other_acc)
+        shifts.append(d.shift)
+        _flatten_for_product(d.base, shifts, rates, others)
     elif isinstance(d, NumericConvolution):
         for f in d.factors:
-            _flatten_for_product(f, shift_acc, rates_acc, other_acc)
+            _flatten_for_product(f, shifts, rates, others)
     else:
-        other_acc.append(d)
+        others.append(d)
+
+
+def _product_core(parts) -> Optional[Distribution]:
+    """The canonical convolution of the parts less their Dirac points and
+    shifts: one phase-type law of all their rates among the opaque factors,
+    None when nothing is left."""
+    rates, others = [], []
+    for p in parts:
+        _flatten_for_product(p, [], rates, others)
+    factors = sorted(others + ([phase_type(sorted(rates))] if rates else []), key=sort_key)
+    if len(factors) > 1:
+        return NumericConvolution(tuple(factors))
+    return factors[0] if factors else None
+
+
+def _shifted(core: Optional[Distribution], shift: float) -> Distribution:
+    """core delayed by shift, in canonical form."""
+    if core is None:
+        return Dirac(shift)
+    return Shifted(core, shift) if shift > 0.0 else core
 
 
 def _canonical_product(parts) -> Distribution:
-    shift_acc = [0.0]
-    rates = []
-    others = []
+    shifts = []
     for p in parts:
-        _flatten_for_product(p, shift_acc, rates, others)
-    factors = list(others)
-    if rates:
-        factors.append(phase_type(sorted(rates)))
-    factors.sort(key=sort_key)
-    shift = shift_acc[0]
-    if not factors:
-        return Dirac(shift)
-    if len(factors) == 1:
-        core = factors[0]
-    else:
-        core = NumericConvolution(tuple(factors))
-    return Shifted(core, shift) if shift > 0.0 else core
+        _flatten_for_product(p, shifts, [], [])
+    shift = 0.0
+    for x in shifts:
+        shift += x
+    return _shifted(_product_core(parts), shift)
 
 
 def convolve(d1: Distribution, d2: Distribution) -> Distribution:
@@ -790,6 +860,14 @@ def _scales(d: Distribution):
     return None, 1.0, 1.0
 
 
+# The dominance grid is sized once per law: the pairs of a relation check repeat
+# each law many times.  Cached by value, since a law's == twin with other bits
+# (Exponential(1) and Exponential(1.0), Dirac(0.0) and Dirac(-0.0)) sizes the
+# same grid.  The inductive engine sees each residence once a call, where a
+# cache lookup costs more than the walk.
+_dominance_scales = lru_cache(maxsize=1 << 10)(_scales)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Time grid for numeric CDF comparisons: a geometric/linear point mix."""
@@ -813,7 +891,7 @@ class GridSpec:
 
     @staticmethod
     def for_dominance(d1: Distribution, d2: Distribution, points: int = 512) -> "GridSpec":
-        (low1, _, supp1), (low2, _, supp2) = _scales(d1), _scales(d2)
+        (low1, _, supp1), (low2, _, supp2) = _dominance_scales(d1), _dominance_scales(d2)
         rates = [r for r in (low1, low2) if r is not None]
         t_rate = 20.0 / min(rates) if rates else 20.0
         t_supp = 2.0 * max(supp1, supp2)

@@ -305,6 +305,7 @@ def parse_model(text: str) -> Smdp:
     states: List[str] = []
     initial: Optional[str] = None
     residence: Dict[str, Distribution] = {}
+    literals: Dict[str, Distribution] = {}
     transitions: Dict[Tuple[str, str], Dict[str, float]] = {}
     section = None
     seen = set()
@@ -335,7 +336,8 @@ def parse_model(text: str) -> Smdp:
                 raise ModelFormatError("residence line must be: <state> <distribution>", lineno)
             if toks[0] in residence:
                 raise ModelFormatError(f"duplicate residence for {toks[0]!r}", lineno)
-            residence[toks[0]] = parse_distribution_literal(toks[1], lineno)
+            # one object per literal: merge_level shares the cores of states that share one
+            residence[toks[0]] = literals.setdefault(toks[1], parse_distribution_literal(toks[1], lineno))
         elif section == "transitions":
             toks = line.split()
             if len(toks) != 4:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .composition import require_same_labels
 from .cylinders import extend_level, initial_level, merge_level
-from .distributions import GridSpec, _cdf_equal, _dominance_holds, cdf_vec
+from .distributions import GridSpec, _cdf_equal, _dominance_holds, cdf_table
 from .errors import SmdpcheckError
 from .model import Scheduler, Smdp
 
@@ -152,14 +152,13 @@ def _scheduler_products(m: Smdp, options, limit=None):
 # classes cost one letter of path merging.
 
 
-def _word_table(m: Smdp, level: dict, ts: np.ndarray, rows: dict) -> tuple:
-    """(exponents E, masses coeff, CDF rows F on ts, kept in `rows`) of a word's level."""
-    classes = merge_level(level)
+def _word_table(m: Smdp, classes: dict, rows: dict, n_ts: int) -> tuple:
+    """(exponents E, masses coeff, CDF rows F) of a word's classes; `rows`
+    maps each law to its CDF on the n_ts grid times."""
     return (np.array([counts for _, counts in classes], dtype=np.int64).reshape(
                 -1, len(m.states) * len(m.labels)),
             np.array(list(classes.values())),
-            np.array([rows[law] if law in rows else rows.setdefault(law, cdf_vec(law, ts))
-                      for law, _ in classes]).reshape(-1, len(ts)))
+            np.array([rows[law] for law, _ in classes]).reshape(-1, n_ts))
 
 
 class _Stack:
@@ -265,21 +264,22 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
     # word -> levels of u and of v, for the words whose level of v is nonempty; breadth
     # first, so each prefix comes before its extensions, and those go in label order
     levels = {(): (initial_level(u, u.initial), initial_level(v, v.initial))}
-    convolutions: dict = {}  # extend_level's memo for u and v; `levels` keeps its laws alive
     live = [()]
     for prefix in live:  # grows while it is walked
         if len(prefix) < depth:
             for a in v.labels:
-                lvs = tuple(extend_level(m, lv, a, convolutions)
-                            for m, lv in zip((u, v), levels[prefix]))
+                lvs = tuple(extend_level(m, lv, a) for m, lv in zip((u, v), levels[prefix]))
                 if lvs[1]:  # v spells prefix + a on some path
                     live.append(prefix + (a,))
                     levels[live[-1]] = lvs
     words = live[1:]
     if not words:
         return FasterThanVerdict("NotRefuted", depth, grid, search, **counts)
-    rows: Dict[object, np.ndarray] = {}  # law -> CDF on ts
-    tables = [[_word_table(m, levels[w][k], ts, rows) for w in words] for k, m in enumerate((u, v))]
+    classes = [[merge_level(m, levels[w][k], cores) for w in words]
+               for k, (m, cores) in enumerate(((u, {}), (v, {})))]
+    laws = list(dict.fromkeys(law for side in classes for cl in side for law, _ in cl))
+    rows = dict(zip(laws, cdf_table(laws, ts)))  # law -> CDF on ts, one row per == law
+    tables = [[_word_table(m, cl, rows, len(ts)) for cl in side] for m, side in zip((u, v), classes)]
     fast, slow_stack = _Stack(tables[0]), _Stack(tables[1])
     cand_vals = fast.eval(candidates)  # (n_candidates, n_words, n_ts)
     cand_max = cand_vals.max(axis=0)

@@ -204,15 +204,38 @@ def test_word_classes_merge_paths():
 
 
 def test_prefix_extended_levels_match_word_classes():
-    """Extending each word's level from its prefix's gives word_classes' classes in its order."""
+    """Extending each word's level from its prefix's gives word_classes' classes in its
+    order, with one core cache for all the words, as faster_than_bounded keeps it."""
     for seed in range(12):
         m = random_two_label_model(random.Random(seed), live_initial=True)
         levels = {(): initial_level(m, m.initial)}
+        cores = {}
         for n in range(1, 7):
             for word in itertools.product(m.labels, repeat=n):
                 levels[word] = extend_level(m, levels[word[:-1]], word[-1])
-                got = list(merge_level(levels[word]).items())
+                got = list(merge_level(m, levels[word], cores).items())
                 assert got == list(word_classes(m, m.initial, word).items()), (seed, word)
+
+
+def test_dirac_shifts_add_in_path_order():
+    """Dirac shifts add in path order, as convolve adds them: (0.0 + 0.2) + 0.7 + 0.1 is
+    0.9999999999999999 but (0.0 + 0.7) + 0.1 + 0.2 is 1.0, so paths with the same visit
+    counts can end at different shifts, and each class keeps the oracle's sum."""
+    states = ["x", "y", "z"]
+    m = Smdp(["a"], states, "x", {"x": Dirac(0.1), "y": Dirac(0.2), "z": Dirac(0.7)},
+             {(s, "a"): {t: 0.5 for t in states if t != s} for s in states})
+    sch = uniform_scheduler(m)
+    split = 0
+    for start in states:
+        for n in range(1, 7):
+            word = ("a",) * n
+            got, want = word_terms(m, sch, start, word), oracle_word_terms(m, sch, start, word)
+            assert sorted(map(repr, got)) == sorted(map(repr, want)), (start, n)
+            for law, weight in want.items():
+                assert got[law] == pytest.approx(weight, rel=1e-12), (start, n, law)
+            counts = [c for _, c in word_classes(m, start, word)]
+            split += len(counts) - len(set(counts))
+    assert split > 0  # some counts hold several shifts
 
 
 # --- inductive engine ------------------------------------------------------------

@@ -18,6 +18,7 @@ from smdpcheck.distributions import (
     PhaseType,
     Shifted,
     Uniform,
+    _bisect_sign_change,
     _cdf_equal,
     _crossings,
     _dominance_holds,
@@ -26,10 +27,12 @@ from smdpcheck.distributions import (
     _grid_times,
     _jumps,
     _kinks,
+    _phase_expm_row,
     _scales,
     _shifted_point,
     atom_mass,
     cdf_eval,
+    cdf_table,
     cdf_vec,
     compose_residence,
     convolve,
@@ -41,7 +44,7 @@ from smdpcheck.distributions import (
     render,
 )
 from smdpcheck.errors import UnsupportedComposition
-from tests_support import reference_conv_cdf, reference_dominates
+from tests_support import reference_bisect_sign_change, reference_conv_cdf, reference_dominates
 
 
 # --- independent oracles -----------------------------------------------------
@@ -412,6 +415,40 @@ def test_phase_caches_hold_their_budget_and_reject_writes(monkeypatch):
     assert len(cache.items) < 40
     assert cache.held == sum(nbytes for nbytes, _ in cache.items.values()) <= cache.budget
     assert rows.held == sum(nbytes for nbytes, _ in rows.items.values()) <= rows.budget
+
+
+def test_cdf_table_and_pdf_vec_match_one_law_calls(monkeypatch):
+    """cdf_table rows and _phase_kernel values over many shuffled jobs are the bits of
+    one-law, one-time calls, in every regime: t <= 0, lam*t underflowing to 0, a
+    negligible tail, the series and the matrix form above lam*t = 20000, for bare
+    and shifted phase-type laws (and the other families cdf_table passes through)."""
+    rng = random.Random(24)
+    laws = [PhaseType((0.001, 1000.0)), PhaseType((0.25, 0.5)), Exponential(2.0), Uniform(0.5, 1.5),
+            MinMaxCdf("max", (Exponential(1.0), Uniform(0.2, 0.9)))]
+    for _ in range(10):
+        d = PhaseType(tuple(round(10 ** rng.uniform(-1, 1), 3) for _ in range(rng.randint(2, 4))))
+        laws += [d, Shifted(d, rng.choice((0.25, 1.5)))]
+    times = [-1.0, 0.0, 5e-324, 1e-300, 0.02, 0.7, 3.0, 25.0, 400.0, 2500.0, math.inf]
+    times += [rng.uniform(0.0, 40.0) for _ in range(6)]
+    expm = []
+    monkeypatch.setattr(distributions, "_phase_expm_row",
+                        lambda rates, t: expm.append(t) or _phase_expm_row(rates, t))
+    for _ in range(3):
+        rng.shuffle(laws)
+        rng.shuffle(times)
+        table = cdf_table(laws, times)
+        jobs = [(d.rates, np.array(times)[rng.sample(range(len(times)), 8)].reshape(2, 4))
+                for d in laws if isinstance(d, PhaseType)]
+        for density in (False, True):
+            for (rates, ts), got in zip(jobs, distributions._phase_kernel(jobs, density)):
+                one = (pdf_vec if density else cdf_vec)
+                want = [one(PhaseType(rates), [t])[0] for t in ts.ravel()]
+                assert got.shape == ts.shape and got.tobytes() == np.array(want).reshape(ts.shape).tobytes()
+        for d, row in zip(laws, table):
+            assert row.tobytes() == np.array([cdf_vec(d, [t])[0] for t in times]).tobytes(), d
+    assert expm  # the matrix form ran: (0.001, 1000) at t = 25
+    assert 0.5 * 5e-324 == 0.0 and table[laws.index(PhaseType((0.25, 0.5))), times.index(5e-324)] == 0.0
+    assert (table[:, times.index(2500.0)] == 1.0).sum() > 5  # negligible tails
 
 
 # --- convolve ---------------------------------------------------------------
@@ -844,6 +881,43 @@ def test_cdf_equal_is_two_way_dominance_from_one_scan(monkeypatch):
         assert equal == (_dominance_holds(d1, d2) and _dominance_holds(d2, d1)), (d1, d2)
         answers.add((equal, scanned))
     assert answers == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+
+def test_batched_bisection_matches_one_midpoint_at_a_time():
+    """_bisect_sign_change walks its batches of midpoints to the float the scalar
+    bisection finds, on the flips of seeded min/max laws with exponential, uniform
+    and Dirac parts, and on random brackets, where both CDFs are often flat."""
+    rng = random.Random(77)
+    parts = [lambda: Exponential(round(rng.uniform(0.3, 4.0), 2)),
+             lambda: Uniform(lo := round(rng.uniform(0.0, 1.0), 2), round(lo + rng.uniform(0.1, 2.0), 2)),
+             lambda: Dirac(round(rng.uniform(0.0, 2.0), 2))]
+    flips = 0
+    for _ in range(40):
+        a, b = rng.choice(parts)(), rng.choice(parts)()
+        ts, diffs = _grid_diffs(a, b)
+        signed = np.flatnonzero(diffs)
+        above = diffs[signed] > 0.0
+        brackets = [(float(ts[signed[k]]), float(ts[signed[k + 1]]), bool(above[k]))
+                    for k in np.flatnonzero(above[:-1] != above[1:]).tolist()]
+        flips += len(brackets)
+        brackets += [(lo, lo + rng.uniform(0.0, 3.0), rng.random() < 0.5) for lo in
+                     (rng.uniform(0.0, 3.0) for _ in range(3))]
+        for lo, hi, up in brackets:
+            assert _bisect_sign_change(a, b, lo, hi, up) == reference_bisect_sign_change(a, b, lo, hi, up)
+    assert flips > 10
+
+
+def test_dominance_grids_of_bit_twins_are_equal():
+    """The dominance grid's scales are cached by value, so whichever of two == laws
+    with other bits comes first, the other sizes the same dominance grid."""
+    other = Uniform(0.5, 3.0)
+    for x, y in ((Exponential(1), Exponential(1.0)), (Dirac(0.0), Dirac(-0.0))):
+        for first, second in ((x, y), (y, x)):
+            distributions._dominance_scales.cache_clear()
+            fresh = repr(GridSpec.for_dominance(second, other))
+            GridSpec.for_dominance(first, other)
+            assert repr(GridSpec.for_dominance(second, other)) == fresh
+            assert repr(GridSpec.for_dominance(first, second)) == repr(GridSpec.for_dominance(second, first))
 
 
 def test_scales_of_each_family():

@@ -1,6 +1,5 @@
 """Faster-than checking, simulation, bisimulation."""
 
-import functools
 import itertools
 import random
 from collections import Counter
@@ -8,11 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from smdpcheck import corpus, cylinders, distributions, relations
+from smdpcheck import corpus, distributions, relations
 from smdpcheck.composition import compose
-from smdpcheck.cylinders import TimeBoundedCylinder, extend_level, initial_level, prob_cylinder_paths
-from smdpcheck.model import Scheduler, Smdp, parse_model
-from smdpcheck.distributions import Exponential, Uniform, convolve
+from smdpcheck.cylinders import TimeBoundedCylinder, prob_cylinder_paths, word_classes
+from smdpcheck.model import Scheduler, Smdp, parse_model, uniform_scheduler
+from smdpcheck.distributions import Exponential, Uniform
 from smdpcheck.errors import LabelMismatch
 from smdpcheck.relations import (
     _SLACK,
@@ -29,6 +28,8 @@ from smdpcheck.relations import (
 )
 from tests_support import (
     _positive_words,
+    oracle_path_laws,
+    oracle_word_terms,
     random_two_label_model,
     reference_ascend,
     reference_bisimilar,
@@ -269,32 +270,42 @@ def _bit_twins():
     return u, v
 
 
-def test_convolution_memo_keeps_the_bits_of_equal_laws(monkeypatch):
-    """Levels extended through one memo shared by both models, as faster_than_bounded
-    extends them, have the reprs of levels extended without one, and so does the
-    verdict; a cache keyed by == laws would hand one law's bits to its twin."""
+# repr(faster_than_bounded(u, v, 3)) and (v, u, 3) on _bit_twins(), as computed when each
+# level entry carried its path-order convolution
+_TWIN_VERDICTS = (
+    "FasterThanVerdict(outcome='NotRefuted', depth=3, grid=GridSpec(t_max=10.0, points=5, "
+    "geometric=False), search=SchedulerSearchSpec(step=0.25, ascent_iters=100, min_delta=0.001, "
+    "max_candidates=4096), witness=None, candidates=125, candidate_lattice=125, "
+    "candidates_truncated=False)",
+    "FasterThanVerdict(outcome='Refuted', depth=3, grid=GridSpec(t_max=10.0, points=5, "
+    "geometric=False), search=SchedulerSearchSpec(step=0.25, ascent_iters=100, min_delta=0.001, "
+    "max_candidates=4096), witness=FtWitness(slow_scheduler=Scheduler(s0:0.5*a+0.5*b, "
+    "s1:0.5*a+0.5*b, s2:0.5*a+0.5*b), word='aa', t=2.0, prob_fast=0.14191691040457655, "
+    "prob_slow=0.19186396051629256, fast_scheduler=Scheduler(r0:0.5*a+0.5*b, r1:0.5*a+0.5*b), "
+    "kind='joint-best'), candidates=25, candidate_lattice=25, candidates_truncated=False)",
+)
+
+
+def test_class_laws_keep_the_bits_of_equal_laws():
+    """Class laws are == to the path-order convolutions of their paths, and hold their
+    bits (reprs) wherever a class holds one of two == laws with other bits; a core
+    cache keyed by == laws would hand one law's bits to its twin.  The verdicts are
+    those of path-order convolution."""
     u, v = _bit_twins()
-    calls = []
-    monkeypatch.setattr(cylinders, "convolve", lambda *laws: calls.append(laws) or convolve(*laws))
-
-    def levels(memo):
-        out = {(): (initial_level(u, u.initial), initial_level(v, v.initial))}
-        for word in (w for n in (1, 2, 3) for w in itertools.product(u.labels, repeat=n)):
-            out[word] = tuple(extend_level(m, lv, word[-1], memo) for m, lv in zip((u, v), out[word[:-1]]))
-        return repr(out)
-
-    plain, plain_calls = levels(None), len(calls)
-    assert all(law in plain for law in ("Uniform(lo=-0.0, hi=1.0)", "Uniform(lo=0.0, hi=1.0)",
-                                        "Exponential(rate=1)", "Exponential(rate=1.0)"))
-    calls.clear()
-    memo = {}
-    assert levels(memo) == plain and len(calls) == len(memo) < plain_calls
-    monkeypatch.setattr(cylinders, "convolve", functools.lru_cache(maxsize=None)(convolve))
-    assert levels(None) != plain
-    monkeypatch.undo()
-    verdict = repr(faster_than_bounded(u, v, 3))
-    monkeypatch.setattr(relations, "extend_level", lambda m, level, a, memo: extend_level(m, level, a))
-    assert repr(faster_than_bounded(u, v, 3)) == verdict
+    seen = set()
+    for m in (u, v):
+        twins = [m.state_index(s) for s in ("s1", "s2") if s in m.states]
+        for word in (w for n in (1, 2, 3, 4) for w in itertools.product(m.labels, repeat=n)):
+            classes = word_classes(m, m.initial, word)
+            assert set(law for law, _ in classes) == set(oracle_word_terms(m, uniform_scheduler(m), m.initial, word))
+            for law, counts in oracle_path_laws(m, m.initial, word):
+                (got,) = [c for c, n in classes if n == counts and c == law]
+                if sum(any(counts[2 * si:2 * si + 2]) for si in twins) < 2:
+                    assert repr(got) == repr(law), (word, law)
+                    seen.add(repr(got))
+    assert all(any(twin in text for text in seen) for twin in (
+        "Uniform(lo=-0.0, hi=1.0)", "Uniform(lo=0.0, hi=1.0)", "Exponential(rate=1)", "Exponential(rate=1.0)"))
+    assert (repr(faster_than_bounded(u, v, 3)), repr(faster_than_bounded(v, u, 3))) == _TWIN_VERDICTS
 
 
 def test_ascent_is_skipped_for_matched_adversaries(monkeypatch):

@@ -122,6 +122,37 @@ def oracle_word_terms(m, sch, start, word):
     return terms
 
 
+def oracle_path_laws(m, start, word):
+    """(path-order law, visit counts) of every state path spelling `word` from
+    `start` with positive transition mass, the law convolved as
+    oracle_word_terms convolves it."""
+    n_l = len(m.labels)
+    out = []
+    for rest in itertools.product(m.states, repeat=len(word)):
+        path = (start,) + rest
+        mass, law, counts = 1.0, Dirac(0.0), [0] * (len(m.states) * n_l)
+        for state, a, nxt in zip(path, word, rest):
+            mass *= m.succ(state, a).get(nxt, 0.0)
+            law = convolve(law, m.residence_of(state))
+            counts[m.state_index(state) * n_l + m.label_index(a)] += 1
+        if mass > 0.0:
+            out.append((law, tuple(counts)))
+    return out
+
+
+def reference_bisect_sign_change(a, b, lo, hi, above):
+    """distributions._bisect_sign_change one midpoint at a time, with cdf_eval."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        diff = cdf_eval(a, mid) - cdf_eval(b, mid)
+        if diff == 0.0:
+            return mid
+        if (diff > 0.0) == above:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def lattice_points(n_labels, step=0.1):
     k = round(1.0 / step)
     pts = []

@@ -1,0 +1,96 @@
+"""Op CPU times of a workload's first instances, working tree against a base commit.
+
+    python3 tools/op_times.py --workload deep-paths --seeds 7 --n 30 --reps 5 --base HEAD
+
+Run it from the root of the repository.  BASE is exported with `git archive`
+into a temporary directory, as `tools/bench_pairs.py` does.  Each rep replays
+the first N instances of each seed's op stream once in each tree, one tree
+after the other, the base first in even reps and the working tree first in
+odd ones; each replay is a fresh process that imports its tree's own `src/`.
+An op is timed by `time.process_time`, the CPU time of the replaying
+process, so other processes on the host add little to it, and import and
+setup time are left out.  The report gives per op key, and for all ops, the
+smallest total over the reps on each side, and their ratio.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+from bench_pairs import exported, parse_seeds
+
+ROOT = Path.cwd()
+
+
+def emit(workload: str, seeds: list, n: int) -> None:
+    """Replays the first n instances of each seed in this tree; prints {op key: CPU s} as JSON."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+
+    stream = workloads.streams(ROOT / "src" / "smdpcheck" / "corpus")[workload]
+    totals: dict = {}
+    for seed in seeds:
+        for _, inst in zip(range(n), stream(seed)):
+            results = {}
+            for op in inst.ops:
+                if any(key not in results for key in op.needs):
+                    continue
+                start = time.process_time()
+                try:
+                    results[op.key] = op.run(results)
+                except Exception:  # timed all the same; replay_diff reports what raised
+                    pass
+                totals[op.key] = totals.get(op.key, 0.0) + time.process_time() - start
+    print(json.dumps(totals))
+
+
+def replay(tree: Path, workload: str, seeds: list, n: int) -> dict:
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--emit", "--workload", workload,
+                           "--seeds", ",".join(map(str, seeds)), "--n", str(n)],
+                          cwd=tree, capture_output=True, text=True, check=False)
+    if proc.returncode:
+        raise SystemExit(f"the replay in {tree} exited with {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds)
+    parser.add_argument("--n", required=True, type=int, help="instances per seed")
+    parser.add_argument("--reps", type=int, default=5)
+    parser.add_argument("--base", default="HEAD")
+    parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.emit:
+        emit(args.workload, args.seeds, args.n)
+        return 0
+    runs = {"base": [], "new": []}
+    with exported(args.base, "op-times-base-") as base:
+        for rep in range(args.reps):
+            order = (("base", base), ("new", ROOT)) if rep % 2 == 0 else (("new", ROOT), ("base", base))
+            for side, tree in order:
+                runs[side].append(replay(tree, args.workload, args.seeds, args.n))
+            print(f"rep {rep + 1}: all ops {sum(runs['base'][-1].values()):.3f} s base, "
+                  f"{sum(runs['new'][-1].values()):.3f} s new", file=sys.stderr)
+    keys = list(dict.fromkeys(k for side in runs.values() for run in side for k in run))
+    best = {side: {k: min(run.get(k, 0.0) for run in side_runs) for k in keys}
+            for side, side_runs in runs.items()}
+    for side, side_runs in runs.items():
+        best[side]["all ops"] = min(sum(run.values()) for run in side_runs)
+    print(f"{args.workload}, seeds {','.join(map(str, args.seeds))}, first {args.n} instances, "
+          f"least CPU s of {args.reps} reps, base {args.base}")
+    print(f"{'op':16s} {'base':>9s} {'new':>9s} {'new/base':>9s}")
+    for key in keys + ["all ops"]:
+        old, new = best["base"][key], best["new"][key]
+        print(f"{key:16s} {old:9.3f} {new:9.3f} {new / old if old else float('nan'):9.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
