@@ -42,9 +42,6 @@ from .smt import export_smt_dominance
 
 REPORT_SCHEMA = "smdpcheck-report/1"
 
-_OPS = {"min": CompositionOperator.MINIMUM, "max": CompositionOperator.MAXIMUM,
-        "prodrate": CompositionOperator.PRODUCT_RATE}
-
 # command -> (relation, the symbol a related pair prints with, help)
 _RELATIONS = {"simulates": (simulates, "<=", "does the second model simulate the first?"),
               "bisimilar": (bisimilar, "~", "are the two models bisimilar?")}
@@ -143,7 +140,7 @@ def _cmd_prob(args):
 
 
 def _cmd_compose(args):
-    product = compose(_load(args.left), _load(args.right), _OPS[args.op], project=args.project)
+    product = compose(_load(args.left), _load(args.right), args.op, project=args.project)
     text = serialize_model(product)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -153,7 +150,7 @@ def _cmd_compose(args):
 
 def _cmd_faster_than(args):
     verdict = faster_than_bounded(_load(args.fast), _load(args.slow), args.depth,
-                                  GridSpec(t_max=args.tmax, points=args.tpoints, geometric=False),
+                                  GridSpec(t_max=args.tmax, points=args.tpoints),
                                   SchedulerSearchSpec(step=args.step))
     w = verdict.witness
     result = {
@@ -194,18 +191,17 @@ def _cmd_relation(args):
 def _cmd_monotonicity(args):
     u, v, w = _load(args.fast), _load(args.slow), _load(args.ctx)
     w2 = _load(args.ctx2) if args.ctx2 else w
-    op = _OPS[args.op]
     if args.mode == "strong":
-        rep = check_strong_monotonicity(u, v, w, w2, op, collect_all=args.all)
+        rep = check_strong_monotonicity(u, v, w, w2, args.op, collect_all=args.all)
     else:
         n = args.n if args.n is not None else path_bound(u, v, w, w2)
-        rep = check_monotonicity_bounded(u, v, w, w2, op, n, collect_all=args.all)
+        rep = check_monotonicity_bounded(u, v, w, w2, args.op, n, collect_all=args.all)
     result = {
         "verdict": rep.verdict,
         "mode": rep.mode,
         "bound": rep.bound,
         "violations": [dataclasses.asdict(x) for x in rep.violations],
-        "smt_queries": _emit_smt_queries(u, v, w, w2, op, args.emit_smt) if args.emit_smt else [],
+        "smt_queries": _emit_smt_queries(u, v, w, w2, args.op, args.emit_smt) if args.emit_smt else [],
     }
     lines = [f"{rep.verdict} ({rep.mode.lower()} mode, paths up to {rep.bound})"]
     return result, lines + [f"  {x}" for x in rep.violations], 0 if rep.holds else 1
@@ -265,7 +261,7 @@ def build_parser():
     sp = sub.add_parser("compose", help="synchronous product of two models")
     sp.add_argument("--left", required=True)
     sp.add_argument("--right", required=True)
-    sp.add_argument("--op", choices=sorted(_OPS), required=True)
+    sp.add_argument("--op", choices=sorted(CompositionOperator.ALL), required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--project", action="store_true",
                     help="intersect label sets instead of requiring equality")
@@ -293,7 +289,7 @@ def build_parser():
     sp.add_argument("--slow", required=True)
     sp.add_argument("--ctx", required=True)
     sp.add_argument("--ctx2", help="replacement context (defaults to --ctx)")
-    sp.add_argument("--op", choices=sorted(_OPS), required=True)
+    sp.add_argument("--op", choices=sorted(CompositionOperator.ALL), required=True)
     sp.add_argument("--mode", choices=["strong", "bounded"], default="strong")
     sp.add_argument("--n", type=int, help="depth for bounded mode only (default: the path bound)")
     sp.add_argument("--all", action="store_true", help="collect all violations, not just the first")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -360,17 +360,22 @@ def _conv_tabs(d: Distribution, tabs: list, xs: np.ndarray, spectra: dict) -> li
     return out
 
 
-def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylinder,
-                            grid_points: Optional[int] = None) -> float:
+def _grid_points(m: Smdp, t: float) -> int:
+    """Steps of the inductive grid on [0, t]: 1024 to 200,000, more for sharper
+    rates, so that table interpolation stays below the cross-engine tolerance."""
+    rate = max([1.0] + [_scales(m.residence_of(x))[1] for x in m.states])
+    return max(1024, math.ceil(min(250.0 * rate * t, 200_000)))
+
+
+def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylinder) -> float:
     """Tabulates the step recursion for the word on a shared time grid.
 
     Each level convolves the current residence law with the tabulated
     continuation sub-CDF by product integration, which reads only the law's
     CDF: one kernel and one FFT per residence law and call, and one batched
     FFT product for the states of a level that share that law.  Atoms stay
-    symbolic.  The grid has 1024 to 200,000 points and grows with the
-    sharpest rate so that table interpolation stays below the cross-engine
-    tolerance.  At t = 0 and t = inf the step recursion needs no grid.
+    symbolic.  _grid_points sizes the grid.  At t = 0 and t = inf the step
+    recursion needs no grid.
     """
     word = c.word
     t = c.bound
@@ -380,10 +385,7 @@ def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylin
     if t <= 0.0 or t == math.inf:
         return _inductive_at_end(m, sch, s, word, 0, t)
 
-    if grid_points is None:
-        rate = max([1.0] + [_scales(m.residence_of(x))[1] for x in m.states])
-        grid_points = max(1024, math.ceil(min(250.0 * rate * t, 200_000)))
-    xs = np.linspace(0.0, t, grid_points + 1)
+    xs = np.linspace(0.0, t, _grid_points(m, t) + 1)
 
     # states needed per level
     needed = [{s}]

@@ -357,7 +357,7 @@ def _phase_kernel(jobs, density: bool = False) -> list:
         lam += [rates[-1]] * t.size
         ends.append(len(law))
     laws, law = list(index), np.array(law)
-    T = np.concatenate(ts, axis=None) if len(ts) > 1 else ts[0].ravel()
+    T = np.concatenate(ts, axis=None)
     out = np.zeros(T.size)
     with np.errstate(over="ignore"):  # as in Python, a product past the largest float is inf
         q = np.array(lam) * T
@@ -378,8 +378,7 @@ def _phase_kernel(jobs, density: bool = False) -> list:
                     out[i], live[i] = (max(0.0, float(row[-1]) * rates[-1]) if density
                                        else min(1.0, max(0.0, 1.0 - float(row.sum())))), False
     where = live.nonzero()[0]
-    if where.size > 1:
-        where = where[q[where].argsort(kind="stable")]
+    where = where[q[where].argsort(kind="stable")]
     which, weights, longest = [], [], []  # per series point its distinct lam*t; per distinct lam*t
     for x in q[where].tolist():
         if not which or x != last:
@@ -395,13 +394,9 @@ def _phase_kernel(jobs, density: bool = False) -> list:
     for lo in range(0, len(which), step):
         hi = min(lo + step, len(which))
         d0, d1 = which[lo], which[hi - 1] + 1
-        present = sorted(set(laws_of[lo:hi])) if len(rows) > 1 else list(rows)
-        W = _padded(weights[d0:d1], longest[d1 - 1])
-        R = _padded([rows[k] for k in present], longest[d1 - 1])
-        if len(W) < hi - lo:
-            W = W[np.subtract(which[lo:hi], d0)]
-        if len(R) > 1:
-            R = R[np.searchsorted(present, laws_of[lo:hi])]
+        present = sorted(set(laws_of[lo:hi]))
+        W = _padded(weights[d0:d1], longest[d1 - 1])[np.subtract(which[lo:hi], d0)]
+        R = _padded([rows[k] for k in present], longest[d1 - 1])[np.searchsorted(present, laws_of[lo:hi])]
         acc = np.add.accumulate(W * R, axis=1)[:, -1]
         out[where[lo:hi]] = np.maximum(0.0, acc) if density else np.minimum(1.0, np.maximum(0.0, 1.0 - acc))
     return [out[end - t.size:end].reshape(t.shape) for t, end in zip(ts, ends)]
@@ -409,8 +404,6 @@ def _phase_kernel(jobs, density: bool = False) -> list:
 
 def _padded(arrays, width: int) -> np.ndarray:
     """The arrays as the rows of a matrix, each cut or padded with zeros to width."""
-    if len(arrays) == 1 and len(arrays[0]) >= width:
-        return arrays[0][None, :width]
     matrix = np.zeros((len(arrays), width))
     for row, a in zip(matrix, arrays):
         row[:min(len(a), width)] = a[:width]
@@ -868,13 +861,25 @@ def _scales(d: Distribution):
 _dominance_scales = lru_cache(maxsize=1 << 10)(_scales)
 
 
+def _dominance_t_max(d1: Distribution, d2: Distribution) -> float:
+    """Where the dominance grid of a pair ends: the latest of 20 mean times of
+    the slowest rate (20.0 with none), twice the later support, and 1e-6."""
+    (low1, _, supp1), (low2, _, supp2) = _dominance_scales(d1), _dominance_scales(d2)
+    rates = [r for r in (low1, low2) if r is not None]
+    t_rate = 20.0 / min(rates) if rates else 20.0
+    t_supp = 2.0 * max(supp1, supp2)
+    t_max = max(t_rate, t_supp, 1e-6)
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
+    return t_max
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Time grid for numeric CDF comparisons: a geometric/linear point mix."""
+    """The faster-than time grid: `points` evenly spaced times in (0, t_max]."""
 
-    t_max: float
-    points: int = 512
-    geometric: bool = True
+    t_max: float = 10.0
+    points: int = 5
 
     def __post_init__(self):
         if not (self.t_max > 0.0 and math.isfinite(self.t_max)):
@@ -883,19 +888,7 @@ class GridSpec:
             raise ValueError("need at least 2 grid points")
 
     def times(self) -> np.ndarray:
-        if not self.geometric:
-            return np.linspace(0.0, self.t_max, self.points + 1)[1:]
-        lin = np.linspace(0.0, self.t_max, self.points // 2 + 1)
-        geo = self.t_max * np.logspace(-8, 0, self.points - self.points // 2)
-        return np.unique(np.concatenate(([0.0], lin, geo)))
-
-    @staticmethod
-    def for_dominance(d1: Distribution, d2: Distribution, points: int = 512) -> "GridSpec":
-        (low1, _, supp1), (low2, _, supp2) = _dominance_scales(d1), _dominance_scales(d2)
-        rates = [r for r in (low1, low2) if r is not None]
-        t_rate = 20.0 / min(rates) if rates else 20.0
-        t_supp = 2.0 * max(supp1, supp2)
-        return GridSpec(t_max=max(t_rate, t_supp, 1e-6), points=points)
+        return np.linspace(0.0, self.t_max, self.points + 1)[1:]
 
 
 def _phase_pairwise_dominates(fast_rates, slow_rates) -> bool:
@@ -937,8 +930,11 @@ _GRID_POINTS = 512  # points of the dominance grid, whose CDF tables are cached
 
 @lru_cache(maxsize=64)
 def _grid_times(t_max: float, points: int) -> np.ndarray:
-    """GridSpec(t_max, points).times(), read-only: every caller shares it."""
-    ts = GridSpec(t_max, points).times()
+    """The dominance grid, read-only as every caller shares it: 0, points // 2 even
+    steps and points - points // 2 geometric ones from 1e-8 t_max to t_max, merged."""
+    lin = np.linspace(0.0, t_max, points // 2 + 1)
+    geo = t_max * np.logspace(-8, 0, points - points // 2)
+    ts = np.unique(np.concatenate(([0.0], lin, geo)))
     ts.flags.writeable = False
     return ts
 
@@ -960,9 +956,9 @@ def _grid_diffs(d1, d2, points: int = _GRID_POINTS):
     """(ts, F1 - F2 on ts) on the dominance grid of the pair.  Each law's CDF
     on the 512-point grid comes from its cached table; a finer grid (the
     8192-point rescan, 64 KB a table) is tabulated afresh."""
-    t_max = GridSpec.for_dominance(d1, d2).t_max
+    t_max = _dominance_t_max(d1, d2)
     if points != _GRID_POINTS:
-        ts = GridSpec(t_max, points).times()
+        ts = _grid_times.__wrapped__(t_max, points)
         return ts, cdf_vec(d1, ts) - cdf_vec(d2, ts)
     return _grid_times(t_max, points), _grid_cdf(d1, t_max) - _grid_cdf(d2, t_max)
 

@@ -39,6 +39,9 @@ def format_word(word) -> str:
 _SLACK = 1e-9     # probability slack of the faster-than comparison
 _FLOW_SCALE = 10 ** 9  # masses are compared in quanta of 1e-9
 _EVAL_BUDGET = 1 << 20  # float64 entries of the power array of one evaluation block
+_ASCENT_ITERS = 100   # sweeps of the coordinate ascent
+_MIN_DELTA = 1e-3     # the ascent stops once its halved step is below this
+_MAX_CANDIDATES = 4096  # fast schedulers taken from the lattice, spread evenly over it
 
 
 @dataclass(frozen=True)
@@ -51,15 +54,10 @@ class SchedulerSearchSpec:
     """
 
     step: float = 0.25
-    ascent_iters: int = 100
-    min_delta: float = 1e-3
-    max_candidates: int = 4096
 
     def __post_init__(self):
         if not (0.0 < self.step <= 1.0):
             raise ValueError("step must be in (0, 1]")
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ class FasterThanVerdict:
     witness: Optional[FtWitness] = None
     candidates: int = 0          # fast schedulers evaluated from the lattice
     candidate_lattice: int = 0   # fast schedulers in the full lattice
-    candidates_truncated: bool = False  # search.max_candidates cut the lattice
+    candidates_truncated: bool = False  # _MAX_CANDIDATES cut the lattice
 
     @property
     def refuted(self) -> bool:
@@ -188,17 +186,15 @@ class _Stack:
 # coordinate ascent on scheduler matrices
 
 
-def _ascend(objective, x0: np.ndarray, best: float,
-            search: SchedulerSearchSpec) -> Tuple[np.ndarray, float]:
+def _ascend(objective, x0: np.ndarray, best: float, delta: float) -> Tuple[np.ndarray, float]:
     """Maximizes objective (a stack of points -> their values; `best` at x0) over the
-    product of per-state label simplexes.  A sweep takes the first improving move in
-    order, evaluating all moves still to try from the current point at once."""
+    product of per-state label simplexes in moves of `delta`, halved after a sweep with
+    no gain.  A sweep takes the first improving move in order, evaluating all left at once."""
     x = x0.copy()
-    delta = search.step
     n_s, n_l = x.shape
     moves = np.array([(s, i, j) for s in range(n_s) for i in range(n_l)
                       for j in range(n_l) if i != j], dtype=np.int64).reshape(-1, 3)
-    for _ in range(search.ascent_iters):
+    for _ in range(_ASCENT_ITERS):
         improved = False
         pos = np.arange(len(moves))
         while True:
@@ -217,7 +213,7 @@ def _ascend(objective, x0: np.ndarray, best: float,
             pos = np.arange(pos[hit[0]] + 1, len(moves))
         if not improved:
             delta *= 0.5
-            if delta < search.min_delta:
+            if delta < _MIN_DELTA:
                 break
     return x, best
 
@@ -245,7 +241,7 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
     require_same_labels(u, v)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    grid = grid or GridSpec(t_max=10.0, points=5, geometric=False)
+    grid = grid or GridSpec()
     search = search or SchedulerSearchSpec()
     ts = grid.times()
 
@@ -257,7 +253,7 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
             f"adversary lattice has {n_adversaries} schedulers "
             f"({len(v_options)} options over {len(v.states)} states); "
             "increase the search step or reduce the model")
-    candidates = np.array(list(_scheduler_products(u, u_options, limit=search.max_candidates)))
+    candidates = np.array(list(_scheduler_products(u, u_options, limit=_MAX_CANDIDATES)))
     lattice = len(u_options) ** len(u.states)
     counts = dict(candidates=len(candidates), candidate_lattice=lattice,
                   candidates_truncated=len(candidates) < lattice)
@@ -293,7 +289,7 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
             ci = int(cand_vals[:, wi, ti].argmax())
             one = _Stack([tables[0][wi]])
             x_best, val = _ascend(lambda xs: one.eval(xs)[:, 0, ti],
-                                  candidates[ci], cand_vals[ci, wi, ti], search)
+                                  candidates[ci], cand_vals[ci, wi, ti], search.step)
             if val < slow[wi, ti] - _SLACK:
                 found = ("per-cylinder-max", wi, ti, val, x_best)
         if found is None:
@@ -302,7 +298,7 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
             if margins[ci] >= -_SLACK:
                 continue  # a candidate matches; the ascent takes only improving moves
             x_best, margin = _ascend(lambda xs: (fast.eval(xs) - slow).min(axis=(1, 2)),
-                                     candidates[ci], margins[ci], search)
+                                     candidates[ci], margins[ci], search.step)
             if margin >= -_SLACK:
                 continue  # this adversary is matched; try the next one
             vals = fast.eval(x_best[None])[0]

@@ -296,7 +296,7 @@ def _palette_model(rng, n_states, n_laws):
     return Smdp(["a"], names, names[0], residence, trans)
 
 
-def test_inductive_matches_product_integration_reference():
+def test_inductive_matches_product_integration_reference(monkeypatch):
     """The engine against the same product-integration rule with one direct
     np.convolve per state and level, to 1e-12, and against the paths engine
     to 1e-5 on the default grid for words of up to 3 letters.
@@ -308,12 +308,14 @@ def test_inductive_matches_product_integration_reference():
     """
     rng = random.Random(8100)
     cases = 0
+    sized = cylinders._grid_points
+    monkeypatch.setattr(cylinders, "_grid_points", lambda m, t: grid_points or sized(m, t))
     for seed in range(16):
         m = _palette_model(rng, rng.randint(3, 7), rng.randint(3, 6))
         sch = uniform_scheduler(m)
         for length, grid_points in ((2 + seed % 4, None), (3, (24, 48, 512)[seed % 3])):
             c = TimeBoundedCylinder(("a",) * length, round(rng.uniform(1.0, 4.0), 2))
-            got = prob_cylinder_inductive(m, sch, m.initial, c, grid_points=grid_points)
+            got = prob_cylinder_inductive(m, sch, m.initial, c)
             want = reference_prob_cylinder_inductive(m, sch, m.initial, c, grid_points=grid_points)
             assert abs(got - want) <= 1e-12, (seed, m.residence, c, grid_points, got, want)
             if grid_points is None and length <= 3:  # longer words are slow numeric convolutions
@@ -328,7 +330,8 @@ def test_inductive_matches_product_integration_reference():
               ("s2", "a"): {"s1": 0.7, "s3": 0.3}, ("s3", "a"): {"s0": 1.0}})
     c = TimeBoundedCylinder(("a",) * 4, 3.0)
     sch = uniform_scheduler(m)
-    got = prob_cylinder_inductive(m, sch, "s0", c, grid_points=16384)
+    grid_points = 16384  # what the patched _grid_points returns
+    got = prob_cylinder_inductive(m, sch, "s0", c)
     assert abs(got - reference_prob_cylinder_inductive(m, sch, "s0", c, grid_points=16384)) <= 1e-12
     assert abs(got - prob_cylinder_paths(m, sch, "s0", c)) <= 1e-5
 
@@ -359,7 +362,8 @@ def test_inductive_builds_one_kernel_per_law(monkeypatch):
     c = TimeBoundedCylinder(("a",) * 10, 10 * (1 / r + 1 / (3 * r) + 1 / r) / 3)
     for grid_points in (2048, 4096):
         calls.clear()
-        p = prob_cylinder_inductive(m, uniform_scheduler(m), "s0", c, grid_points=grid_points)
+        monkeypatch.setattr(cylinders, "_grid_points", lambda m, t: grid_points)
+        p = prob_cylinder_inductive(m, uniform_scheduler(m), "s0", c)
         assert 0.0 < p < 1.0
         # the exp(3r) states are reached only at the last level, which takes no kernel
         assert calls == [(Exponential(r), grid_points + 1)], calls

@@ -1,5 +1,6 @@
 """Distribution layer: CDF evaluation, convolution, composition, dominance."""
 
+import dataclasses
 import math
 import random
 
@@ -22,6 +23,7 @@ from smdpcheck.distributions import (
     _cdf_equal,
     _crossings,
     _dominance_holds,
+    _dominance_t_max,
     _grid_cdf,
     _grid_diffs,
     _grid_times,
@@ -44,7 +46,12 @@ from smdpcheck.distributions import (
     render,
 )
 from smdpcheck.errors import UnsupportedComposition
-from tests_support import reference_bisect_sign_change, reference_conv_cdf, reference_dominates
+from tests_support import (
+    reference_bisect_sign_change,
+    reference_conv_cdf,
+    reference_dominates,
+    reference_grid_times,
+)
 
 
 # --- independent oracles -----------------------------------------------------
@@ -755,7 +762,7 @@ def test_grid_failure_witness_makes_no_scalar_cdf_calls(monkeypatch):
     fast, slow = Dirac(0.2), Exponential(1.0)
     verdict = dominates(fast, slow)
     assert verdict.outcome == "FailsAtWitness" and calls == []
-    ts = GridSpec.for_dominance(fast, slow).times()
+    ts = reference_grid_times(_dominance_t_max(fast, slow), 512)
     diffs = cdf_vec(fast, ts) - cdf_vec(slow, ts)
     assert verdict.witness_t == float(ts[diffs.argmin()]) and diffs.min() < 0.0
 
@@ -833,7 +840,7 @@ def test_grid_diffs_are_fresh_cdf_vec_differences():
     """The cached tables give the bits of a fresh tabulation, cold or warm."""
     def check(d1, d2):
         ts, diffs = _grid_diffs(d1, d2)
-        fresh = GridSpec.for_dominance(d1, d2).times()
+        fresh = reference_grid_times(_dominance_t_max(d1, d2), 512)
         assert ts.tobytes() == fresh.tobytes(), (d1, d2)
         assert diffs.tobytes() == (cdf_vec(d1, fresh) - cdf_vec(d2, fresh)).tobytes(), (d1, d2)
 
@@ -853,7 +860,7 @@ def test_grid_diffs_are_fresh_cdf_vec_differences():
 def test_grid_tables_reject_writes():
     d1, d2 = MinMaxCdf("min", (Uniform(0.0, 1.0), Exponential(1.0))), Exponential(2.0)
     ts, _ = _grid_diffs(d1, d2)
-    table = _grid_cdf(d1, GridSpec.for_dominance(d1, d2).t_max)
+    table = _grid_cdf(d1, _dominance_t_max(d1, d2))
     for cached in (ts, table, _grid_times(4.0, 512)):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 0.5
@@ -914,10 +921,10 @@ def test_dominance_grids_of_bit_twins_are_equal():
     for x, y in ((Exponential(1), Exponential(1.0)), (Dirac(0.0), Dirac(-0.0))):
         for first, second in ((x, y), (y, x)):
             distributions._dominance_scales.cache_clear()
-            fresh = repr(GridSpec.for_dominance(second, other))
-            GridSpec.for_dominance(first, other)
-            assert repr(GridSpec.for_dominance(second, other)) == fresh
-            assert repr(GridSpec.for_dominance(first, second)) == repr(GridSpec.for_dominance(second, first))
+            fresh = repr(_dominance_t_max(second, other))
+            _dominance_t_max(first, other)
+            assert repr(_dominance_t_max(second, other)) == fresh
+            assert repr(_dominance_t_max(first, second)) == repr(_dominance_t_max(second, first))
 
 
 def test_scales_of_each_family():
@@ -933,8 +940,8 @@ def test_scales_of_each_family():
     assert _scales(MinMaxCdf("max", (u, Dirac(3.0)))) == (None, 2.0, 3.0)
     assert _scales(NumericConvolution((u, e))) == (2.0, 1.0, 2.0)
     assert _scales(NumericConvolution((u, Uniform(0.0, 1.0)))) == (None, 1.0, 2.5)
-    assert GridSpec.for_dominance(u, e).t_max == 10.0
-    assert GridSpec.for_dominance(u, Dirac(0.2)).t_max == 20.0
+    assert _dominance_t_max(u, e) == 10.0
+    assert _dominance_t_max(u, Dirac(0.2)) == 20.0
 
 
 def test_grid_spec_validation():
@@ -942,8 +949,38 @@ def test_grid_spec_validation():
         GridSpec(t_max=0.0)
     with pytest.raises(ValueError):
         GridSpec(t_max=1.0, points=1)
-    ts = GridSpec(t_max=10.0, points=5, geometric=False).times()
+    ts = GridSpec(t_max=10.0, points=5).times()
     assert list(ts) == [2.0, 4.0, 6.0, 8.0, 10.0]
+
+
+def test_grid_spec_is_the_even_faster_than_grid():
+    """GridSpec holds t_max and points only, and defaults to the CLI's grid:
+    5 even steps up to 10."""
+    assert tuple(f.name for f in dataclasses.fields(GridSpec)) == ("t_max", "points")
+    assert GridSpec().times().tobytes() == np.linspace(0, 10, 6)[1:].tobytes()
+
+
+def test_dominance_grids_are_the_geometric_grid_spec_times():
+    """_grid_times, and the 8192-point rescan grid of _grid_diffs, hold the bits of
+    the linear/geometric mix GridSpec built for dominance, on seeded t_max."""
+    rng = random.Random(2501)
+    for _ in range(40):
+        t_max = 10.0 ** rng.uniform(-6.0, 6.0)
+        assert _grid_times(t_max, 512).tobytes() == reference_grid_times(t_max, 512).tobytes(), t_max
+    for d1, d2 in [_random_law_pair(rng) for _ in range(12)] + [(Exponential(1), Dirac(0.0))]:
+        ts = _grid_diffs(d1, d2, 8192)[0]
+        assert ts.tobytes() == reference_grid_times(_dominance_t_max(d1, d2), 8192).tobytes(), (d1, d2)
+
+
+def test_dominance_t_max_is_symmetric():
+    """A pair's dominance grid does not depend on its order (_cdf_equal's one
+    scan relies on it), on seeded pairs and on == laws with other bits."""
+    rng = random.Random(2502)
+    pairs = [_random_law_pair(rng, _random_phase_part) for _ in range(200)]
+    pairs += [(Exponential(1), Exponential(1.0)), (Dirac(0.0), Dirac(-0.0)),
+              (Uniform(0, 2), Uniform(-0.0, 2.0)), (Exponential(1), Uniform(0.0, 1.0))]
+    for d1, d2 in pairs:
+        assert repr(_dominance_t_max(d1, d2)) == repr(_dominance_t_max(d2, d1)), (d1, d2)
 
 
 # --- atoms and intervals ----------------------------------------------------

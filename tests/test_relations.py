@@ -1,5 +1,6 @@
 """Faster-than checking, simulation, bisimulation."""
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -150,12 +151,19 @@ def test_depth_validation(U):
         faster_than_bounded(U, U, depth=0)
 
 
-def test_search_spec_validation(U3, V3):
-    for bad in ({"step": 0.0}, {"step": 1.5}, {"max_candidates": 0}, {"max_candidates": -1}):
+def test_search_spec_validation(U3, V3, monkeypatch):
+    for bad in ({"step": 0.0}, {"step": 1.5}):
         with pytest.raises(ValueError):
             SchedulerSearchSpec(**bad)
-    one = SchedulerSearchSpec(step=0.5, max_candidates=1)
+    monkeypatch.setattr(relations, "_MAX_CANDIDATES", 1)
+    one = SchedulerSearchSpec(step=0.5)
     assert faster_than_bounded(U3, V3, depth=2, search=one).candidates == 1
+
+
+def test_search_spec_holds_the_step_only():
+    """The lattice step is the one search bound a caller sets; the ascent's sweeps
+    and step floor and the candidate cap are constants of the module."""
+    assert tuple(f.name for f in dataclasses.fields(SchedulerSearchSpec)) == ("step",)
 
 
 def test_adversary_lattice_guard():
@@ -235,8 +243,9 @@ def test_stacked_tables_match_one_point_evaluation():
         assert np.array_equal(_Stack(tables).eval(xs), want), case
 
 
-def test_batched_ascent_takes_the_sequential_path():
+def test_batched_ascent_takes_the_sequential_path(monkeypatch):
     """Same moves, same order, same ties as one objective call per move."""
+    monkeypatch.setattr(relations, "_MIN_DELTA", 1e-2)
     rng = np.random.default_rng(11)
     for case in range(400):
         n_s, n_l = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -251,9 +260,9 @@ def test_batched_ascent_takes_the_sequential_path():
 
         x0 = rng.dirichlet(np.ones(n_l), size=n_s).round(2)
         x0[:, -1] = 1.0 - x0[:, :-1].sum(axis=1)
-        search = SchedulerSearchSpec(step=float(rng.choice([0.5, 0.25, 0.1])), min_delta=1e-2)
+        search = SchedulerSearchSpec(step=float(rng.choice([0.5, 0.25, 0.1])))
         x_ref, best_ref = reference_ascend(lambda x: batched(x[None])[0], x0, search)
-        x, best = _ascend(batched, x0, batched(x0[None])[0], search)
+        x, best = _ascend(batched, x0, batched(x0[None])[0], search.step)
         assert best == best_ref and np.array_equal(x, x_ref), case
 
 
@@ -273,13 +282,11 @@ def _bit_twins():
 # repr(faster_than_bounded(u, v, 3)) and (v, u, 3) on _bit_twins(), as computed when each
 # level entry carried its path-order convolution
 _TWIN_VERDICTS = (
-    "FasterThanVerdict(outcome='NotRefuted', depth=3, grid=GridSpec(t_max=10.0, points=5, "
-    "geometric=False), search=SchedulerSearchSpec(step=0.25, ascent_iters=100, min_delta=0.001, "
-    "max_candidates=4096), witness=None, candidates=125, candidate_lattice=125, "
+    "FasterThanVerdict(outcome='NotRefuted', depth=3, grid=GridSpec(t_max=10.0, points=5), "
+    "search=SchedulerSearchSpec(step=0.25), witness=None, candidates=125, candidate_lattice=125, "
     "candidates_truncated=False)",
-    "FasterThanVerdict(outcome='Refuted', depth=3, grid=GridSpec(t_max=10.0, points=5, "
-    "geometric=False), search=SchedulerSearchSpec(step=0.25, ascent_iters=100, min_delta=0.001, "
-    "max_candidates=4096), witness=FtWitness(slow_scheduler=Scheduler(s0:0.5*a+0.5*b, "
+    "FasterThanVerdict(outcome='Refuted', depth=3, grid=GridSpec(t_max=10.0, points=5), "
+    "search=SchedulerSearchSpec(step=0.25), witness=FtWitness(slow_scheduler=Scheduler(s0:0.5*a+0.5*b, "
     "s1:0.5*a+0.5*b, s2:0.5*a+0.5*b), word='aa', t=2.0, prob_fast=0.14191691040457655, "
     "prob_slow=0.19186396051629256, fast_scheduler=Scheduler(r0:0.5*a+0.5*b, r1:0.5*a+0.5*b), "
     "kind='joint-best'), candidates=25, candidate_lattice=25, candidates_truncated=False)",
@@ -367,14 +374,14 @@ def test_candidates_are_evaluated_once_per_call(monkeypatch):
 
     def eval_stack(self, X):
         out = evaluate(self, X)
-        if len(X) == search.max_candidates:
+        if len(X) == relations._MAX_CANDIDATES:
             shapes.append(out.shape)
         return out
 
     monkeypatch.setattr(_Stack, "eval", eval_stack)
     verdict = faster_than_bounded(u, v, 2, search=search)
-    assert verdict.outcome == "NotRefuted" and verdict.candidates == search.max_candidates
-    assert shapes == [(search.max_candidates, 6, 5)]
+    assert verdict.outcome == "NotRefuted" and verdict.candidates == relations._MAX_CANDIDATES
+    assert shapes == [(relations._MAX_CANDIDATES, 6, 5)]
     word_sets = {tuple(_positive_words(v, sigma, 2))
                  for sigma in _scheduler_products(v, _simplex_options(2, search.step))}
     assert len(word_sets) == 3

@@ -21,6 +21,7 @@ from smdpcheck.distributions import (
     Shifted,
     Uniform,
     _analytic_dominance_rule,
+    _dominance_t_max,
     _scales,
     cdf_eval,
     cdf_vec,
@@ -45,6 +46,7 @@ from smdpcheck.monotonicity import (
     _best_assignment,
     path_bound,
 )
+from smdpcheck import relations
 from smdpcheck.relations import (
     _SLACK,
     FasterThanVerdict,
@@ -248,10 +250,18 @@ def oracle_bounded_monotonicity(u, v, w, w2, op, n, tol=1e-9):
     return True
 
 
+def reference_grid_times(t_max: float, points: int) -> np.ndarray:
+    """The dominance grid as the geometric GridSpec(t_max, points).times()
+    built it when GridSpec also served dominance."""
+    lin = np.linspace(0.0, t_max, points // 2 + 1)
+    geo = t_max * np.logspace(-8, 0, points - points // 2)
+    return np.unique(np.concatenate(([0.0], lin, geo)))
+
+
 def _scalar_grid_scan(d1, d2, points):
     """The deepest violation on the dominance grid (its first occurrence),
     scanned point by point with scalar cdf_eval; None when there is none."""
-    ts = [float(t) for t in GridSpec.for_dominance(d1, d2, points).times()]
+    ts = [float(t) for t in reference_grid_times(_dominance_t_max(d1, d2), points)]
     diffs = [cdf_eval(d1, t) - cdf_eval(d2, t) for t in ts]
     worst = min(range(len(ts)), key=lambda i: diffs[i])
     return ts[worst] if diffs[worst] < 0.0 else None
@@ -508,7 +518,7 @@ def reference_ascend(objective, x0: np.ndarray, search: SchedulerSearchSpec):
     best = objective(x)
     delta = search.step
     n_s, n_l = x.shape
-    for _ in range(search.ascent_iters):
+    for _ in range(relations._ASCENT_ITERS):
         improved = False
         for s in range(n_s):
             for i in range(n_l):
@@ -524,7 +534,7 @@ def reference_ascend(objective, x0: np.ndarray, search: SchedulerSearchSpec):
                         improved = True
         if not improved:
             delta *= 0.5
-            if delta < search.min_delta:
+            if delta < relations._MIN_DELTA:
                 break
     return x, best
 
@@ -563,7 +573,7 @@ def reference_faster_than(u: Smdp, v: Smdp, depth: int,
     require_same_labels(u, v)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    grid = grid or GridSpec(t_max=10.0, points=5, geometric=False)
+    grid = grid or GridSpec(t_max=10.0, points=5)
     search = search or SchedulerSearchSpec()
     ts = grid.times()
     cache = _CdfCache(ts)
@@ -576,7 +586,7 @@ def reference_faster_than(u: Smdp, v: Smdp, depth: int,
             f"adversary lattice has {n_adversaries} schedulers "
             f"({len(v_options)} options over {len(v.states)} states); "
             "increase the search step or reduce the model")
-    candidates = list(_scheduler_products(u, u_options, limit=search.max_candidates))
+    candidates = list(_scheduler_products(u, u_options, limit=relations._MAX_CANDIDATES))
     word_tables: Dict[tuple, Tuple[_FastWord, _FastWord]] = {}  # word -> (fast u, slow v)
 
     for sigma in _scheduler_products(v, v_options):
