@@ -25,7 +25,7 @@ import time
 from . import __version__
 from .composition import compose
 from .cylinders import TimeBoundedCylinder, prob_cylinder_inductive, prob_cylinder_paths
-from .distributions import CompositionOperator, GridSpec, compose_residence
+from .distributions import _GRID_POINTS, CompositionOperator, GridSpec, compose_residence
 from .errors import NotExpressible, SmdpcheckError
 from .model import (
     parse_model,
@@ -152,10 +152,15 @@ def _cmd_faster_than(args):
     verdict = faster_than_bounded(_load(args.fast), _load(args.slow), args.depth,
                                   GridSpec(t_max=args.tmax, points=args.tpoints),
                                   SchedulerSearchSpec(step=args.step))
-    w = verdict.witness
+    w, proof = verdict.witness, verdict.proof
+    claim = "proved for all depths and times by a state map"
+    if proof and any(outcome == "HoldsOnGrid" for _, _, outcome in proof):
+        claim += f", up to the {_GRID_POINTS}-point dominance grid on its HoldsOnGrid pairs"
     result = {
         "outcome": verdict.outcome,
-        "meaning": ("Refuted: the witness re-verifies, and no fast scheduler in the explored "
+        "meaning": (f"NotRefuted: {claim}, under which the fast model lumps onto the slow "
+                    "one and each residence dominates its image's" if proof else
+                    "Refuted: the witness re-verifies, and no fast scheduler in the explored "
                     "lattice plus coordinate ascent matched this adversary; "
                     "NotRefuted is bounded evidence only"),
         "depth": args.depth,
@@ -166,15 +171,21 @@ def _cmd_faster_than(args):
         "candidates_truncated": verdict.candidates_truncated,
         "witness": None if w is None else {**vars(w), "slow_scheduler": w.slow_scheduler.choice,
                                            "fast_scheduler": w.fast_scheduler.choice},
+        "proof": None if proof is None else [{"fast": s, "slow": t, "dominance": outcome}
+                                             for s, t, outcome in proof],
     }
     lines = [f"{verdict.outcome} (depth {args.depth}, tmax {args.tmax}, step {args.step})"]
     if verdict.candidates_truncated:
         lines.append(f"  fast lattice truncated: {verdict.candidates} of "
-                     f"{verdict.candidate_lattice} schedulers searched")
+                     f"{verdict.candidate_lattice} schedulers searched"
+                     + (" (a search the proof skips)" if proof else ""))
     if w:
         lines.append(f"  witness: word {w.word} at t={w.t:g}: "
                      f"fast {w.prob_fast:.6f} < slow {w.prob_slow:.6f}")
         lines.append(f"  adversary: {w.slow_scheduler!r}")
+    elif proof:
+        lines.append(f"  ({claim})")
+        lines += [f"  {s} -> {t} ({outcome})" for s, t, outcome in proof]
     else:
         lines.append("  (no counterexample within bounds; this does not prove the relation)")
     return result, lines, 1 if verdict.refuted else 0

@@ -915,6 +915,9 @@ def _analytic_dominance_rule(d1: Distribution, d2: Distribution) -> Optional[boo
         return d1.lo <= d2.lo and d1.hi <= d2.hi
     if isinstance(d1, Dirac) and d1.point == 0.0:
         return True
+    if isinstance(d1, (Exponential, Dirac)) and isinstance(d2, (Exponential, Dirac)):  # one of each
+        # an exponential CDF is above 0 before the point and below 1 from it on
+        return False
     r1 = d1.rates if isinstance(d1, PhaseType) else (d1.rate,) if isinstance(d1, Exponential) else None
     r2 = d2.rates if isinstance(d2, PhaseType) else (d2.rate,) if isinstance(d2, Exponential) else None
     if r1 is not None and r2 is not None:

@@ -1,9 +1,12 @@
 """Faster-than (bounded), equally-fast, simulation, and bisimulation checking.
 
-The faster-than preorder is undecidable in general, so `faster_than_bounded`
-is a bounded semi-decision procedure: a Refuted verdict carries a
-re-checkable numeric witness, while NotRefuted only reports that no
-counterexample was found within the explored bounds.
+The faster-than preorder is undecidable in general.  `faster_than_bounded`
+first looks for a state map under which u lumps onto v and each residence
+dominates its image's; such a map proves u faster than v for every depth
+and every time, and the verdict is NotRefuted with that proof.  Failing
+that, it is a bounded semi-decision procedure: a Refuted verdict carries a
+re-checkable numeric witness, while a NotRefuted verdict without a proof
+only reports that no counterexample was found within the explored bounds.
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ import numpy as np
 
 from .composition import require_same_labels
 from .cylinders import extend_level, initial_level, merge_level
-from .distributions import GridSpec, _cdf_equal, _dominance_holds, cdf_table
+from .distributions import (
+    Exponential,
+    GridSpec,
+    _analytic_dominance_rule,
+    _cdf_equal,
+    _dominance_holds,
+    cdf_table,
+)
 from .errors import SmdpcheckError
 from .model import Scheduler, Smdp
 
@@ -41,7 +51,8 @@ _FLOW_SCALE = 10 ** 9  # masses are compared in quanta of 1e-9
 _EVAL_BUDGET = 1 << 20  # float64 entries of the power array of one evaluation block
 _ASCENT_ITERS = 100   # sweeps of the coordinate ascent
 _MIN_DELTA = 1e-3     # the ascent stops once its halved step is below this
-_MAX_CANDIDATES = 4096  # fast schedulers taken from the lattice, spread evenly over it
+_MAX_CANDIDATES = 4096  # fast schedulers taken from the lattice, spread evenly over it;
+                        # also the images the state-map search tries before it gives up
 
 
 @dataclass(frozen=True)
@@ -85,9 +96,12 @@ class FasterThanVerdict:
     grid: GridSpec
     search: SchedulerSearchSpec
     witness: Optional[FtWitness] = None
-    candidates: int = 0          # fast schedulers evaluated from the lattice
+    candidates: int = 0          # fast schedulers the lattice search takes (none run under a proof)
     candidate_lattice: int = 0   # fast schedulers in the full lattice
     candidates_truncated: bool = False  # _MAX_CANDIDATES cut the lattice
+    # ((state of u, its image in v, "HoldsAnalytic" | "HoldsOnGrid"), ...) of a state
+    # map that proves the relation, breadth first from the initial states; else None
+    proof: Optional[Tuple[Tuple[str, str, str], ...]] = None
 
     @property
     def refuted(self) -> bool:
@@ -222,10 +236,101 @@ def _ascend(objective, x0: np.ndarray, best: float, delta: float) -> Tuple[np.nd
 # faster-than
 
 
+def _state_map(u: Smdp, v: Smdp) -> Optional[Tuple[Tuple[str, str, str], ...]]:
+    """A map h of u's states reachable from u0 onto v's states that proves u
+    faster than v, as ((s, h(s), dominance outcome), ...) in breadth-first
+    order from h(u0) = v0; None when the search finds none within
+    _MAX_CANDIDATES candidate images.
+
+    h must make u lump onto v: for every reachable s and label a, the mass of
+    u's row (s, a) on each h-preimage of a v-state s' is at least
+    P_v(h(s), a, s'), compared exactly, so that no mass is lost on any step.
+    And each residence of s must dominate that of h(s).  Then sigma_v o h
+    matches every adversary sigma_v of v at every word and time: u projected
+    through h moves at least as much mass as v, and each sojourn is
+    stochastically shorter.  An exact lumping implies structural bisimilarity,
+    so the candidate images of s are the v-states that `bisimilar` (which
+    compares masses in 1e-9 quanta) relates to it once every residence is set
+    to exp(1).
+    """
+    unit = Exponential(1.0)
+    shapes = [Smdp(m.labels, m.states, m.initial, {s: unit for s in m.states}, m.transitions)
+              for m in (u, v)]
+    images: Dict[str, List[str]] = {}
+    for su, sv in bisimilar(*shapes).pairs:
+        images.setdefault(su, []).append(sv)
+    order, seen = [u.initial], {u.initial}  # breadth first from u0, which may only map to v0
+    for s in order:  # grows while it is walked
+        fresh = [s2 for s2 in u.adjacent(s) if s2 not in seen]
+        seen.update(fresh)
+        order += fresh
+    position = {s: i for i, s in enumerate(order)}
+    choices = [[v.initial] if v.initial in images.get(u.initial, ()) else []]
+    choices += [sorted(images.get(s, ()), key=v.state_index) for s in order[1:]]
+    ready: List[List[str]] = [[] for _ in order]  # states whose rows are mapped once order[i] is
+    for s in order:
+        ready[max([position[s]] + [position[s2] for s2 in u.adjacent(s)])].append(s)
+    outcomes: Dict[tuple, object] = {}  # (law of u, law of v) -> dominance outcome, or False
+
+    def dominance(s, t):
+        laws = (u.residence_of(s), v.residence_of(t))
+        if laws not in outcomes:
+            outcomes[laws] = _dominance_holds(*laws) and (
+                "HoldsOnGrid" if _analytic_dominance_rule(*laws) is None else "HoldsAnalytic")
+        return outcomes[laws]
+
+    def lumps(s):
+        for a in u.labels:
+            mass: Dict[str, float] = {}
+            for s2, p in u.succ(s, a).items():
+                if p > 0.0:
+                    mass[h[s2]] = mass.get(h[s2], 0.0) + p
+            if any(mass.get(t, 0.0) < p for t, p in v.succ(h[s], a).items()):
+                return False
+        return True
+
+    h: Dict[str, str] = {}
+    tried = [0] * len(order)  # candidate images of order[i] tried since order[i - 1] was mapped
+    i = tries = 0
+    while i < len(order):
+        if tried[i] == len(choices[i]):  # no image left: remap the state before
+            if i == 0:
+                return None
+            tried[i], i = 0, i - 1
+            continue
+        tries += 1
+        if tries > _MAX_CANDIDATES:
+            return None
+        s, t = order[i], choices[i][tried[i]]
+        tried[i] += 1
+        h[s] = t
+        if dominance(s, t) and all(lumps(r) for r in ready[i]):
+            i += 1
+    return tuple((s, h[s], dominance(s, h[s])) for s in order)
+
+
 def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
                         grid: Optional[GridSpec] = None,
                         search: Optional[SchedulerSearchSpec] = None) -> FasterThanVerdict:
-    """Bounded check that u is faster than v.
+    """Check that u is faster than v: proved by a state map, or bounded.
+
+    A state map (`_state_map`) proves the relation for every depth and time:
+    the verdict is NotRefuted with the map as its `proof`, and no adversary is
+    visited.  Without one, the adversary loop (`_refute`) decides the bounded
+    check.
+    """
+    require_same_labels(u, v)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    return _refute(u, v, depth, grid or GridSpec(), search or SchedulerSearchSpec(), _state_map(u, v))
+
+
+def _refute(u: Smdp, v: Smdp, depth: int, grid: GridSpec, search: SchedulerSearchSpec,
+            proof: Optional[Tuple[Tuple[str, str, str], ...]] = None) -> FasterThanVerdict:
+    """The bounded check that u is faster than v, by a search for a counterexample;
+    given a state-map `proof`, NotRefuted with that proof and no search.  Either
+    way the lattice counts are those of the search, and an adversary lattice too
+    large to visit raises.
 
     For every adversary scheduler of v from the search lattice, the checker
     looks for one scheduler of u that matches every word up to `depth` at
@@ -238,13 +343,6 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
     yields a Refuted verdict with a numeric witness; surviving all
     adversaries yields NotRefuted, which is evidence only up to these bounds.
     """
-    require_same_labels(u, v)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    grid = grid or GridSpec()
-    search = search or SchedulerSearchSpec()
-    ts = grid.times()
-
     u_options = _simplex_options(len(u.labels), search.step)
     v_options = _simplex_options(len(v.labels), search.step)
     n_adversaries = len(v_options) ** len(v.states)
@@ -253,10 +351,13 @@ def faster_than_bounded(u: Smdp, v: Smdp, depth: int,
             f"adversary lattice has {n_adversaries} schedulers "
             f"({len(v_options)} options over {len(v.states)} states); "
             "increase the search step or reduce the model")
-    candidates = np.array(list(_scheduler_products(u, u_options, limit=_MAX_CANDIDATES)))
     lattice = len(u_options) ** len(u.states)
-    counts = dict(candidates=len(candidates), candidate_lattice=lattice,
-                  candidates_truncated=len(candidates) < lattice)
+    counts = dict(candidates=min(lattice, _MAX_CANDIDATES), candidate_lattice=lattice,
+                  candidates_truncated=lattice > _MAX_CANDIDATES)
+    if proof is not None:
+        return FasterThanVerdict("NotRefuted", depth, grid, search, **counts, proof=proof)
+    ts = grid.times()
+    candidates = np.array(list(_scheduler_products(u, u_options, limit=_MAX_CANDIDATES)))
     # word -> levels of u and of v, for the words whose level of v is nonempty; breadth
     # first, so each prefix comes before its extensions, and those go in label order
     levels = {(): (initial_level(u, u.initial), initial_level(v, v.initial))}

@@ -174,6 +174,45 @@ def test_faster_than_reports_candidate_truncation(models, tmp_path, capsys):
     assert "fast lattice truncated: 4096 of 15625 schedulers searched" in out
 
 
+def test_faster_than_reports_a_state_map_proof(models, capsys):
+    """fig3's V lumps onto U's one state with faster residences: the report carries
+    the map and each pair's dominance outcome, and claims the relation outright.
+    fig2's pair has no map, and its NotRefuted claims bounded evidence only."""
+    argv = ["faster-than", models / "fig3_V.smdp", models / "fig3_U.smdp", "--depth", "3", "--step", "0.5"]
+    code, report = run_json(capsys, *argv)
+    res = report["result"]
+    assert code == 0 and res["outcome"] == "NotRefuted" and res["witness"] is None
+    assert res["proof"] == [{"fast": s, "slow": "u0", "dominance": "HoldsAnalytic"} for s in ("v0", "v1", "v2")]
+    assert "proved for all depths and times by a state map" in res["meaning"]
+    code, out = run(capsys, *argv)
+    assert out.splitlines() == ["NotRefuted (depth 3, tmax 10.0, step 0.5)",
+                                "  (proved for all depths and times by a state map)",
+                                "  v0 -> u0 (HoldsAnalytic)", "  v1 -> u0 (HoldsAnalytic)",
+                                "  v2 -> u0 (HoldsAnalytic)"]
+    code, report = run_json(capsys, "faster-than", models / "fig2_U.smdp", models / "fig2_V.smdp")
+    assert code == 0 and report["result"]["proof"] is None
+    assert "NotRefuted is bounded evidence only" in report["result"]["meaning"]
+    code, out = run(capsys, "faster-than", models / "fig2_U.smdp", models / "fig2_V.smdp")
+    assert "this does not prove the relation" in out
+
+
+def test_faster_than_qualifies_a_proof_held_on_the_grid(tmp_path, capsys):
+    """uniform(0,1) dominates exp(0.5), but no family rule decides the pair, so the
+    proof rests on the dominance grid and the report says so."""
+    for name, law in (("fast", "uniform(0,1)"), ("slow", "exp(0.5)")):
+        (tmp_path / f"{name}.smdp").write_text(
+            f"labels: a\nstates: q\ninitial: q\nresidence:\n  q {law}\ntransitions:\n  q a q 1\n")
+    argv = ["faster-than", tmp_path / "fast.smdp", tmp_path / "slow.smdp", "--depth", "2"]
+    code, report = run_json(capsys, *argv)
+    res = report["result"]
+    assert code == 0 and res["proof"] == [{"fast": "q", "slow": "q", "dominance": "HoldsOnGrid"}]
+    claim = ("proved for all depths and times by a state map, "
+             "up to the 512-point dominance grid on its HoldsOnGrid pairs")
+    assert res["meaning"].startswith(f"NotRefuted: {claim}, ")
+    code, out = run(capsys, *argv)
+    assert out.splitlines()[1:] == [f"  ({claim})", "  q -> q (HoldsOnGrid)"]
+
+
 def test_simulates_and_bisimilar(models, capsys):
     code, _ = run(capsys, "simulates", models / "fig3_U.smdp", models / "fig3_V.smdp")
     assert code == 0
@@ -362,7 +401,7 @@ def test_report_field_names(models, capsys):
                     ["out", "states", "labels"]),
         "faster-than": ([u, v, "--depth", "2"],
                         ["outcome", "meaning", "depth", "tmax", "step", "candidates",
-                         "candidate_lattice", "candidates_truncated", "witness"]),
+                         "candidate_lattice", "candidates_truncated", "witness", "proof"]),
         "simulates": ([u, v], ["holds", "pairs"]),
         "bisimilar": ([u, v], ["holds", "pairs"]),
         "monotonicity": (["--fast", u, "--slow", v, "--ctx", w, "--op", "min"],

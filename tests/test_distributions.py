@@ -737,6 +737,27 @@ def test_dominates_rescans_a_failed_rule_on_8192_points():
     assert v.outcome == "FailsAtWitness" and v.witness_t == 1.0009765625
 
 
+def test_exponential_and_dirac_rule_agrees_with_an_8192_point_scan():
+    """An exponential never dominates a point mass, nor a point mass above 0 an
+    exponential; Dirac(0) dominates every law.  On seeded pairs, both ways round,
+    the rule says what an 8192-point scan of the pair's dominance grid says, as
+    long as the exponential CDF is below 1 in floating point at the point
+    (rate * point below about 37).  Beyond that the scan sees no gap and the
+    rule still refutes, as it must."""
+    rng = random.Random(26)
+    for _ in range(200):
+        e = Exponential(round(rng.uniform(0.05, 8.0), 3))
+        d = Dirac(round(rng.uniform(0.0, 3.0), 3) if rng.random() < 0.9 else 0.0)
+        for d1, d2 in ((e, d), (d, e)):
+            rule = distributions._analytic_dominance_rule(d1, d2)
+            assert rule is (d1 == Dirac(0.0)), (d1, d2)
+            assert rule == (not (_grid_diffs(d1, d2, 8192)[1] < 0.0).any()), (d1, d2)
+    fast, slow = Exponential(40.0), Dirac(1.0)
+    assert not (_grid_diffs(fast, slow, 8192)[1] < 0.0).any()
+    assert distributions._analytic_dominance_rule(fast, slow) is False
+    assert dominates(fast, slow) == distributions.DominanceVerdict("FailsAtWitness")
+
+
 def test_dominates_grid_verdict_for_mixed_families():
     v = dominates(Dirac(0.2), Exponential(1.0))
     assert v.outcome in ("HoldsOnGrid", "FailsAtWitness")

@@ -1,9 +1,11 @@
 """Faster-than checking, simulation, bisimulation."""
 
 import dataclasses
+import importlib.util
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +14,13 @@ from smdpcheck import corpus, distributions, relations
 from smdpcheck.composition import compose
 from smdpcheck.cylinders import TimeBoundedCylinder, prob_cylinder_paths, word_classes
 from smdpcheck.model import Scheduler, Smdp, parse_model, uniform_scheduler
-from smdpcheck.distributions import Exponential, Uniform
+from smdpcheck.distributions import Exponential, GridSpec, PhaseType, Uniform, cdf_vec, dominates
 from smdpcheck.errors import LabelMismatch
 from smdpcheck.relations import (
     _SLACK,
     SchedulerSearchSpec,
     _ascend,
+    _refute,
     _Stack,
     _scheduler_products,
     _simplex_options,
@@ -279,25 +282,28 @@ def _bit_twins():
     return u, v
 
 
-# repr(faster_than_bounded(u, v, 3)) and (v, u, 3) on _bit_twins(), as computed when each
-# level entry carried its path-order convolution
+# repr of the adversary loop's verdicts (u, v, 3) and (v, u, 3) on _bit_twins(), as computed
+# when each level entry carried its path-order convolution
 _TWIN_VERDICTS = (
     "FasterThanVerdict(outcome='NotRefuted', depth=3, grid=GridSpec(t_max=10.0, points=5), "
     "search=SchedulerSearchSpec(step=0.25), witness=None, candidates=125, candidate_lattice=125, "
-    "candidates_truncated=False)",
+    "candidates_truncated=False, proof=None)",
     "FasterThanVerdict(outcome='Refuted', depth=3, grid=GridSpec(t_max=10.0, points=5), "
     "search=SchedulerSearchSpec(step=0.25), witness=FtWitness(slow_scheduler=Scheduler(s0:0.5*a+0.5*b, "
     "s1:0.5*a+0.5*b, s2:0.5*a+0.5*b), word='aa', t=2.0, prob_fast=0.14191691040457655, "
     "prob_slow=0.19186396051629256, fast_scheduler=Scheduler(r0:0.5*a+0.5*b, r1:0.5*a+0.5*b), "
-    "kind='joint-best'), candidates=25, candidate_lattice=25, candidates_truncated=False)",
+    "kind='joint-best'), candidates=25, candidate_lattice=25, candidates_truncated=False, proof=None)",
 )
+# the state map that proves u faster than v there, so that faster_than_bounded skips the loop
+_TWIN_PROOF = (("s0", "r0", "HoldsAnalytic"), ("s1", "r1", "HoldsAnalytic"), ("s2", "r1", "HoldsAnalytic"))
 
 
 def test_class_laws_keep_the_bits_of_equal_laws():
     """Class laws are == to the path-order convolutions of their paths, and hold their
     bits (reprs) wherever a class holds one of two == laws with other bits; a core
-    cache keyed by == laws would hand one law's bits to its twin.  The verdicts are
-    those of path-order convolution."""
+    cache keyed by == laws would hand one law's bits to its twin.  The adversary
+    loop's verdicts are those of path-order convolution; faster_than_bounded proves
+    (u, v) by a state map instead, and keeps the loop's verdict of (v, u)."""
     u, v = _bit_twins()
     seen = set()
     for m in (u, v):
@@ -312,7 +318,10 @@ def test_class_laws_keep_the_bits_of_equal_laws():
                     seen.add(repr(got))
     assert all(any(twin in text for text in seen) for twin in (
         "Uniform(lo=-0.0, hi=1.0)", "Uniform(lo=0.0, hi=1.0)", "Exponential(rate=1)", "Exponential(rate=1.0)"))
-    assert (repr(faster_than_bounded(u, v, 3)), repr(faster_than_bounded(v, u, 3))) == _TWIN_VERDICTS
+    loop = [_refute(fast, slow, 3, GridSpec(), SchedulerSearchSpec()) for fast, slow in ((u, v), (v, u))]
+    assert tuple(map(repr, loop)) == _TWIN_VERDICTS
+    assert repr(faster_than_bounded(u, v, 3)) == repr(dataclasses.replace(loop[0], proof=_TWIN_PROOF))
+    assert repr(faster_than_bounded(v, u, 3)) == _TWIN_VERDICTS[1]
 
 
 def test_ascent_is_skipped_for_matched_adversaries(monkeypatch):
@@ -360,9 +369,11 @@ def test_ascent_is_skipped_for_matched_adversaries(monkeypatch):
 
 
 def test_candidates_are_evaluated_once_per_call(monkeypatch):
-    """At step 0.25 over 6 states (4096 candidates), the candidates are evaluated
-    once, on every word v spells, although the adversaries' positive words
-    form three word sets: all six words, then {b, bb}, then {a, aa}."""
+    """At step 0.25 over 6 states (4096 candidates), the adversary loop evaluates
+    the candidates once, on every word v spells, although the adversaries'
+    positive words form three word sets: all six words, then {b, bb}, then
+    {a, aa}.  The 6-cycle lumps onto v's one state, so faster_than_bounded
+    proves the pair without the loop."""
     labels = ("a", "b")
     names = [f"s{i}" for i in range(6)]
     u = Smdp(labels, names, "s0", {s: Exponential(50.0) for s in names},
@@ -379,12 +390,151 @@ def test_candidates_are_evaluated_once_per_call(monkeypatch):
         return out
 
     monkeypatch.setattr(_Stack, "eval", eval_stack)
-    verdict = faster_than_bounded(u, v, 2, search=search)
+    proved = faster_than_bounded(u, v, 2, search=search)
+    assert proved.proof == tuple((s, "r", "HoldsAnalytic") for s in names) and not shapes
+    verdict = _refute(u, v, 2, GridSpec(), search)
     assert verdict.outcome == "NotRefuted" and verdict.candidates == relations._MAX_CANDIDATES
     assert shapes == [(relations._MAX_CANDIDATES, 6, 5)]
+    assert dataclasses.replace(verdict, proof=proved.proof) == proved
     word_sets = {tuple(_positive_words(v, sigma, 2))
                  for sigma in _scheduler_products(v, _simplex_options(2, search.step))}
     assert len(word_sets) == 3
+
+
+def _perfbench_gen():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_eight_state_holds_pair_is_proved_past_the_candidate_cap():
+    """An eight-state "holds" pair of the ft-sweep generator: its fast lattice
+    (6,561 schedulers at step 0.5) passes the 4,096-candidate cap, and the cut
+    lattice lacks the scheduler that matches the adversary at word aaab and
+    t = 10.  The state map proves the pair for every depth and time."""
+    fast, slow = _perfbench_gen().ft_pair(random.Random(8001), "holds", 8)
+    u, v = parse_model(fast), parse_model(slow)
+    verdict = faster_than_bounded(u, v, 4, search=SchedulerSearchSpec(step=0.5))
+    assert verdict.outcome == "NotRefuted" and verdict.witness is None
+    assert (verdict.candidates, verdict.candidate_lattice, verdict.candidates_truncated) == (4096, 6561, True)
+    assert verdict.proof[0][:2] == ("u0", "v0")
+    assert {pair[:2] for pair in verdict.proof} == {(f"u{i}", f"v{i}") for i in range(8)}
+    _check_state_map(u, v, verdict.proof)
+
+
+def _check_state_map(u, v, proof):
+    """Re-verifies a proof from the definitions: h(u0) = v0, h maps every state
+    reachable from u0, lumped masses are at least v's rows, and each pair's
+    dominance outcome is that of `dominates` and holds on a 401-point scan."""
+    h = {s: t for s, t, _ in proof}
+    assert len(h) == len(proof) and proof[0][:2] == (u.initial, v.initial)
+    for s in h:
+        assert set(u.adjacent(s)) <= set(h), s
+        for a in u.labels:
+            lumped = Counter()
+            for s2, p in u.succ(s, a).items():
+                lumped[h[s2]] += p
+            row = v.succ(h[s], a)
+            assert all(lumped[t] >= row.get(t, 0.0) for t in v.states), (s, a)
+    for s, t, outcome in proof:
+        fast, slow = u.residence_of(s), v.residence_of(t)
+        assert outcome in ("HoldsAnalytic", "HoldsOnGrid") and dominates(fast, slow).outcome == outcome
+        ts = np.linspace(0.0, 40.0, 401)
+        assert (cdf_vec(fast, ts) >= cdf_vec(slow, ts) - 1e-12).all(), (s, t)
+
+
+def _split_faster(rng, v):
+    """A model u that lumps onto v under a known map: each state of v gets one or
+    two copies, each copy's rows split every mass of v's row over the copies of
+    its target, and each copy's residence dominates its original's.  A copy of an
+    Erlang-free two-stage state may be one exponential at least as fast as the
+    slower stage, which no family rule decides."""
+    copies = {t: [f"{t}c{k}" for k in range(rng.choice((1, 1, 2)))] for t in v.states}
+    residence, trans = {}, {}
+    for t in v.states:
+        law = v.residence_of(t)
+        for c in copies[t]:
+            f = rng.choice((1.0, 1.5, 2.0))
+            if isinstance(law, PhaseType):
+                residence[c] = (Exponential(min(law.rates) * f) if rng.random() < 0.6
+                                else PhaseType(tuple(r * f for r in law.rates)))
+            else:
+                residence[c] = Exponential(law.rate * f)
+            for a in v.labels:
+                row = {}
+                for t2, p in v.succ(t, a).items():
+                    share = rng.choice((0.5, 0.3)) if len(copies[t2]) == 2 else 1.0
+                    row[copies[t2][0]] = p * share
+                    if share < 1.0:
+                        row[copies[t2][1]] = p - p * share
+                if row:
+                    trans[(c, a)] = row
+    states = [c for t in v.states for c in copies[t]]
+    return Smdp(v.labels, states, copies[v.initial][0], residence, trans)
+
+
+def test_state_maps_are_sound_and_the_loop_agrees():
+    """On seeded pairs built to lump, the search finds a map, every map passes an
+    independent check, and the adversary loop, called directly on an untruncated
+    lattice, refutes none of the pairs."""
+    outcomes, merged = Counter(), 0
+    for seed in range(40):
+        rng = random.Random(2600 + seed)
+        v = random_two_label_model(rng, live_initial=True)
+        v = Smdp(v.labels, v.states, v.initial,
+                 {s: (PhaseType((d.rate, round(d.rate * rng.uniform(1.5, 3.0), 2)))
+                      if rng.random() < 0.4 else d) for s, d in v.residence.items()},
+                 v.transitions)
+        u = _split_faster(rng, v)
+        verdict = faster_than_bounded(u, v, 3, search=SchedulerSearchSpec(step=0.5))
+        assert verdict.proof is not None, seed
+        _check_state_map(u, v, verdict.proof)
+        outcomes.update(outcome for _, _, outcome in verdict.proof)
+        merged += len({t for _, t, _ in verdict.proof}) < len(verdict.proof)
+        loop = _refute(u, v, 3, GridSpec(), SchedulerSearchSpec(step=0.5))
+        assert not loop.candidates_truncated and loop.outcome == "NotRefuted", seed
+    assert outcomes["HoldsAnalytic"] > 0 and outcomes["HoldsOnGrid"] > 0 and merged > 0, (outcomes, merged)
+
+
+def test_state_map_is_none_without_a_lumping():
+    """fig2's swapped chain is faster than its reverse, but no state carries the
+    speed-up, so no map exists; fig3 is Refuted, so it has none either."""
+    U, V = corpus.load("fig2_U.smdp"), corpus.load("fig2_V.smdp")
+    U3, V3 = corpus.load("fig3_U.smdp"), corpus.load("fig3_V.smdp")
+    assert relations._state_map(U, V) is None and relations._state_map(U3, V3) is None
+    assert faster_than_bounded(U, V, 3).proof is None
+    assert relations._state_map(V3, U3) == (
+        ("v0", "u0", "HoldsAnalytic"), ("v1", "u0", "HoldsAnalytic"), ("v2", "u0", "HoldsAnalytic"))
+
+
+def test_state_map_search_gives_up_after_its_try_budget(monkeypatch):
+    """Past _MAX_CANDIDATES candidate images the search returns None, and
+    faster_than_bounded falls back to the adversary loop."""
+    U3, V3 = corpus.load("fig3_U.smdp"), corpus.load("fig3_V.smdp")
+    search = SchedulerSearchSpec(step=0.5)
+    monkeypatch.setattr(relations, "_MAX_CANDIDATES", 2)
+    assert relations._state_map(V3, U3) is None
+    verdict = faster_than_bounded(V3, U3, 3, search=search)
+    assert verdict.proof is None and verdict == _refute(V3, U3, 3, GridSpec(), search)
+    monkeypatch.setattr(relations, "_MAX_CANDIDATES", 3)
+    assert relations._state_map(V3, U3) is not None
+
+
+def test_state_map_loses_no_mass_on_any_step():
+    """A self-loop of mass 0.9999999996 rounds to the same 1e-9 quantum as one of
+    mass 1.0, but it loses 4e-10 on every step, which adds up past _SLACK with
+    depth: no map proves it, and the loop refutes it at depth 10.  The other way
+    round, the full row covers the short one and the map proves it."""
+    law = {"s": Exponential(1.0)}
+    u = Smdp(["a"], ["s"], "s", law, {("s", "a"): {"s": 0.9999999996}})
+    v = Smdp(["a"], ["s"], "s", law, {("s", "a"): {"s": 1.0}})
+    assert relations._state_map(u, v) is None
+    verdict = faster_than_bounded(u, v, 10, GridSpec(t_max=100.0))
+    assert verdict.outcome == "Refuted" and verdict.proof is None
+    recheck_witness(u, v, verdict.witness)
+    assert faster_than_bounded(v, u, 10, GridSpec(t_max=100.0)).proof == (("s", "s", "HoldsAnalytic"),)
 
 
 def _states_only(n_states, labels=("a", "b")):

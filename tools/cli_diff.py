@@ -58,6 +58,7 @@ CASES = [
     ["faster-than", "--fast", "fig3_U.smdp", "--slow", "fig3_V.smdp", "--depth", "4", "--step", "0.5"],
     ["faster-than", "fig3_U.smdp", "--slow", "fig3_V.smdp", "--depth", "2", "--step", "0.5"],
     ["faster-than", "wide.smdp", "fig3_U.smdp", "--depth", "2"],
+    ["faster-than", "fig3_V.smdp", "fig3_U.smdp", "--depth", "3", "--step", "0.5"],
     ["faster-than", U],
     ["faster-than", U, V, W],
     ["faster-than", U, V, "--tpoints", "1"],
