@@ -18,12 +18,10 @@ from .distributions import (
     Dirac,
     Distribution,
     Shifted,
-    _flatten_for_product,
+    _canonical_product,
     _gauss_legendre,
     _jumps,
-    _product_core,
     _scales,
-    _shifted,
     cdf_eval,
     cdf_table,
     cdf_vec,
@@ -163,59 +161,53 @@ def _rect_rec(m, sch, s, steps, k):
 
 
 def initial_level(m: Smdp, start: str) -> Dict[tuple, float]:
-    """The level of the empty word: {(state, shift, visit_counts): mass}."""
+    """The level of the empty word: {(state, visit_counts): mass}."""
     m.state_index(start)
-    return {(start, 0.0, (0,) * (len(m.states) * len(m.labels))): 1.0}
+    return {(start, (0,) * (len(m.states) * len(m.labels))): 1.0}
 
 
 def extend_level(m: Smdp, level: Dict[tuple, float], a: str) -> Dict[tuple, float]:
-    """The level of a word one letter `a` longer than the word of `level`.
-    Leaving a state adds its residence's Dirac points and shifts to the
-    entry's shift with the float additions convolve makes: 0.0 + shift,
-    then each part."""
+    """The level of a word one letter `a` longer than the word of `level`:
+    leaving a state by `a` counts one more visit of (state, a)."""
     ai, n_l = m.label_index(a), len(m.labels)
-    moves = {}  # state -> (its residence's Dirac points and shifts, its counts index, successors)
+    moves = {}  # state -> (its counts index, successors)
     nxt: Dict[tuple, float] = {}
-    for (state, shift, counts), mass in level.items():
+    for (state, counts), mass in level.items():
         if state not in moves:
-            row, shifts = m.succ(state, a), []
-            _flatten_for_product(m.residence_of(state), shifts, [], [])
-            moves[state] = (shifts, m.state_index(state) * n_l + ai,
+            row = m.succ(state, a)
+            moves[state] = (m.state_index(state) * n_l + ai,
                             [(s2, row[s2]) for s2 in sorted(row, key=m.state_index) if row[s2] > 0.0])
-        shifts, k, succ = moves[state]
-        shift2 = 0.0 + shift
-        for x in shifts:
-            shift2 += x
+        k, succ = moves[state]
         counts2 = counts[:k] + (counts[k] + 1,) + counts[k + 1:]
         for s2, p in succ:
-            key = (s2, shift2, counts2)
+            key = (s2, counts2)
             nxt[key] = nxt.get(key, 0.0) + mass * p
     return nxt
 
 
-def merge_level(m: Smdp, level: Dict[tuple, float], cores: dict) -> Dict[Tuple[Distribution, tuple], float]:
+def merge_level(m: Smdp, level: Dict[tuple, float], laws: dict) -> Dict[Tuple[Distribution, tuple], float]:
     """Drops the current state of a level's entries: {(law, visit_counts): mass}.
 
-    A class's law is built once, from its shift and the core of the
-    residences its counts imply.  `cores`, shared by calls on the same model
-    while the model lives, holds the cores by counts and by the residence
-    multiset those imply, each residence known by its identity: states that
-    share a residence object share a core, and == laws with other bits
-    (Exponential(1) and Exponential(1.0)) do not.
+    A class's law is the canonical product of the residences its counts
+    imply, so it is built once per counts.  `laws`, shared by calls on the
+    same model while the model lives, holds the laws by counts and by the
+    residence multiset those imply, each residence known by its identity:
+    states that share a residence object share a law, and == laws with
+    other bits (Exponential(1) and Exponential(1.0)) do not.
     """
-    classes: Dict[tuple, float] = {}
-    for (_, shift, counts), mass in level.items():
-        classes[shift, counts] = classes.get((shift, counts), 0.0) + mass
+    masses: Dict[tuple, float] = {}
+    for (_, counts), mass in level.items():
+        masses[counts] = masses.get(counts, 0.0) + mass
     n_l = len(m.labels)
     merged = {}
-    for (shift, counts), mass in classes.items():
-        if counts not in cores:
+    for counts, mass in masses.items():
+        if counts not in laws:
             parts = [m.residence_of(m.states[pos // n_l]) for pos, k in enumerate(counts) for _ in range(k)]
             key = ("residences", *sorted(map(id, parts)))  # by identity; the str keeps it apart from counts
-            if key not in cores:
-                cores[key] = _product_core(parts)
-            cores[counts] = cores[key]
-        merged[_shifted(cores[counts], shift), counts] = mass
+            if key not in laws:
+                laws[key] = _canonical_product(parts)
+            laws[counts] = laws[key]
+        merged[laws[counts], counts] = mass
     return merged
 
 
@@ -229,8 +221,8 @@ def word_classes(m: Smdp, start: str, word) -> Dict[Tuple[Distribution, tuple], 
     memoryless scheduler sigma a path weighs its mass times the monomial
     prod sigma[si, ai] ** count, so these classes are everything the
     path-sum engines need.  Paths merge level by level on (current state,
-    shift, counts); the shift is carried forward in path order, because
-    Dirac shift sums depend on the order of their float additions.
+    counts).  The counts fix the law: its shift is the math.fsum of the
+    Dirac points and shifts they imply, whatever the order of the path.
     """
     level = initial_level(m, start)
     for a in word:
@@ -316,6 +308,9 @@ class _Tab:
 
     Product integration takes the continuous part as linear on each grid
     cell; an atom kept symbolic costs no O(h) error of an interpolated jump.
+    Each atom is keyed by the sorted tuple of the points that make it up
+    (Dirac points, shifts and the jumps of other laws) and sits at their
+    math.fsum, as a path class's shift does in the path engine.
     """
 
     __slots__ = ("smooth", "atoms")
@@ -325,12 +320,12 @@ class _Tab:
         self.atoms = dict(atoms)
 
     def value_at_end(self, t: float) -> float:
-        return float(self.smooth[-1]) + sum(m for pos, m in self.atoms.items() if pos <= t)
+        return float(self.smooth[-1]) + sum(m for pts, m in self.atoms.items() if math.fsum(pts) <= t)
 
 
 def _residence_split(d: Distribution, mass: float, xs: np.ndarray) -> _Tab:
     jumps = _jumps(d)
-    return _Tab(mass * _continuous_cdf(d, xs, jumps), {x: mass * m for x, m in jumps})
+    return _Tab(mass * _continuous_cdf(d, xs, jumps), {(x,): mass * m for x, m in jumps})
 
 
 def _conv_tabs(d: Distribution, tabs: list, xs: np.ndarray, spectra: dict) -> list:
@@ -340,7 +335,8 @@ def _conv_tabs(d: Distribution, tabs: list, xs: np.ndarray, spectra: dict) -> li
         shift = d.point if isinstance(d, Dirac) else d.shift
         inner = tabs if isinstance(d, Dirac) else _conv_tabs(d.base, tabs, xs, spectra)
         return [_Tab(np.interp(xs - shift, xs, tab.smooth, left=0.0),
-                     {pos + shift: m for pos, m in tab.atoms.items() if pos + shift <= xs[-1]})
+                     {key: m for pts, m in tab.atoms.items()
+                      if math.fsum(key := tuple(sorted((*pts, shift)))) <= xs[-1]})
                 for tab in inner]
     if d not in spectra:
         spectra[d] = _kernel(d, xs)
@@ -350,12 +346,13 @@ def _conv_tabs(d: Distribution, tabs: list, xs: np.ndarray, spectra: dict) -> li
     jumps = _jumps(d)
     out = []
     for smooth, tab in zip(np.clip(rows, 0.0, 1.0), tabs):
-        atoms: Dict[float, float] = {}
-        for pos, m in tab.atoms.items():
-            smooth = smooth + m * _continuous_cdf(d, xs - pos, jumps)
+        atoms: Dict[tuple, float] = {}
+        for pts, m in tab.atoms.items():
+            smooth = smooth + m * _continuous_cdf(d, xs - math.fsum(pts), jumps)
             for x, mx in jumps:
-                if pos + x <= xs[-1]:
-                    atoms[pos + x] = atoms.get(pos + x, 0.0) + m * mx
+                key = tuple(sorted((*pts, x)))
+                if math.fsum(key) <= xs[-1]:
+                    atoms[key] = atoms.get(key, 0.0) + m * mx
         out.append(_Tab(smooth, atoms))
     return out
 
@@ -412,13 +409,13 @@ def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylin
                 nxt_tables[st] = _Tab(np.zeros_like(xs))
                 continue
             smooth = np.zeros_like(xs)
-            atoms: Dict[float, float] = {}
+            atoms: Dict[tuple, float] = {}
             for s2, p in sorted(m.succ(st, a).items()):
                 if p > 0.0:
                     sub = tables[s2]
                     smooth = smooth + w_label * p * sub.smooth
-                    for pos, mass in sub.atoms.items():
-                        atoms[pos] = atoms.get(pos, 0.0) + w_label * p * mass
+                    for pts, mass in sub.atoms.items():
+                        atoms[pts] = atoms.get(pts, 0.0) + w_label * p * mass
             groups.setdefault(m.residence_of(st), []).append((st, _Tab(smooth, atoms)))
         for d, group in groups.items():
             nxt_tables.update(zip([st for st, _ in group],

@@ -712,42 +712,28 @@ def _flatten_for_product(d: Distribution, shifts, rates, others):
         others.append(d)
 
 
-def _product_core(parts) -> Optional[Distribution]:
-    """The canonical convolution of the parts less their Dirac points and
-    shifts: one phase-type law of all their rates among the opaque factors,
-    None when nothing is left."""
-    rates, others = [], []
-    for p in parts:
-        _flatten_for_product(p, [], rates, others)
-    factors = sorted(others + ([phase_type(sorted(rates))] if rates else []), key=sort_key)
-    if len(factors) > 1:
-        return NumericConvolution(tuple(factors))
-    return factors[0] if factors else None
-
-
-def _shifted(core: Optional[Distribution], shift: float) -> Distribution:
-    """core delayed by shift, in canonical form."""
-    if core is None:
-        return Dirac(shift)
-    return Shifted(core, shift) if shift > 0.0 else core
-
-
 def _canonical_product(parts) -> Distribution:
-    shifts = []
+    """The canonical convolution of the parts: one phase-type law of all their
+    rates among the opaque factors, delayed by the math.fsum of all their
+    Dirac points and shifts.  fsum rounds the exact sum once, so the delay
+    depends on the multiset of points alone, not on the order of the parts."""
+    shifts, rates, others = [], [], []
     for p in parts:
-        _flatten_for_product(p, shifts, [], [])
-    shift = 0.0
-    for x in shifts:
-        shift += x
-    return _shifted(_product_core(parts), shift)
+        _flatten_for_product(p, shifts, rates, others)
+    factors = sorted(others + ([phase_type(sorted(rates))] if rates else []), key=sort_key)
+    shift = math.fsum(shifts)
+    if not factors:
+        return Dirac(shift)
+    core = NumericConvolution(tuple(factors)) if len(factors) > 1 else factors[0]
+    return Shifted(core, shift) if shift > 0.0 else core
 
 
 def convolve(d1: Distribution, d2: Distribution) -> Distribution:
     """Symbolic convolution in canonical form.
 
     Exponential/phase-type parts merge into one rate multiset, Dirac points
-    accumulate into an outer shift, and anything else becomes a factor of a
-    NumericConvolution evaluated by quadrature.
+    and shifts sum (by math.fsum) into an outer shift, and anything else
+    becomes a factor of a NumericConvolution evaluated by quadrature.
     """
     return _canonical_product([d1, d2])
 
@@ -915,9 +901,11 @@ def _analytic_dominance_rule(d1: Distribution, d2: Distribution) -> Optional[boo
         return d1.lo <= d2.lo and d1.hi <= d2.hi
     if isinstance(d1, Dirac) and d1.point == 0.0:
         return True
-    if isinstance(d1, (Exponential, Dirac)) and isinstance(d2, (Exponential, Dirac)):  # one of each
-        # an exponential CDF is above 0 before the point and below 1 from it on
-        return False
+    if isinstance(d1, Exponential) and isinstance(d2, (Dirac, Uniform)):
+        return False  # an exponential CDF stays below 1, which theirs reaches
+    if isinstance(d1, (Dirac, Uniform)) and isinstance(d2, Exponential) and (
+            d1.point if isinstance(d1, Dirac) else d1.lo) > 0.0:
+        return False  # theirs is 0 before its first point, where an exponential's is not
     r1 = d1.rates if isinstance(d1, PhaseType) else (d1.rate,) if isinstance(d1, Exponential) else None
     r2 = d2.rates if isinstance(d2, PhaseType) else (d2.rate,) if isinstance(d2, Exponential) else None
     if r1 is not None and r2 is not None:

@@ -329,8 +329,8 @@ def _refute(u: Smdp, v: Smdp, depth: int, grid: GridSpec, search: SchedulerSearc
             proof: Optional[Tuple[Tuple[str, str, str], ...]] = None) -> FasterThanVerdict:
     """The bounded check that u is faster than v, by a search for a counterexample;
     given a state-map `proof`, NotRefuted with that proof and no search.  Either
-    way the lattice counts are those of the search, and an adversary lattice too
-    large to visit raises.
+    way the lattice counts are those of the search.  Without a proof, an
+    adversary lattice too large to visit raises.
 
     For every adversary scheduler of v from the search lattice, the checker
     looks for one scheduler of u that matches every word up to `depth` at
@@ -345,17 +345,17 @@ def _refute(u: Smdp, v: Smdp, depth: int, grid: GridSpec, search: SchedulerSearc
     """
     u_options = _simplex_options(len(u.labels), search.step)
     v_options = _simplex_options(len(v.labels), search.step)
+    lattice = len(u_options) ** len(u.states)
+    counts = dict(candidates=min(lattice, _MAX_CANDIDATES), candidate_lattice=lattice,
+                  candidates_truncated=lattice > _MAX_CANDIDATES)
+    if proof is not None:
+        return FasterThanVerdict("NotRefuted", depth, grid, search, **counts, proof=proof)
     n_adversaries = len(v_options) ** len(v.states)
     if n_adversaries > 1_000_000:
         raise SmdpcheckError(
             f"adversary lattice has {n_adversaries} schedulers "
             f"({len(v_options)} options over {len(v.states)} states); "
             "increase the search step or reduce the model")
-    lattice = len(u_options) ** len(u.states)
-    counts = dict(candidates=min(lattice, _MAX_CANDIDATES), candidate_lattice=lattice,
-                  candidates_truncated=lattice > _MAX_CANDIDATES)
-    if proof is not None:
-        return FasterThanVerdict("NotRefuted", depth, grid, search, **counts, proof=proof)
     ts = grid.times()
     candidates = np.array(list(_scheduler_products(u, u_options, limit=_MAX_CANDIDATES)))
     # word -> levels of u and of v, for the words whose level of v is nonempty; breadth

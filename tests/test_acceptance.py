@@ -5,12 +5,17 @@ criterion; `make reproduce` regenerates the same numbers into a report.
 """
 
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import smdpcheck
 from smdpcheck import corpus
 from smdpcheck.cli import main as cli_main
 from smdpcheck.composition import compose
@@ -339,3 +344,22 @@ def test_criterion_10d_convolution_algebra():
             assert abs(cdf_eval(ab, t) - cdf_eval(ba, t)) <= 1e-9
     print("ACCEPTANCE 10d PASS: convolution commutativity/associativity within "
           "1e-8 on random triples")
+
+
+def _without_elapsed(x):
+    if isinstance(x, dict):
+        return {k: _without_elapsed(v) for k, v in x.items() if k != "elapsed_seconds"}
+    return [_without_elapsed(v) for v in x] if isinstance(x, list) else x
+
+
+def test_reproduce_report_matches_the_committed_one(tmp_path):
+    """`python -m smdpcheck.reproduce` writes the committed reproduce_report.json
+    again, in every field but elapsed_seconds: the "same numbers" gate."""
+    out = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(smdpcheck.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "smdpcheck.reproduce", str(out)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    committed = Path(__file__).parents[1] / "reproduce_report.json"
+    got, want = (_without_elapsed(json.loads(p.read_text())) for p in (out, committed))
+    assert got == want

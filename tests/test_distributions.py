@@ -738,12 +738,14 @@ def test_dominates_rescans_a_failed_rule_on_8192_points():
 
 
 def test_exponential_and_dirac_rule_agrees_with_an_8192_point_scan():
-    """An exponential never dominates a point mass, nor a point mass above 0 an
-    exponential; Dirac(0) dominates every law.  On seeded pairs, both ways round,
-    the rule says what an 8192-point scan of the pair's dominance grid says, as
-    long as the exponential CDF is below 1 in floating point at the point
-    (rate * point below about 37).  Beyond that the scan sees no gap and the
-    rule still refutes, as it must."""
+    """An exponential never dominates a point mass or a uniform, nor a point
+    mass or a uniform whose first point is above 0 an exponential; Dirac(0)
+    dominates every law, and no rule decides Uniform(0, hi) against an
+    exponential.  On seeded pairs, both ways round, the rule says what an
+    8192-point scan of the pair's dominance grid says, as long as the
+    exponential CDF is below 1 in floating point at the point or at the
+    uniform's end (rate * point below about 37; rate * hi <= 24 here).
+    Beyond that the scan sees no gap and the rule still refutes, as it must."""
     rng = random.Random(26)
     for _ in range(200):
         e = Exponential(round(rng.uniform(0.05, 8.0), 3))
@@ -752,10 +754,22 @@ def test_exponential_and_dirac_rule_agrees_with_an_8192_point_scan():
             rule = distributions._analytic_dominance_rule(d1, d2)
             assert rule is (d1 == Dirac(0.0)), (d1, d2)
             assert rule == (not (_grid_diffs(d1, d2, 8192)[1] < 0.0).any()), (d1, d2)
-    fast, slow = Exponential(40.0), Dirac(1.0)
-    assert not (_grid_diffs(fast, slow, 8192)[1] < 0.0).any()
-    assert distributions._analytic_dominance_rule(fast, slow) is False
-    assert dominates(fast, slow) == distributions.DominanceVerdict("FailsAtWitness")
+    for _ in range(200):
+        e = Exponential(round(rng.uniform(0.05, 8.0), 3))
+        lo = round(rng.uniform(0.01, 2.0), 3) if rng.random() < 0.9 else 0.0
+        u = Uniform(lo, lo + round(rng.uniform(0.01, 1.0), 3))
+        if e.rate * u.hi > 24.0:
+            continue
+        assert distributions._analytic_dominance_rule(e, u) is False, (e, u)
+        assert (_grid_diffs(e, u, 8192)[1] < 0.0).any(), (e, u)
+        rule = distributions._analytic_dominance_rule(u, e)
+        assert rule is (None if lo == 0.0 else False), (u, e)
+        if rule is False:
+            assert (_grid_diffs(u, e, 8192)[1] < 0.0).any(), (u, e)
+    for fast, slow in ((Exponential(40.0), Dirac(1.0)), (Exponential(40.0), Uniform(1.0, 2.0))):
+        assert not (_grid_diffs(fast, slow, 8192)[1] < 0.0).any()
+        assert distributions._analytic_dominance_rule(fast, slow) is False
+        assert dominates(fast, slow) == distributions.DominanceVerdict("FailsAtWitness")
 
 
 def test_dominates_grid_verdict_for_mixed_families():

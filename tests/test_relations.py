@@ -170,13 +170,25 @@ def test_search_spec_holds_the_step_only():
 
 
 def test_adversary_lattice_guard():
+    """A slow model with more than 10^6 adversaries raises, unless a state map
+    proves the pair: the proof needs no adversary.  A 10-state model against
+    itself is proved by the identity map, and reports the truncated candidate
+    lattice; with a slower fast side there is no map, and the guard raises."""
     from smdpcheck.errors import SmdpcheckError
 
     names = [f"s{i}" for i in range(10)]
-    m = Smdp(["a", "b"], names, "s0", {s: Exponential(1.0) for s in names},
-             {(s, "a"): {s: 1.0} for s in names})
+
+    def model(rate):
+        return Smdp(["a", "b"], names, "s0", {s: Exponential(rate) for s in names},
+                    {(s, "a"): {s: 1.0} for s in names})
+
+    m = model(1.0)
+    got = faster_than_bounded(m, m, depth=2)
+    assert got.outcome == "NotRefuted"
+    assert got.proof == (("s0", "s0", "HoldsAnalytic"),)
+    assert (got.candidates, got.candidate_lattice, got.candidates_truncated) == (4096, 5 ** 10, True)
     with pytest.raises(SmdpcheckError):
-        faster_than_bounded(m, m, depth=2)
+        faster_than_bounded(model(0.5), m, depth=2)
 
 
 def test_faster_than_matches_one_call_per_candidate_reference():

@@ -683,24 +683,23 @@ def _reference_product_integral(d: Distribution, G: np.ndarray, xs: np.ndarray, 
 
 
 def _reference_conv_tab(d: Distribution, tab: _Tab, xs: np.ndarray) -> _Tab:
-    """(d * tab) on the grid; residence atoms shift, other laws integrate."""
-    if isinstance(d, Dirac):
-        smooth = np.interp(xs - d.point, xs, tab.smooth, left=0.0)
-        atoms = {pos + d.point: m for pos, m in tab.atoms.items() if pos + d.point <= xs[-1]}
-        return _Tab(smooth, atoms)
-    if isinstance(d, Shifted):
-        inner = _reference_conv_tab(d.base, tab, xs)
-        smooth = np.interp(xs - d.shift, xs, inner.smooth, left=0.0)
-        atoms = {pos + d.shift: m for pos, m in inner.atoms.items() if pos + d.shift <= xs[-1]}
-        return _Tab(smooth, atoms)
+    """(d * tab) on the grid; residence atoms shift, other laws integrate.
+    An atom is keyed by the sorted tuple of its points and sits at their fsum."""
+    if isinstance(d, (Dirac, Shifted)):
+        shift = d.point if isinstance(d, Dirac) else d.shift
+        inner = tab if isinstance(d, Dirac) else _reference_conv_tab(d.base, tab, xs)
+        smooth = np.interp(xs - shift, xs, inner.smooth, left=0.0)
+        moved = {tuple(sorted((*pts, shift))): m for pts, m in inner.atoms.items()}
+        return _Tab(smooth, {pts: m for pts, m in moved.items() if math.fsum(pts) <= xs[-1]})
     jumps = _reference_atoms(d, float(xs[-1]))
     smooth = np.clip(_reference_product_integral(d, tab.smooth, xs, jumps), 0.0, 1.0)
-    atoms: Dict[float, float] = {}
-    for pos, m in tab.atoms.items():
-        smooth = smooth + m * _reference_continuous_cdf(d, xs - pos, jumps)
+    atoms: Dict[tuple, float] = {}
+    for pts, m in tab.atoms.items():
+        smooth = smooth + m * _reference_continuous_cdf(d, xs - math.fsum(pts), jumps)
         for x, mx in jumps:
-            if pos + x <= xs[-1]:
-                atoms[pos + x] = atoms.get(pos + x, 0.0) + m * mx
+            key = tuple(sorted((*pts, x)))
+            if math.fsum(key) <= xs[-1]:
+                atoms[key] = atoms.get(key, 0.0) + m * mx
     return _Tab(smooth, atoms)
 
 
@@ -740,7 +739,7 @@ def reference_prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBo
         mass = sch.weight(st, word[-1]) * sum(m.succ(st, word[-1]).values())
         d = m.residence_of(st)
         jumps = _reference_atoms(d, t)
-        tables[st] = _Tab(mass * _reference_continuous_cdf(d, xs, jumps), {x: mass * j for x, j in jumps})
+        tables[st] = _Tab(mass * _reference_continuous_cdf(d, xs, jumps), {(x,): mass * j for x, j in jumps})
     for k in range(n - 2, -1, -1):
         a = word[k]
         nxt_tables: Dict[str, _Tab] = {}
@@ -750,13 +749,13 @@ def reference_prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBo
                 nxt_tables[st] = _Tab(np.zeros_like(xs))
                 continue
             smooth = np.zeros_like(xs)
-            atoms: Dict[float, float] = {}
+            atoms: Dict[tuple, float] = {}
             for s2, p in sorted(m.succ(st, a).items()):
                 if p > 0.0:
                     sub = tables[s2]
                     smooth = smooth + w_label * p * sub.smooth
-                    for pos, mass in sub.atoms.items():
-                        atoms[pos] = atoms.get(pos, 0.0) + w_label * p * mass
+                    for pts, mass in sub.atoms.items():
+                        atoms[pts] = atoms.get(pts, 0.0) + w_label * p * mass
             nxt_tables[st] = _reference_conv_tab(m.residence_of(st), _Tab(smooth, atoms), xs)
         tables = nxt_tables
     return float(min(1.0, max(0.0, tables[s].value_at_end(t))))
