@@ -38,10 +38,10 @@ reproduce-check:
 known-defects:
 	python3 perfbench/known_defects.py --seed 7
 
-# The tier-1 tests, the reproduce report diff (the "same numbers" gate), then known-defects.
+# The tier-1 tests, then known-defects.  test_reproduce_report_matches_the_committed_one is the
+# "same numbers" gate; reproduce-check shows the unified diff behind a failure of it.
 check:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
-	$(MAKE) reproduce-check
 	$(MAKE) known-defects
 
 # Paired benchmark runs, working tree against BASE, alternating which runs first:

@@ -8,7 +8,6 @@ Stieltjes quadrature otherwise.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -512,7 +511,6 @@ def _pdf_vec(d: Distribution, ts: np.ndarray, atoms: bool) -> np.ndarray:
 _GL_POINTS = 24
 _STIFF_SPAN = 40.0
 _KERNEL_BLOCK = 1 << 17  # (time, node) pairs evaluated per block
-_BISECT_DEPTH = 6  # halvings per batch of a crossing's bisection: 63 midpoints a cdf_vec call
 _DENSITY_PREFERENCE = {Uniform: 0, Exponential: 1, PhaseType: 2, Shifted: 3, MinMaxCdf: 4, NumericConvolution: 5}
 
 
@@ -526,26 +524,16 @@ def _gauss_legendre(points: int = _GL_POINTS):
 
 def _bisect_sign_change(a, b, lo, hi, above):
     """A point where F_a - F_b changes sign in [lo, hi], bisected down to
-    adjacent floats; `above` is whether F_a > F_b at lo.  Each batch
-    evaluates the breadth-first tree of the midpoints the next
-    _BISECT_DEPTH halvings could visit (node i halves into 2i + 1 below and
-    2i + 2 above) and walks it as the one-midpoint loop does."""
-    while True:
-        nodes = [(lo, hi)]
-        for l, h in itertools.islice(nodes, (1 << (_BISECT_DEPTH - 1)) - 1):  # grows while read
-            nodes += ((l, 0.5 * (l + h)), (0.5 * (l + h), h))
-        mids = [0.5 * (l + h) for l, h in nodes]
-        diffs = (cdf_vec(a, mids) - cdf_vec(b, mids)).tolist()
-        i = 0
-        for _ in range(_BISECT_DEPTH):
-            if not lo < mids[i] < hi:
-                return hi
-            if diffs[i] == 0.0:
-                return mids[i]
-            if (diffs[i] > 0.0) == above:
-                lo, i = mids[i], 2 * i + 2
-            else:
-                hi, i = mids[i], 2 * i + 1
+    adjacent floats; `above` is whether F_a > F_b at lo."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        diff = float(cdf_vec(a, [mid])[0] - cdf_vec(b, [mid])[0])
+        if diff == 0.0:
+            return mid
+        if (diff > 0.0) == above:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def _crossings(d: MinMaxCdf) -> tuple:
@@ -758,12 +746,6 @@ class CompositionOperator:
 
     ALL = (MINIMUM, MAXIMUM, PRODUCT_RATE)
 
-    @staticmethod
-    def parse(text: str) -> str:
-        if text not in CompositionOperator.ALL:
-            raise ValueError(f"unknown composition operator {text!r}; expected one of {CompositionOperator.ALL}")
-        return text
-
 
 def compose_residence(op: str, d1: Distribution, d2: Distribution) -> Distribution:
     """Combines two residence-time distributions under a composition operator.
@@ -849,15 +831,13 @@ _dominance_scales = lru_cache(maxsize=1 << 10)(_scales)
 
 def _dominance_t_max(d1: Distribution, d2: Distribution) -> float:
     """Where the dominance grid of a pair ends: the latest of 20 mean times of
-    the slowest rate (20.0 with none), twice the later support, and 1e-6."""
+    the slowest rate (20.0 with none), twice the later support, and 1e-6.
+    inf where that overflows, as for a rate below about 1e-307."""
     (low1, _, supp1), (low2, _, supp2) = _dominance_scales(d1), _dominance_scales(d2)
     rates = [r for r in (low1, low2) if r is not None]
     t_rate = 20.0 / min(rates) if rates else 20.0
     t_supp = 2.0 * max(supp1, supp2)
-    t_max = max(t_rate, t_supp, 1e-6)
-    if not math.isfinite(t_max):
-        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
-    return t_max
+    return max(t_rate, t_supp, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -948,41 +928,43 @@ def _grid_diffs(d1, d2, points: int = _GRID_POINTS):
     on the 512-point grid comes from its cached table; a finer grid (the
     8192-point rescan, 64 KB a table) is tabulated afresh."""
     t_max = _dominance_t_max(d1, d2)
+    if math.isinf(t_max):
+        raise ValueError(f"cannot compare the CDFs of {render(d1)} and {render(d2)}: "
+                         "their dominance grid would end past the largest float")
     if points != _GRID_POINTS:
         ts = _grid_times.__wrapped__(t_max, points)
         return ts, cdf_vec(d1, ts) - cdf_vec(d2, ts)
     return _grid_times(t_max, points), _grid_cdf(d1, t_max) - _grid_cdf(d2, t_max)
 
 
-def dominates(d1: Distribution, d2: Distribution) -> DominanceVerdict:
-    """Checks F_{d1}(t) >= F_{d2}(t) for all t >= 0.
-
-    A family rule that holds decides.  Otherwise the difference is sampled
-    on the 512-point dominance grid, and a failure a rule established with
-    no sampled violation is sampled again on 8192 points.  The witness of a
-    failure is the grid time of the deepest violation (its first occurrence),
-    or None where no sampled time shows one.
-    """
+def _dominance_outcome(d1: Distribution, d2: Distribution) -> Optional[str]:
+    """Whether F_{d1}(t) >= F_{d2}(t) for all t >= 0: "HoldsAnalytic" where a
+    family rule proves it, "HoldsOnGrid" where no rule decides and the
+    512-point dominance grid shows no violation, else None."""
     holds = _analytic_dominance_rule(d1, d2)
-    if holds:
-        return DominanceVerdict("HoldsAnalytic")
-    for points in (_GRID_POINTS, 8192) if holds is False else (_GRID_POINTS,):
+    if holds is not None:
+        return "HoldsAnalytic" if holds else None
+    return None if (_grid_diffs(d1, d2)[1] < 0.0).any() else "HoldsOnGrid"
+
+
+def dominates(d1: Distribution, d2: Distribution) -> DominanceVerdict:
+    """_dominance_outcome, with a witness where it fails: the grid time of the
+    deepest violation (its first occurrence) on 512 points, else on 8192
+    points, as a failure a rule established may show none on the coarser
+    grid.  The witness is None where neither grid shows one, or where a rule
+    refuted a pair whose grid would end past the largest float."""
+    outcome = _dominance_outcome(d1, d2)
+    if outcome:
+        return DominanceVerdict(outcome)
+    for points in (_GRID_POINTS, 8192) if math.isfinite(_dominance_t_max(d1, d2)) else ():
         ts, diffs = _grid_diffs(d1, d2, points)
         if (diffs < 0.0).any():
             return DominanceVerdict("FailsAtWitness", witness_t=float(ts[diffs.argmin()]))
-    return DominanceVerdict("HoldsOnGrid" if holds is None else "FailsAtWitness")
-
-
-def _dominance_holds(d1: Distribution, d2: Distribution) -> bool:
-    """dominates(d1, d2).holds, without the search for a failure witness."""
-    holds = _analytic_dominance_rule(d1, d2)
-    if holds is not None:
-        return holds
-    return not (_grid_diffs(d1, d2)[1] < 0.0).any()
+    return DominanceVerdict("FailsAtWitness")
 
 
 def _cdf_equal(d1: Distribution, d2: Distribution) -> bool:
-    """_dominance_holds(d1, d2) and _dominance_holds(d2, d1), with at most one
+    """Whether _dominance_outcome holds both ways for d1 and d2, with at most one
     grid scan.  The dominance grid of a pair does not depend on its order,
     and F2 - F1 is exactly -(F1 - F2) in floating point, so the one scan of
     F1 - F2 answers both ways: no value below 0, and no value above 0."""

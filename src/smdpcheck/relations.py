@@ -11,6 +11,7 @@ only reports that no counterexample was found within the explored bounds.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -21,9 +22,8 @@ from .cylinders import extend_level, initial_level, merge_level
 from .distributions import (
     Exponential,
     GridSpec,
-    _analytic_dominance_rule,
     _cdf_equal,
-    _dominance_holds,
+    _dominance_outcome,
     cdf_table,
 )
 from .errors import SmdpcheckError
@@ -118,15 +118,6 @@ class RelationResult:
 # scheduler lattices
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def _simplex_options(n_labels: int, step: float) -> List[Tuple[float, ...]]:
     """Lattice points of the label simplex, most-mixed first.
 
@@ -135,7 +126,9 @@ def _simplex_options(n_labels: int, step: float) -> List[Tuple[float, ...]]:
     witnesses stay minimal in that order.
     """
     k = max(1, round(1.0 / step))
-    opts = {tuple(c / k for c in comp) for comp in _compositions(k, n_labels)}
+    # compositions of k into n_labels parts: the first n_labels - 1, and the rest
+    opts = {tuple(c / k for c in (*head, k - sum(head)))
+            for head in itertools.product(range(k + 1), repeat=n_labels - 1) if sum(head) <= k}
     for i in range(n_labels):  # vertices, in case step does not divide 1
         opts.add(tuple(1.0 if j == i else 0.0 for j in range(n_labels)))
     return sorted(opts, key=lambda w: (-min(w), w))
@@ -245,13 +238,14 @@ def _state_map(u: Smdp, v: Smdp) -> Optional[Tuple[Tuple[str, str, str], ...]]:
     h must make u lump onto v: for every reachable s and label a, the mass of
     u's row (s, a) on each h-preimage of a v-state s' is at least
     P_v(h(s), a, s'), compared exactly, so that no mass is lost on any step.
-    And each residence of s must dominate that of h(s).  Then sigma_v o h
-    matches every adversary sigma_v of v at every word and time: u projected
-    through h moves at least as much mass as v, and each sojourn is
-    stochastically shorter.  An exact lumping implies structural bisimilarity,
-    so the candidate images of s are the v-states that `bisimilar` (which
-    compares masses in 1e-9 quanta) relates to it once every residence is set
-    to exp(1).
+    And each residence of s must dominate that of h(s): the proof entry is
+    the pair's `_dominance_outcome`, decided once per pair of laws.  Then
+    sigma_v o h matches every adversary sigma_v of v at every word and time:
+    u projected through h moves at least as much mass as v, and each sojourn
+    is stochastically shorter.  An exact lumping implies structural
+    bisimilarity, so the candidate images of s are the v-states that
+    `bisimilar` (which compares masses in 1e-9 quanta) relates to it once
+    every residence is set to exp(1).
     """
     unit = Exponential(1.0)
     shapes = [Smdp(m.labels, m.states, m.initial, {s: unit for s in m.states}, m.transitions)
@@ -270,13 +264,12 @@ def _state_map(u: Smdp, v: Smdp) -> Optional[Tuple[Tuple[str, str, str], ...]]:
     ready: List[List[str]] = [[] for _ in order]  # states whose rows are mapped once order[i] is
     for s in order:
         ready[max([position[s]] + [position[s2] for s2 in u.adjacent(s)])].append(s)
-    outcomes: Dict[tuple, object] = {}  # (law of u, law of v) -> dominance outcome, or False
+    outcomes: Dict[tuple, Optional[str]] = {}  # (law of u, law of v) -> _dominance_outcome
 
     def dominance(s, t):
         laws = (u.residence_of(s), v.residence_of(t))
         if laws not in outcomes:
-            outcomes[laws] = _dominance_holds(*laws) and (
-                "HoldsOnGrid" if _analytic_dominance_rule(*laws) is None else "HoldsAnalytic")
+            outcomes[laws] = _dominance_outcome(*laws)
         return outcomes[laws]
 
     def lumps(s):
@@ -489,7 +482,7 @@ def simulates(u: Smdp, v: Smdp) -> RelationResult:
         for sv in v.states:
             laws = (v.residence_of(sv), u.residence_of(su))
             if laws not in holds:
-                holds[laws] = _dominance_holds(*laws)
+                holds[laws] = _dominance_outcome(*laws) is not None
             if holds[laws]:
                 rel.add((su, sv))
     changed = True

@@ -224,6 +224,17 @@ def test_simulates_and_bisimilar(models, capsys):
     assert code == 1
 
 
+def test_simulates_names_the_laws_no_dominance_grid_can_compare(tmp_path, capsys):
+    """No rule decides uniform(0,1) against exp(1e-310), and their dominance
+    grid would end past the largest float: exit 2, with both laws named."""
+    for name, law in (("fast", "exp(1e-310)"), ("slow", "uniform(0,1)")):
+        (tmp_path / f"{name}.smdp").write_text(
+            f"labels: a\nstates: q\ninitial: q\nresidence:\n  q {law}\ntransitions:\n  q a q 1\n")
+    code = main(["simulates", str(tmp_path / "fast.smdp"), str(tmp_path / "slow.smdp")])
+    err = capsys.readouterr().err
+    assert code == 2 and "uniform(0,1) and exp(1e-310)" in err, err
+
+
 def test_monotonicity_cli(models, capsys, tmp_path):
     code, report = run_json(capsys, "monotonicity",
                             "--fast", models / "fig2_U.smdp",

@@ -10,7 +10,6 @@ from scipy import integrate
 
 from smdpcheck import distributions
 from smdpcheck.distributions import (
-    CompositionOperator,
     Dirac,
     Exponential,
     GridSpec,
@@ -22,7 +21,7 @@ from smdpcheck.distributions import (
     _bisect_sign_change,
     _cdf_equal,
     _crossings,
-    _dominance_holds,
+    _dominance_outcome,
     _dominance_t_max,
     _grid_cdf,
     _grid_diffs,
@@ -841,16 +840,27 @@ def test_dominates_matches_scalar_scan():
     for d1, d2 in pairs:
         verdict = dominates(d1, d2)
         assert verdict == reference_dominates(d1, d2), (d1, d2)
-        assert _dominance_holds(d1, d2) == verdict.holds
+        assert _dominance_outcome(d1, d2) == (verdict.outcome if verdict.holds else None), (d1, d2)
         outcomes.add(verdict.outcome)
     assert outcomes == {"HoldsAnalytic", "HoldsOnGrid", "FailsAtWitness"}
 
 
-def test_dominance_holds_matches_dominates_with_phase_type_parts():
+def test_dominance_outcome_matches_dominates_with_phase_type_parts():
     rng = random.Random(77)
     for _ in range(60):
         d1, d2 = _random_law_pair(rng, _random_phase_part)
-        assert _dominance_holds(d1, d2) == dominates(d1, d2).holds, (d1, d2)
+        verdict = dominates(d1, d2)
+        assert _dominance_outcome(d1, d2) == (verdict.outcome if verdict.holds else None), (d1, d2)
+
+
+def test_dominates_past_the_largest_float():
+    """A rule refutes these pairs, whose dominance grids would end past the
+    largest float: they fail with no witness.  Where no rule decides such a
+    pair, the error names both laws."""
+    for d1, d2 in ((Exponential(1e-310), Uniform(0.0, 1.0)), (Exponential(1.0), Dirac(1e308))):
+        assert dominates(d1, d2) == distributions.DominanceVerdict("FailsAtWitness"), (d1, d2)
+    with pytest.raises(ValueError, match=r"uniform\(0,1\) and exp\(1e-310\)"):
+        dominates(Uniform(0.0, 1.0), Exponential(1e-310))
 
 
 def _table_pairs():
@@ -920,15 +930,16 @@ def test_cdf_equal_is_two_way_dominance_from_one_scan(monkeypatch):
         scans.clear()
         equal, scanned = _cdf_equal(d1, d2), len(scans)
         assert scanned <= 1
-        assert equal == (_dominance_holds(d1, d2) and _dominance_holds(d2, d1)), (d1, d2)
+        assert equal == bool(_dominance_outcome(d1, d2) and _dominance_outcome(d2, d1)), (d1, d2)
         answers.add((equal, scanned))
     assert answers == {(True, 0), (True, 1), (False, 0), (False, 1)}
 
 
-def test_batched_bisection_matches_one_midpoint_at_a_time():
-    """_bisect_sign_change walks its batches of midpoints to the float the scalar
-    bisection finds, on the flips of seeded min/max laws with exponential, uniform
-    and Dirac parts, and on random brackets, where both CDFs are often flat."""
+def test_bisection_matches_scalar_bisection():
+    """_bisect_sign_change, with one-point cdf_vec calls, ends on the float the
+    bisection with cdf_eval finds, on the flips of seeded min/max laws with
+    exponential, uniform and Dirac parts, and on random brackets, where both
+    CDFs are often flat."""
     rng = random.Random(77)
     parts = [lambda: Exponential(round(rng.uniform(0.3, 4.0), 2)),
              lambda: Uniform(lo := round(rng.uniform(0.0, 1.0), 2), round(lo + rng.uniform(0.1, 2.0), 2)),
@@ -947,6 +958,22 @@ def test_batched_bisection_matches_one_midpoint_at_a_time():
         for lo, hi, up in brackets:
             assert _bisect_sign_change(a, b, lo, hi, up) == reference_bisect_sign_change(a, b, lo, hi, up)
     assert flips > 10
+
+
+def test_crossings_stop_at_a_sign_change_between_adjacent_floats():
+    """Each crossing x of a seeded min/max law is where F_a = F_b, or where
+    F_a - F_b is nonzero at x and one float below with opposite signs."""
+    rng = random.Random(2811)
+    crossings = 0
+    for _ in range(80):
+        a, b = _random_part(rng), _random_part(rng)
+        if a == b:
+            continue
+        for x in _crossings(MinMaxCdf(rng.choice(("min", "max")), (a, b))):
+            at, below = (cdf_eval(a, y) - cdf_eval(b, y) for y in (x, math.nextafter(x, -math.inf)))
+            assert at == 0.0 or at * below < 0.0, (a, b, x, at, below)
+            crossings += 1
+    assert crossings > 20
 
 
 def test_dominance_grids_of_bit_twins_are_equal():
@@ -1109,4 +1136,4 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         PhaseType(())
     with pytest.raises(ValueError):
-        CompositionOperator.parse("plus")
+        compose_residence("plus", Exponential(1.0), Exponential(2.0))

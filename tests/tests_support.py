@@ -143,7 +143,7 @@ def oracle_path_laws(m, start, word):
 
 
 def reference_bisect_sign_change(a, b, lo, hi, above):
-    """distributions._bisect_sign_change one midpoint at a time, with cdf_eval."""
+    """distributions._bisect_sign_change with scalar cdf_eval."""
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         diff = cdf_eval(a, mid) - cdf_eval(b, mid)
         if diff == 0.0:
