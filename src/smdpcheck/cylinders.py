@@ -166,49 +166,73 @@ def initial_level(m: Smdp, start: str) -> Dict[tuple, float]:
     return {(start, (0,) * (len(m.states) * len(m.labels))): 1.0}
 
 
+class _Walk:
+    """Extends the levels of one model's words letter by letter.  Leaving a state
+    by a label counts one more visit of (state, label); that pair's positive
+    successors, sorted by state, are listed once per walk, when a level first
+    leaves the state by the label, so a walk lists only the rows it reaches."""
+
+    def __init__(self, m: Smdp):
+        self.m = m
+        self.moves: Dict[str, dict] = {}  # label -> state -> (its counts index, successors)
+
+    def extend(self, level: Dict[tuple, float], a: str) -> Dict[tuple, float]:
+        """The level of a word one letter `a` longer than the word of `level`."""
+        m = self.m
+        ai, n_l = m.label_index(a), len(m.labels)
+        moves = self.moves.setdefault(a, {})
+        nxt: Dict[tuple, float] = {}
+        for (state, counts), mass in level.items():
+            move = moves.get(state)
+            if move is None:
+                row = m.succ(state, a)
+                move = moves[state] = (m.state_index(state) * n_l + ai,
+                                       [(s2, row[s2]) for s2 in sorted(row, key=m.state_index) if row[s2] > 0.0])
+            k, succ = move
+            counts2 = counts[:k] + (counts[k] + 1,) + counts[k + 1:]
+            for s2, p in succ:
+                key = (s2, counts2)
+                nxt[key] = nxt.get(key, 0.0) + mass * p
+        return nxt
+
+
 def extend_level(m: Smdp, level: Dict[tuple, float], a: str) -> Dict[tuple, float]:
     """The level of a word one letter `a` longer than the word of `level`:
     leaving a state by `a` counts one more visit of (state, a)."""
-    ai, n_l = m.label_index(a), len(m.labels)
-    moves = {}  # state -> (its counts index, successors)
-    nxt: Dict[tuple, float] = {}
-    for (state, counts), mass in level.items():
-        if state not in moves:
-            row = m.succ(state, a)
-            moves[state] = (m.state_index(state) * n_l + ai,
-                            [(s2, row[s2]) for s2 in sorted(row, key=m.state_index) if row[s2] > 0.0])
-        k, succ = moves[state]
-        counts2 = counts[:k] + (counts[k] + 1,) + counts[k + 1:]
-        for s2, p in succ:
-            key = (s2, counts2)
-            nxt[key] = nxt.get(key, 0.0) + mass * p
-    return nxt
+    return _Walk(m).extend(level, a)
 
 
-def merge_level(m: Smdp, level: Dict[tuple, float], laws: dict) -> Dict[Tuple[Distribution, tuple], float]:
-    """Drops the current state of a level's entries: {(law, visit_counts): mass}.
-
-    A class's law is the canonical product of the residences its counts
-    imply, so it is built once per counts.  `laws`, shared by calls on the
-    same model while the model lives, holds the laws by counts and by the
-    residence multiset those imply, each residence known by its identity:
-    states that share a residence object share a law, and == laws with
-    other bits (Exponential(1) and Exponential(1.0)) do not.
-    """
+def level_masses(level: Dict[tuple, float]) -> Dict[tuple, float]:
+    """Drops the current state of a level's entries: {visit_counts: mass}, in the
+    order the counts first appear, each mass summed in the level's order."""
     masses: Dict[tuple, float] = {}
     for (_, counts), mass in level.items():
         masses[counts] = masses.get(counts, 0.0) + mass
-    n_l = len(m.labels)
-    merged = {}
-    for counts, mass in masses.items():
-        if counts not in laws:
-            parts = [m.residence_of(m.states[pos // n_l]) for pos, k in enumerate(counts) for _ in range(k)]
-            key = ("residences", *sorted(map(id, parts)))  # by identity; the str keeps it apart from counts
-            if key not in laws:
-                laws[key] = _canonical_product(parts)
-            laws[counts] = laws[key]
-        merged[laws[counts], counts] = mass
-    return merged
+    return masses
+
+
+def class_law(m: Smdp, counts: tuple, laws: dict) -> Distribution:
+    """The law of a path class: the canonical product of the residences its
+    visit counts imply, built once per counts.  `laws`, shared by calls on the
+    same model while the model lives, holds the laws by counts and by the
+    residence multiset those imply, each residence known by its identity:
+    states that share a residence object share a law, and == laws with other
+    bits (Exponential(1) and Exponential(1.0)) do not."""
+    law = laws.get(counts)
+    if law is None:
+        n_l = len(m.labels)
+        parts = [m.residence[m.states[pos // n_l]] for pos, k in enumerate(counts) if k for _ in range(k)]
+        key = ("residences", *sorted(map(id, parts)))  # by identity; the str keeps it apart from counts
+        if key not in laws:
+            laws[key] = _canonical_product(parts)
+        law = laws[counts] = laws[key]
+    return law
+
+
+def merge_level(m: Smdp, level: Dict[tuple, float], laws: dict) -> Dict[Tuple[Distribution, tuple], float]:
+    """{(law, visit_counts): mass} of a level: `level_masses` with each class's
+    `class_law`, `laws` being its cache."""
+    return {(class_law(m, counts, laws), counts): mass for counts, mass in level_masses(level).items()}
 
 
 def word_classes(m: Smdp, start: str, word) -> Dict[Tuple[Distribution, tuple], float]:
@@ -224,9 +248,9 @@ def word_classes(m: Smdp, start: str, word) -> Dict[Tuple[Distribution, tuple], 
     counts).  The counts fix the law: its shift is the math.fsum of the
     Dirac points and shifts they imply, whatever the order of the path.
     """
-    level = initial_level(m, start)
+    walk, level = _Walk(m), initial_level(m, start)
     for a in word:
-        level = extend_level(m, level, a)
+        level = walk.extend(level, a)
     return merge_level(m, level, {})
 
 
@@ -324,8 +348,15 @@ class _Tab:
 
 
 def _residence_split(d: Distribution, mass: float, xs: np.ndarray) -> _Tab:
-    jumps = _jumps(d)
-    return _Tab(mass * _continuous_cdf(d, xs, jumps), {(x,): mass * m for x, m in jumps})
+    """The last residence of a word as a _Tab: a shifted Dirac's atom is keyed by
+    its point and its shifts, as _conv_tabs keys it; any other atom by its float."""
+    jumps, points, base = _jumps(d), [], d
+    while isinstance(base, Shifted):
+        points.append(base.shift)
+        base = base.base
+    atoms = ({tuple(sorted((base.point, *points))): mass} if isinstance(base, Dirac)
+             else {(x,): mass * m for x, m in jumps})
+    return _Tab(mass * _continuous_cdf(d, xs, jumps), atoms)
 
 
 def _conv_tabs(d: Distribution, tabs: list, xs: np.ndarray, spectra: dict) -> list:

@@ -336,7 +336,7 @@ def parse_model(text: str) -> Smdp:
                 raise ModelFormatError("residence line must be: <state> <distribution>", lineno)
             if toks[0] in residence:
                 raise ModelFormatError(f"duplicate residence for {toks[0]!r}", lineno)
-            # one object per literal: merge_level shares the laws of states that share one
+            # one object per literal: class_law shares the laws of states that share one
             residence[toks[0]] = literals.setdefault(toks[1], parse_distribution_literal(toks[1], lineno))
         elif section == "transitions":
             toks = line.split()

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .composition import require_same_labels
-from .cylinders import extend_level, initial_level, merge_level
+from .cylinders import _Walk, class_law, initial_level, level_masses
 from .distributions import (
     Exponential,
     GridSpec,
@@ -157,36 +157,85 @@ def _scheduler_products(m: Smdp, options, limit=None):
 # classes cost one letter of path merging.
 
 
-def _word_table(m: Smdp, classes: dict, rows: dict, n_ts: int) -> tuple:
-    """(exponents E, masses coeff, CDF rows F) of a word's classes; `rows`
-    maps each law to its CDF on the n_ts grid times."""
-    return (np.array([counts for _, counts in classes], dtype=np.int64).reshape(
-                -1, len(m.states) * len(m.labels)),
-            np.array(list(classes.values())),
-            np.array([rows[law] for law, _ in classes]).reshape(-1, n_ts))
+def _word_tables(u: Smdp, v: Smdp, depth: int, ts: np.ndarray) -> tuple:
+    """(words, tables of u, tables of v): the words v spells on some path, up to
+    `depth` letters, breadth first and each prefix's extensions in label order,
+    and per side each word's (exponents E, masses coeff, CDF rows F on ts), as
+    `word_classes` gives its classes.  A side's tables are views of one E, one
+    coeff and one F array; each class's law is looked up once per visit counts,
+    and one `cdf_table` row serves every == law."""
+    walks = (_Walk(u), _Walk(v))
+    levels = {(): (initial_level(u, u.initial), initial_level(v, v.initial))}
+    live = [()]
+    for prefix in live:  # grows while it is walked
+        if len(prefix) < depth:
+            for a in v.labels:
+                slow = walks[1].extend(levels[prefix][1], a)
+                if slow:  # v spells prefix + a on some path
+                    live.append(prefix + (a,))
+                    levels[live[-1]] = (walks[0].extend(levels[prefix][0], a), slow)
+    words = live[1:]
+    row_of: Dict[object, int] = {}  # law -> its row of the CDF table, by ==
+    sides = []
+    for k, m in enumerate((u, v)):
+        laws: dict = {}  # class_law's cache
+        rows: Dict[tuple, int] = {}  # visit counts -> row of its law
+        counts, coeff, index, ends = [], [], [], []
+        for w in words:
+            for c, mass in level_masses(levels[w][k]).items():
+                row = rows.get(c)
+                if row is None:
+                    row = rows[c] = row_of.setdefault(class_law(m, c, laws), len(row_of))
+                counts.append(c)
+                coeff.append(mass)
+                index.append(row)
+            ends.append(len(counts))
+        sides.append((np.array(counts, dtype=np.int64).reshape(-1, len(m.states) * len(m.labels)),
+                      np.array(coeff, dtype=float), index, ends))
+    table = cdf_table(list(row_of), ts)
+    tables = []
+    for E, coeff, index, ends in sides:
+        F = table[np.array(index, dtype=np.intp)]
+        tables.append([(E[lo:hi], coeff[lo:hi], F[lo:hi]) for lo, hi in zip([0] + ends, ends)])
+    return words, tables[0], tables[1]
 
 
 class _Stack:
-    """Several words' tables stacked, evaluated for a batch of schedulers at once."""
+    """Several words' tables stacked, evaluated for a batch of schedulers at once.
+
+    The classes are ordered so that the words with equal class counts n are
+    contiguous: one power-product gives every class's weight, and one batched
+    (points, k, 1, n) @ (k, n, times) product per class count gives its k
+    words.  Each (1, n) @ (n, times) item is the product of a one-point,
+    one-word call, so every value has that call's bits; spans padded to one
+    length would not."""
 
     def __init__(self, tables):
-        self.E = np.concatenate([E for E, _, _ in tables])
-        self.coeff = np.concatenate([coeff for _, coeff, _ in tables])
-        self.F = [F for _, _, F in tables]
-        ends = np.cumsum([len(F) for F in self.F]).tolist()
-        self.spans = list(zip([0] + ends, ends))
+        sizes = [len(F) for _, _, F in tables]
+        order = sorted(range(len(tables)), key=sizes.__getitem__)
+        self.E = np.concatenate([tables[i][0] for i in order])
+        self.coeff = np.concatenate([tables[i][1] for i in order])
+        self.n_words, self.n_ts = len(tables), tables[0][2].shape[1]
+        # the words in stack order, back to their own order; None when that is the same
+        self.unsort = None if order == list(range(len(tables))) else np.argsort(order)
+        self.groups = []  # (first class, class count n, first word, (k, n, times) CDF rows)
+        lo = first = 0
+        for n, group in itertools.groupby(order, key=sizes.__getitem__):
+            F = np.stack([tables[i][2] for i in group])
+            self.groups.append((lo, n, first, F))
+            lo, first = lo + len(F) * n, first + len(F)
 
     def eval(self, X: np.ndarray) -> np.ndarray:
-        """(points, n_states, n_labels) schedulers -> (points, words, times) probabilities.
-
-        A (1, n) @ (n, times) product per point and word sums in the same order
-        whatever the batch; spans padded to one length would not."""
+        """(points, n_states, n_labels) schedulers -> (points, words, times) probabilities."""
         flat = X.reshape(len(X), -1)
         rows = max(1, _EVAL_BUDGET // max(1, self.E.size))
         W = np.concatenate([np.prod(flat[i:i + rows, None, :] ** self.E, axis=2)
                             for i in range(0, len(flat), rows)]) * self.coeff
-        return np.stack([(W[:, None, lo:hi] @ F[None])[:, 0]
-                         for (lo, hi), F in zip(self.spans, self.F)], axis=1)
+        out = np.empty((len(X), self.n_words, 1, self.n_ts))
+        for lo, n, first, F in self.groups:
+            k = len(F)
+            np.matmul(W[:, lo:lo + k * n].reshape(len(X), k, 1, n), F, out=out[:, first:first + k])
+        return out[:, :, 0] if self.unsort is None else out[:, self.unsort, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -351,26 +400,10 @@ def _refute(u: Smdp, v: Smdp, depth: int, grid: GridSpec, search: SchedulerSearc
             "increase the search step or reduce the model")
     ts = grid.times()
     candidates = np.array(list(_scheduler_products(u, u_options, limit=_MAX_CANDIDATES)))
-    # word -> levels of u and of v, for the words whose level of v is nonempty; breadth
-    # first, so each prefix comes before its extensions, and those go in label order
-    levels = {(): (initial_level(u, u.initial), initial_level(v, v.initial))}
-    live = [()]
-    for prefix in live:  # grows while it is walked
-        if len(prefix) < depth:
-            for a in v.labels:
-                lvs = tuple(extend_level(m, lv, a) for m, lv in zip((u, v), levels[prefix]))
-                if lvs[1]:  # v spells prefix + a on some path
-                    live.append(prefix + (a,))
-                    levels[live[-1]] = lvs
-    words = live[1:]
+    words, fast_tables, slow_tables = _word_tables(u, v, depth, ts)
     if not words:
         return FasterThanVerdict("NotRefuted", depth, grid, search, **counts)
-    classes = [[merge_level(m, levels[w][k], cores) for w in words]
-               for k, (m, cores) in enumerate(((u, {}), (v, {})))]
-    laws = list(dict.fromkeys(law for side in classes for cl in side for law, _ in cl))
-    rows = dict(zip(laws, cdf_table(laws, ts)))  # law -> CDF on ts, one row per == law
-    tables = [[_word_table(m, cl, rows, len(ts)) for cl in side] for m, side in zip((u, v), classes)]
-    fast, slow_stack = _Stack(tables[0]), _Stack(tables[1])
+    fast, slow_stack = _Stack(fast_tables), _Stack(slow_tables)
     cand_vals = fast.eval(candidates)  # (n_candidates, n_words, n_ts)
     cand_max = cand_vals.max(axis=0)
 
@@ -381,7 +414,7 @@ def _refute(u: Smdp, v: Smdp, depth: int, grid: GridSpec, search: SchedulerSearc
         if fail_mask.any():
             wi, ti = np.unravel_index(np.argmax(fail_mask), fail_mask.shape)
             ci = int(cand_vals[:, wi, ti].argmax())
-            one = _Stack([tables[0][wi]])
+            one = _Stack([fast_tables[wi]])
             x_best, val = _ascend(lambda xs: one.eval(xs)[:, 0, ti],
                                   candidates[ci], cand_vals[ci, wi, ti], search.step)
             if val < slow[wi, ti] - _SLACK:

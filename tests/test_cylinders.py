@@ -29,6 +29,7 @@ from smdpcheck.distributions import (
     PhaseType,
     Shifted,
     Uniform,
+    _jumps,
     cdf_eval,
     convolve_power,
 )
@@ -465,6 +466,30 @@ def test_dirac_sums_on_t_agree_on_both_engines():
             assert abs(p - i) <= 1e-12, (seed, residence, trans, c, p, i)
             cases += 1
     assert cases == 450
+
+
+def test_shifted_dirac_sums_on_t_agree_on_both_engines():
+    """x dirac(a) -> y shift(dirac(b), c) -> x, word aa, at t = fsum(a, b, c) and one
+    float either side: the word ends in y's residence, whose atom both engines place
+    at the fsum of a, b and c, however b + c rounds (a = 0.1, b = 0.95, c = 0.9 gives
+    1.95 at t = 1.95 on both).  A second shift around y's Dirac is summed the same way.
+    Some of the cases put y's atom, taken as one float, off t."""
+    rng = random.Random(5)
+    apart = cases = 0
+    for case in range(300):
+        a, b, c, c2 = (round(rng.uniform(0.05, 1.0), rng.choice((1, 2))) for _ in range(4))
+        y = Shifted(Dirac(b), c) if case % 2 else Shifted(Shifted(Dirac(b), c), c2)
+        t = math.fsum((a, b, c) if case % 2 else (a, b, c, c2))
+        m = Smdp(["a"], ["x", "y"], "x", {"x": Dirac(a), "y": y},
+                 {("x", "a"): {"y": 1.0}, ("y", "a"): {"x": 1.0}})
+        sch = uniform_scheduler(m)
+        for bound in (math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)):
+            c_aa = TimeBoundedCylinder(("a", "a"), bound)
+            p, i = prob_cylinder_paths(m, sch, "x", c_aa), prob_cylinder_inductive(m, sch, "x", c_aa)
+            assert p == i == float(bound >= t), (a, y, c_aa, p, i)
+            apart += math.fsum((a, _jumps(y)[0][0])) != t  # y's atom as one float: off t
+            cases += 1
+    assert cases == 900 and apart > 0
 
 
 def _words(labels, n):

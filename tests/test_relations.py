@@ -14,7 +14,7 @@ from smdpcheck import corpus, distributions, relations
 from smdpcheck.composition import compose
 from smdpcheck.cylinders import TimeBoundedCylinder, prob_cylinder_paths, word_classes
 from smdpcheck.model import Scheduler, Smdp, parse_model, uniform_scheduler
-from smdpcheck.distributions import Exponential, GridSpec, PhaseType, Uniform, cdf_vec, dominates
+from smdpcheck.distributions import Exponential, GridSpec, PhaseType, Uniform, cdf_table, cdf_vec, dominates
 from smdpcheck.errors import LabelMismatch
 from smdpcheck.relations import (
     _SLACK,
@@ -22,6 +22,7 @@ from smdpcheck.relations import (
     _ascend,
     _refute,
     _Stack,
+    _word_tables,
     _scheduler_products,
     _simplex_options,
     _weight_function_exists,
@@ -256,6 +257,54 @@ def test_stacked_tables_match_one_point_evaluation():
         want = np.array([[(np.prod(x.ravel()[None, :] ** E, axis=1) * coeff) @ F
                           for E, coeff, F in tables] for x in xs])
         assert np.array_equal(_Stack(tables).eval(xs), want), case
+
+
+def test_grouped_stacks_match_one_word_evaluation(monkeypatch):
+    """Words of equal class counts, empty ones too, share one batched product; each
+    (point, word) still has the bits of a lone one-word call, for one point or many,
+    with the power product in one chunk or in several."""
+    rng = np.random.default_rng(29)
+    grouped = 0
+    for case in range(200):
+        n_states, n_ts = int(rng.integers(1, 4)), int(rng.integers(1, 8))
+        sizes = rng.choice([0, 1, 3, 8], size=int(rng.integers(1, 12)))
+        sizes = np.append(sizes, sizes[0])  # one class count at least twice
+        tables = [(rng.integers(0, 5, size=(n, 2 * n_states)), rng.random(n), rng.random((n, n_ts)))
+                  for n in sizes]
+        xs = rng.dirichlet(np.ones(2), size=((1, int(rng.integers(2, 40)))[case % 2], n_states))
+        want = np.array([[(np.prod(x.ravel()[None, :] ** E, axis=1) * coeff) @ F
+                          for E, coeff, F in tables] for x in xs])
+        stack = _Stack(tables)
+        grouped += len(stack.groups) < len(tables)
+        for budget in (relations._EVAL_BUDGET, 1, 3 * stack.E.size + 1):  # rows of 1 and 3 points
+            monkeypatch.setattr(relations, "_EVAL_BUDGET", budget)
+            assert np.array_equal(stack.eval(xs), want), (case, budget)
+    assert grouped == 200
+
+
+def test_word_tables_match_word_classes():
+    """Each word's table holds word_classes' classes of that word in their order:
+    its visit counts, its masses, and the CDF row of its law, one row per == law
+    of all the words of both sides."""
+    ts = GridSpec().times()
+    for seed in range(40):
+        rng = random.Random(seed)
+        labels = ("a", "b", "c")[:2 + seed % 2]
+        u = random_two_label_model(rng, live_initial=True, labels=labels)
+        v = random_two_label_model(rng, live_initial=True, labels=labels)
+        depth = 1 + seed % 4
+        words, fast, slow = _word_tables(u, v, depth, ts)
+        assert words == [w for n in range(1, depth + 1) for w in itertools.product(labels, repeat=n)
+                         if word_classes(v, v.initial, w)], seed
+        classes = [[word_classes(m, m.initial, w) for w in words] for m in (u, v)]
+        laws = list(dict.fromkeys(law for side in classes for cl in side for law, _ in cl))
+        rows = dict(zip(laws, cdf_table(laws, ts)))
+        for m, side, tables in zip((u, v), classes, (fast, slow)):
+            for w, cl, (E, coeff, F) in zip(words, side, tables):
+                assert np.array_equal(E, np.array([c for _, c in cl], dtype=np.int64).reshape(
+                    -1, len(m.states) * len(labels))), (seed, w)
+                assert np.array_equal(coeff, np.array(list(cl.values()), dtype=float)), (seed, w)
+                assert np.array_equal(F, np.array([rows[law] for law, _ in cl]).reshape(-1, len(ts))), (seed, w)
 
 
 def test_batched_ascent_takes_the_sequential_path(monkeypatch):

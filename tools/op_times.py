@@ -10,7 +10,9 @@ odd ones; each replay is a fresh process that imports its tree's own `src/`.
 An op is timed by `time.process_time`, the CPU time of the replaying
 process, so other processes on the host add little to it, and import and
 setup time are left out.  The report gives per op key, and for all ops, the
-smallest total over the reps on each side, and their ratio.
+smallest total over the reps on each side, and their ratio.  An op that some
+run skips, because an op it needs raised, is reported as missing on that
+side, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -58,6 +60,19 @@ def replay(tree: Path, workload: str, seeds: list, n: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def least_times(runs: dict) -> dict:
+    """{side: {op key: least CPU s over the side's runs}}, for every key of any run,
+    then "all ops", the least total of a run.  A key that some run of a side lacks
+    (the op was skipped because an op it needs raised) is None on that side."""
+    keys = list(dict.fromkeys(k for side in runs.values() for run in side for k in run))
+    best = {side: {k: min(run[k] for run in side_runs) if all(k in run for run in side_runs) else None
+                   for k in keys}
+            for side, side_runs in runs.items()}
+    for side, side_runs in runs.items():
+        best[side]["all ops"] = min(sum(run.values()) for run in side_runs)
+    return best
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -78,17 +93,22 @@ def main(argv=None) -> int:
                 runs[side].append(replay(tree, args.workload, args.seeds, args.n))
             print(f"rep {rep + 1}: all ops {sum(runs['base'][-1].values()):.3f} s base, "
                   f"{sum(runs['new'][-1].values()):.3f} s new", file=sys.stderr)
-    keys = list(dict.fromkeys(k for side in runs.values() for run in side for k in run))
-    best = {side: {k: min(run.get(k, 0.0) for run in side_runs) for k in keys}
-            for side, side_runs in runs.items()}
-    for side, side_runs in runs.items():
-        best[side]["all ops"] = min(sum(run.values()) for run in side_runs)
+    best = least_times(runs)
+    keys = list(best["base"])[:-1]
     print(f"{args.workload}, seeds {','.join(map(str, args.seeds))}, first {args.n} instances, "
           f"least CPU s of {args.reps} reps, base {args.base}")
     print(f"{'op':16s} {'base':>9s} {'new':>9s} {'new/base':>9s}")
+    missing = [key for key in keys if None in (best["base"][key], best["new"][key])]
     for key in keys + ["all ops"]:
         old, new = best["base"][key], best["new"][key]
-        print(f"{key:16s} {old:9.3f} {new:9.3f} {new / old if old else float('nan'):9.3f}")
+        if key in missing:
+            print(f"{key:16s} {'missing' if old is None else f'{old:.3f}':>9s} "
+                  f"{'missing' if new is None else f'{new:.3f}':>9s}")
+        else:
+            print(f"{key:16s} {old:9.3f} {new:9.3f} {new / old if old else float('nan'):9.3f}")
+    if missing:
+        print(f"ops missing from some run: {', '.join(missing)}", file=sys.stderr)
+        return 1
     return 0
 
 
