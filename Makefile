@@ -1,21 +1,5 @@
 .PHONY: install test acceptance reproduce reproduce-check known-defects check bench-pairs op-times replay-diff replay-check cli-diff
 
-# Diffs two reproduce reports over every field but elapsed_seconds.
-define REPORT_DIFF
-import difflib, json, sys
-
-def fields(x):
-    if isinstance(x, dict):
-        return {k: fields(v) for k, v in x.items() if k != "elapsed_seconds"}
-    return [fields(v) for v in x] if isinstance(x, list) else x
-
-old, new = (json.dumps(fields(json.load(open(p))), indent=1).splitlines() for p in sys.argv[1:])
-diff = list(difflib.unified_diff(old, new, sys.argv[1], "regenerated", lineterm=""))
-print("\n".join(diff) or "every field but elapsed_seconds matches " + sys.argv[1])
-sys.exit(1 if diff else 0)
-endef
-export REPORT_DIFF
-
 install:
 	pip install -e '.[test]' --no-build-isolation
 
@@ -28,10 +12,9 @@ acceptance:
 reproduce:
 	PYTHONPATH=src python3 -m smdpcheck.reproduce reproduce_report.json
 
+# The reproduce-report test alone; on a mismatch, -vv shows each differing field.
 reproduce-check:
-	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
-	PYTHONPATH=src python3 -m smdpcheck.reproduce "$$tmp" && \
-	python3 -c "$$REPORT_DIFF" reproduce_report.json "$$tmp"
+	pytest -vv tests/test_acceptance.py::test_reproduce_report_matches_the_committed_one
 
 # Exits 1 while a min/max composite with a Dirac part raises in the paths engine,
 # or the two cylinder engines differ by more than 1e-5 on uniform contexts.
@@ -39,7 +22,7 @@ known-defects:
 	python3 perfbench/known_defects.py --seed 7
 
 # The tier-1 tests, then known-defects.  test_reproduce_report_matches_the_committed_one is the
-# "same numbers" gate; reproduce-check shows the unified diff behind a failure of it.
+# "same numbers" gate; reproduce-check runs it alone, with pytest's field-by-field diff.
 check:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 	$(MAKE) known-defects

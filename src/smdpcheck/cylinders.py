@@ -22,7 +22,6 @@ from .distributions import (
     _gauss_legendre,
     _jumps,
     _scales,
-    cdf_eval,
     cdf_table,
     cdf_vec,
     measure_interval,
@@ -147,8 +146,9 @@ def _rect_rec(m, sch, s, steps, k):
         w = sch.weight(s, a)
         if w <= 0.0:
             continue
-        for s2 in sorted(m.succ(s, a)):
-            p = m.succ(s, a)[s2]
+        row = m.succ(s, a)
+        for s2 in sorted(row):
+            p = row[s2]
             if p <= 0.0 or s2 not in step.states:
                 continue
             rest = 1.0 if k + 1 == len(steps) else _rect_rec(m, sch, s2, steps, k + 1)
@@ -196,12 +196,6 @@ class _Walk:
         return nxt
 
 
-def extend_level(m: Smdp, level: Dict[tuple, float], a: str) -> Dict[tuple, float]:
-    """The level of a word one letter `a` longer than the word of `level`:
-    leaving a state by `a` counts one more visit of (state, a)."""
-    return _Walk(m).extend(level, a)
-
-
 def level_masses(level: Dict[tuple, float]) -> Dict[tuple, float]:
     """Drops the current state of a level's entries: {visit_counts: mass}, in the
     order the counts first appear, each mass summed in the level's order."""
@@ -229,12 +223,6 @@ def class_law(m: Smdp, counts: tuple, laws: dict) -> Distribution:
     return law
 
 
-def merge_level(m: Smdp, level: Dict[tuple, float], laws: dict) -> Dict[Tuple[Distribution, tuple], float]:
-    """{(law, visit_counts): mass} of a level: `level_masses` with each class's
-    `class_law`, `laws` being its cache."""
-    return {(class_law(m, counts, laws), counts): mass for counts, mass in level_masses(level).items()}
-
-
 def word_classes(m: Smdp, start: str, word) -> Dict[Tuple[Distribution, tuple], float]:
     """Groups the state paths spelling `word` from `start` into scheduler-free classes.
 
@@ -248,10 +236,10 @@ def word_classes(m: Smdp, start: str, word) -> Dict[Tuple[Distribution, tuple], 
     counts).  The counts fix the law: its shift is the math.fsum of the
     Dirac points and shifts they imply, whatever the order of the path.
     """
-    walk, level = _Walk(m), initial_level(m, start)
+    walk, level, laws = _Walk(m), initial_level(m, start), {}
     for a in word:
         level = walk.extend(level, a)
-    return merge_level(m, level, {})
+    return {(class_law(m, counts, laws), counts): mass for counts, mass in level_masses(level).items()}
 
 
 def word_terms(m: Smdp, sch: Scheduler, start: str, word) -> Dict[Distribution, float]:
@@ -402,8 +390,9 @@ def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylin
     continuation sub-CDF by product integration, which reads only the law's
     CDF: one kernel and one FFT per residence law and call, and one batched
     FFT product for the states of a level that share that law.  Atoms stay
-    symbolic.  _grid_points sizes the grid.  At t = 0 and t = inf the step
-    recursion needs no grid.
+    symbolic.  _grid_points sizes the grid.  At t = 0 and t = inf the cylinder
+    is the rectangular one whose every step's residence lies in [0, t], and
+    `prob_rect_cylinder` computes it with no grid.
     """
     word = c.word
     t = c.bound
@@ -411,7 +400,8 @@ def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylin
     for a in word:
         m.label_index(a)
     if t <= 0.0 or t == math.inf:
-        return _inductive_at_end(m, sch, s, word, 0, t)
+        return prob_rect_cylinder(m, sch, s, RectCylinder(
+            [RectStep({a}, (Interval.upto(t),), m.states) for a in word]))
 
     xs = np.linspace(0.0, t, _grid_points(m, t) + 1)
 
@@ -454,21 +444,3 @@ def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylin
         tables = nxt_tables
     return float(min(1.0, max(0.0, tables[s].value_at_end(t))))
 
-
-def _inductive_at_end(m, sch, s, word, k, t):
-    # At t = 0 only residence mass sitting exactly at zero contributes; at
-    # t = inf every residence ends in time, so F(t) is 1 at each step.
-    res = m.residence_of(s)
-    here = cdf_eval(res, t)
-    if here <= 0.0:
-        return 0.0
-    a = word[k]
-    w_label = sch.weight(s, a)
-    if w_label <= 0.0:
-        return 0.0
-    row = m.succ(s, a)
-    if k + 1 == len(word):
-        return here * w_label * sum(row.values())
-    return here * w_label * _tree_sum(
-        p * _inductive_at_end(m, sch, s2, word, k + 1, t)
-        for s2, p in sorted(row.items()) if p > 0.0)

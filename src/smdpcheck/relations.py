@@ -11,6 +11,7 @@ only reports that no counterexample was found within the explored bounds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -313,13 +314,10 @@ def _state_map(u: Smdp, v: Smdp) -> Optional[Tuple[Tuple[str, str, str], ...]]:
     ready: List[List[str]] = [[] for _ in order]  # states whose rows are mapped once order[i] is
     for s in order:
         ready[max([position[s]] + [position[s2] for s2 in u.adjacent(s)])].append(s)
-    outcomes: Dict[tuple, Optional[str]] = {}  # (law of u, law of v) -> _dominance_outcome
+    outcome = functools.lru_cache(maxsize=None)(_dominance_outcome)  # by pair of laws, for this call
 
     def dominance(s, t):
-        laws = (u.residence_of(s), v.residence_of(t))
-        if laws not in outcomes:
-            outcomes[laws] = _dominance_outcome(*laws)
-        return outcomes[laws]
+        return outcome(u.residence_of(s), v.residence_of(t))
 
     def lumps(s):
         for a in u.labels:
@@ -509,15 +507,9 @@ def simulates(u: Smdp, v: Smdp) -> RelationResult:
     the remaining relation.
     """
     require_same_labels(u, v)
-    holds: Dict[tuple, bool] = {}  # (v's law, u's law) -> dominance; many states share a law
-    rel = set()
-    for su in u.states:
-        for sv in v.states:
-            laws = (v.residence_of(sv), u.residence_of(su))
-            if laws not in holds:
-                holds[laws] = _dominance_outcome(*laws) is not None
-            if holds[laws]:
-                rel.add((su, sv))
+    outcome = functools.lru_cache(maxsize=None)(_dominance_outcome)  # many states share a law
+    rel = {(su, sv) for su in u.states for sv in v.states
+           if outcome(v.residence_of(sv), u.residence_of(su)) is not None}
     changed = True
     while changed:
         changed = False

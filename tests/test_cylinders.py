@@ -12,9 +12,9 @@ from smdpcheck.cylinders import (
     RectCylinder,
     RectStep,
     TimeBoundedCylinder,
-    extend_level,
+    class_law,
     initial_level,
-    merge_level,
+    level_masses,
     prob_cylinder_inductive,
     prob_cylinder_paths,
     prob_rect_cylinder,
@@ -210,12 +210,12 @@ def test_prefix_extended_levels_match_word_classes():
     order, with one law cache for all the words, as faster_than_bounded keeps it."""
     for seed in range(12):
         m = random_two_label_model(random.Random(seed), live_initial=True)
-        levels = {(): initial_level(m, m.initial)}
-        laws = {}
+        walk, levels, laws = cylinders._Walk(m), {(): initial_level(m, m.initial)}, {}
         for n in range(1, 7):
             for word in itertools.product(m.labels, repeat=n):
-                levels[word] = extend_level(m, levels[word[:-1]], word[-1])
-                got = list(merge_level(m, levels[word], laws).items())
+                levels[word] = walk.extend(levels[word[:-1]], word[-1])
+                got = [((class_law(m, counts, laws), counts), mass)
+                       for counts, mass in level_masses(levels[word]).items()]
                 assert got == list(word_classes(m, m.initial, word).items()), (seed, word)
 
 
@@ -278,20 +278,37 @@ def test_inductive_zero_bound_with_continuous_residences(fig2_U):
 
 
 def test_inductive_at_infinite_and_huge_bounds():
-    """t = inf takes the end-point recursion, which reads F(inf) = 1 at each
-    step; t = 1e308 caps the grid before its size could overflow."""
+    """t = 0 and t = inf take the rectangular recursion, every step's residence in
+    [0, t], and agree with the paths engine to 1e-12: on the corpus, and on seeded
+    three-label models with Dirac(0.0) residences under schedulers whose weights
+    are not powers of two.  t = 1e308 caps the grid before its size could overflow."""
+    cases = []
     for name in corpus.names():
-        if not name.endswith(".smdp"):
-            continue
-        m = corpus.load(name)
-        sch = uniform_scheduler(m)
-        for word in itertools.product(m.labels, repeat=2):
-            for t in (float("inf"), 1e308):
-                c = TimeBoundedCylinder(word, t)
-                paths = prob_cylinder_paths(m, sch, m.initial, c)
-                tol = 1e-12 if t == float("inf") else 1e-5
-                assert prob_cylinder_inductive(m, sch, m.initial, c) == pytest.approx(
-                    paths, abs=tol), (name, word, t)
+        if name.endswith(".smdp"):
+            m = corpus.load(name)
+            cases += [(name, m, uniform_scheduler(m), word, t)
+                      for word in itertools.product(m.labels, repeat=2) for t in (0.0, float("inf"), 1e308)]
+    rng = random.Random(30)
+    for seed in range(20):
+        m = random_two_label_model(rng, n_max=4, labels=("a", "b", "c"))
+        m = Smdp(m.labels, m.states, m.initial, {s: Dirac(0.0) if rng.random() < 0.6 else law
+                                                 for s, law in m.residence.items()}, m.transitions)
+        weights = {s: [rng.uniform(0.1, 1.0) for _ in m.labels] for s in m.states}
+        sch = Scheduler({s: {a: w / sum(ws) for a, w in zip(m.labels, ws)} for s, ws in weights.items()})
+        cases += [(seed, m, sch, word, t) for n in (1, 2, 3)
+                  for word in itertools.product(m.labels, repeat=n) for t in (0.0, float("inf"))]
+    nonzero = 0
+    for case, m, sch, word, t in cases:
+        c = TimeBoundedCylinder(word, t)
+        got = prob_cylinder_inductive(m, sch, m.initial, c)
+        paths = prob_cylinder_paths(m, sch, m.initial, c)
+        tol = 1e-5 if t == 1e308 else 1e-12
+        assert got == pytest.approx(paths, abs=tol), (case, word, t)
+        if t != 1e308:
+            rect = RectCylinder([RectStep({a}, (Interval.upto(t),), m.states) for a in word])
+            assert got == prob_rect_cylinder(m, sch, m.initial, rect), (case, word, t)
+            nonzero += t == 0.0 and got > 0.0
+    assert nonzero > 0  # some words end at t = 0 with mass
 
 
 def _palette_model(rng, n_states, n_laws):

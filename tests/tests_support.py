@@ -32,9 +32,12 @@ from smdpcheck.distributions import (
 )
 from smdpcheck.composition import compose, composite_name, require_same_labels
 from smdpcheck.cylinders import (
+    Interval,
+    RectCylinder,
+    RectStep,
     TimeBoundedCylinder,
-    _inductive_at_end,
     _Tab,
+    prob_rect_cylinder,
     word_classes,
 )
 from smdpcheck.errors import SmdpcheckError
@@ -717,7 +720,8 @@ def reference_prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBo
     for a in word:
         m.label_index(a)
     if t <= 0.0:
-        return _inductive_at_end(m, sch, s, word, 0, t)
+        return prob_rect_cylinder(m, sch, s, RectCylinder(
+            [RectStep({a}, (Interval.upto(t),), m.states) for a in word]))
 
     if grid_points is None:
         rate = max([1.0] + [_scales(m.residence_of(x))[1] for x in m.states])

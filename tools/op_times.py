@@ -5,14 +5,15 @@
 Run it from the root of the repository.  BASE is exported with `git archive`
 into a temporary directory, as `tools/bench_pairs.py` does.  Each rep replays
 the first N instances of each seed's op stream once in each tree, one tree
-after the other, the base first in even reps and the working tree first in
-odd ones; each replay is a fresh process that imports its tree's own `src/`.
-An op is timed by `time.process_time`, the CPU time of the replaying
-process, so other processes on the host add little to it, and import and
-setup time are left out.  The report gives per op key, and for all ops, the
-smallest total over the reps on each side, and their ratio.  An op that some
-run skips, because an op it needs raised, is reported as missing on that
-side, and the script exits 1.
+after the other (never both at once, so that they share no CPU), the base
+first in even reps and the working tree first in odd ones.  Each replay is a
+fresh process that imports its tree's own `src/` and runs each instance's ops
+by `tools/replay_diff.py`'s `run_ops`.  An op is timed by `time.process_time`,
+the CPU time of the replaying process, so other processes on the host add
+little to it, and import and setup time are left out.  The report gives per
+op key, and for all ops, the smallest total over the reps on each side, and
+their ratio.  An op that some run skips, because an op it needs raised, is
+reported as missing on that side, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import argparse
 import json
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 from bench_pairs import exported, parse_seeds
+from replay_diff import run_ops
 
 ROOT = Path.cwd()
 
@@ -38,16 +39,9 @@ def emit(workload: str, seeds: list, n: int) -> None:
     totals: dict = {}
     for seed in seeds:
         for _, inst in zip(range(n), stream(seed)):
-            results = {}
-            for op in inst.ops:
-                if any(key not in results for key in op.needs):
-                    continue
-                start = time.process_time()
-                try:
-                    results[op.key] = op.run(results)
-                except Exception:  # timed all the same; replay_diff reports what raised
-                    pass
-                totals[op.key] = totals.get(op.key, 0.0) + time.process_time() - start
+            for key, _, seconds in run_ops(inst, {}):  # an op that raised is timed all the same
+                if seconds is not None:
+                    totals[key] = totals.get(key, 0.0) + seconds
     print(json.dumps(totals))
 
 

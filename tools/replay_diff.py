@@ -16,7 +16,7 @@ change of a float leaf that is not a time or a scheduler weight.  It lists
 every other difference, such as an outcome, a witness word or time, a
 scheduler or a leaf present on one side only, and every op whose answer is
 wrong on either side.  The exit status is 1 when any result differs or any
-answer is wrong, else 0.  Nothing is timed.
+answer is wrong, else 0.  The report gives no times.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from bench_pairs import exported, parse_seeds
@@ -65,6 +66,23 @@ def float_move(path: str, old: str, new: str):
         return None
 
 
+def run_ops(inst, results: dict):
+    """Runs an instance's ops in order, each op's result into `results`.  An op
+    that raised is left out of `results`, and an op that needs one left out is
+    not run.  Yields (op key, its result or the exception it raised, its CPU s
+    by `time.process_time`) per op, and (op key, None, None) per op not run."""
+    for op in inst.ops:
+        if any(key not in results for key in op.needs):
+            yield op.key, None, None
+            continue
+        start = time.process_time()
+        try:
+            results[op.key] = value = op.run(results)
+        except Exception as exc:  # a raised op is a result, and a wrong one
+            value = exc
+        yield op.key, value, time.process_time() - start
+
+
 def emit(workload: str, seed: int, n: int) -> None:
     """Replays the first n instances of this tree's stream; one JSON line per op."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -73,16 +91,13 @@ def emit(workload: str, seed: int, n: int) -> None:
     stream = workloads.streams(ROOT / "src" / "smdpcheck" / "corpus")[workload](seed)
     for _, inst in zip(range(n), stream):
         results = {}
-        for op in inst.ops:
-            if any(key not in results for key in op.needs):
-                print(json.dumps([inst.ident, op.key, "skipped"]))
+        for key, value, seconds in run_ops(inst, results):
+            if seconds is None:
+                print(json.dumps([inst.ident, key, "skipped"]))
                 continue
-            try:
-                results[op.key] = value = op.run(results)
-            except Exception as exc:  # a raised op is a result, and a wrong one
-                value = exc
-                print(json.dumps([inst.ident, op.key, "wrong", f"raised {type(exc).__name__}: {exc}"]))
-            print(json.dumps([inst.ident, op.key, list(leaves(value))]))
+            if isinstance(value, Exception):
+                print(json.dumps([inst.ident, key, "wrong", f"raised {type(value).__name__}: {value}"]))
+            print(json.dumps([inst.ident, key, list(leaves(value))]))
         try:
             wrong = inst.check(results)
         except Exception as exc:
