@@ -165,6 +165,7 @@ def _cmd_faster_than(args):
                     "NotRefuted is bounded evidence only"),
         "depth": args.depth,
         "tmax": args.tmax,
+        "tpoints": args.tpoints,
         "step": args.step,
         "candidates": verdict.candidates,
         "candidate_lattice": verdict.candidate_lattice,
@@ -174,7 +175,8 @@ def _cmd_faster_than(args):
         "proof": None if proof is None else [{"fast": s, "slow": t, "dominance": outcome}
                                              for s, t, outcome in proof],
     }
-    lines = [f"{verdict.outcome} (depth {args.depth}, tmax {args.tmax}, step {args.step})"]
+    lines = [f"{verdict.outcome} (depth {args.depth}, tmax {args.tmax}, "
+             f"tpoints {args.tpoints}, step {args.step})"]
     if verdict.candidates_truncated:
         lines.append(f"  fast lattice truncated: {verdict.candidates} of "
                      f"{verdict.candidate_lattice} schedulers searched"

@@ -13,7 +13,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .distributions import Dirac, Distribution, Exponential, Uniform, cdf_vec
+from .distributions import Dirac, Distribution, Exponential, MinMaxCdf, Uniform, cdf_vec
 from .model import Scheduler, Smdp
 
 __all__ = ["TimedPath", "Deadlock", "sample_path", "estimate_cylinder", "wilson_bounds"]
@@ -39,8 +39,11 @@ class Deadlock:
 
 def _quantile(d: Distribution, qs) -> np.ndarray:
     """Inverse CDF of d at each of qs: closed forms for Dirac, exponential and
-    uniform laws; any other law doubles hi from 1.0 while F(hi) < q (up to
-    1e12), then bisects all points at once, each until hi - lo <= 1e-9.
+    uniform laws.  A min/max law inverts through its parts: {x : max(F_a,
+    F_b)(x) >= q} is the union of the parts' up-rays, so its infimum is
+    min(Q_a, Q_b), and a min of CDFs has max(Q_a, Q_b).  Any other law
+    doubles hi from 1.0 while F(hi) < q (up to 1e12), then bisects all
+    points at once, each until hi - lo <= 1e-9.
     """
     qs = np.asarray(qs, dtype=float)
     if isinstance(d, Dirac):
@@ -49,6 +52,9 @@ def _quantile(d: Distribution, qs) -> np.ndarray:
         return -np.log1p(-qs) / d.rate
     if isinstance(d, Uniform):
         return d.lo + qs * (d.hi - d.lo)
+    if isinstance(d, MinMaxCdf):
+        a, b = (_quantile(p, qs) for p in d.parts)
+        return np.minimum(a, b) if d.kind == "max" else np.maximum(a, b)
     hi, lo, grow = np.ones_like(qs), np.zeros_like(qs), np.ones_like(qs, dtype=bool)
     while grow.any():
         grow[grow] = (cdf_vec(d, hi[grow]) < qs[grow]) & (hi[grow] < 1e12)

@@ -185,7 +185,7 @@ def test_faster_than_reports_a_state_map_proof(models, capsys):
     assert res["proof"] == [{"fast": s, "slow": "u0", "dominance": "HoldsAnalytic"} for s in ("v0", "v1", "v2")]
     assert "proved for all depths and times by a state map" in res["meaning"]
     code, out = run(capsys, *argv)
-    assert out.splitlines() == ["NotRefuted (depth 3, tmax 10.0, step 0.5)",
+    assert out.splitlines() == ["NotRefuted (depth 3, tmax 10.0, tpoints 5, step 0.5)",
                                 "  (proved for all depths and times by a state map)",
                                 "  v0 -> u0 (HoldsAnalytic)", "  v1 -> u0 (HoldsAnalytic)",
                                 "  v2 -> u0 (HoldsAnalytic)"]
@@ -411,7 +411,7 @@ def test_report_field_names(models, capsys):
         "compose": (["--left", u, "--right", w, "--op", "min", "--out", str(models / "uw.smdp")],
                     ["out", "states", "labels"]),
         "faster-than": ([u, v, "--depth", "2"],
-                        ["outcome", "meaning", "depth", "tmax", "step", "candidates",
+                        ["outcome", "meaning", "depth", "tmax", "tpoints", "step", "candidates",
                          "candidate_lattice", "candidates_truncated", "witness", "proof"]),
         "simulates": ([u, v], ["holds", "pairs"]),
         "bisimilar": ([u, v], ["holds", "pairs"]),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from smdpcheck import corpus
+from smdpcheck import corpus, montecarlo
 from smdpcheck.cylinders import TimeBoundedCylinder, prob_cylinder_paths
 from smdpcheck.distributions import (
     Dirac,
@@ -16,6 +16,7 @@ from smdpcheck.distributions import (
     Shifted,
     Uniform,
     cdf_eval,
+    cdf_vec,
 )
 from smdpcheck.model import Smdp, dirac_scheduler, uniform_scheduler
 from smdpcheck.montecarlo import (
@@ -120,6 +121,9 @@ _BISECTED_LAWS = (
     PhaseType((1.0, 2.0)),
     PhaseType((0.4, 1.5, 3.0)),
     Shifted(PhaseType((0.7, 2.2)), 0.25),
+)
+
+_MIN_MAX_LAWS = (
     MinMaxCdf("min", (Exponential(0.9), Uniform(0.4, 1.86))),
     MinMaxCdf("min", (Uniform(0.1, 0.6), Exponential(3.0))),
     MinMaxCdf("max", (Exponential(2.4), Uniform(0.31, 1.43))),
@@ -128,6 +132,8 @@ _BISECTED_LAWS = (
 
 
 def test_quantile_matches_scalar_bisection():
+    """Laws with no closed-form quantile: the batched bisection gives the bits
+    of the one-sample reference bisection."""
     qs = np.random.default_rng(2026).random(40)
     qs[:3] = (0.0, 1e-12, 1.0 - 1e-12)
     for d in _BISECTED_LAWS:
@@ -153,17 +159,65 @@ def test_quantile_closed_forms():
         assert [_quantile(d, [q])[0] for q in qs] == _quantile(d, qs).tolist()
 
 
-def test_min_max_estimate_makes_no_cdf_eval_lookups():
+def test_min_max_quantile_is_the_exact_inverse():
+    """A min/max law's quantile is the max/min of its parts' quantiles: exact
+    where the parts have closed forms, so it differs from a bisection of the
+    whole law by less than the bisection's 2^-30 bracket on interior q."""
+    qs = np.random.default_rng(2026).random(40)
+    qs[:3] = (0.0, 1e-12, 1.0 - 1e-12)
+    inner = np.r_[1, 3:qs.size]  # all but q = 0 and q = 1 - 1e-12
+    nested = MinMaxCdf("min", (MinMaxCdf("max", (Exponential(2.4), Uniform(0.31, 1.43))),
+                               Uniform(0.1, 0.9)))
+    for d in _MIN_MAX_LAWS + (MinMaxCdf("max", (PhaseType((1.0, 2.0)), Uniform(0.2, 1.5))), nested):
+        got = _quantile(d, qs)
+        a, b = (_quantile(p, qs) for p in d.parts)
+        assert got.tolist() == (np.minimum(a, b) if d.kind == "max" else np.maximum(a, b)).tolist(), d
+        assert [_quantile(d, [q])[0] for q in qs] == got.tolist(), d
+        ref = np.array([reference_inverse_cdf(d, float(q)) for q in qs[inner]])
+        assert np.all(np.abs(got[inner] - ref) <= 2.0 ** -30), d
+        assert np.all(cdf_vec(d, got[inner] - 1e-9) < qs[inner]), d
+    # at q = 0 the closed forms give the left end of the support
+    for d in _MIN_MAX_LAWS:
+        lo = max(p.lo if isinstance(p, Uniform) else 0.0 for p in d.parts)
+        assert _quantile(d, [0.0])[0] == (lo if d.kind == "min" else 0.0), d
+    assert _quantile(nested, [0.0])[0] == 0.1
+
+
+def _min_max_model():
     residence = {"s0": MinMaxCdf("min", (Exponential(0.9), Uniform(0.4, 1.86))),
                  "s1": MinMaxCdf("max", (Uniform(0.31, 1.43), Exponential(2.4)))}
-    m = Smdp(["a"], ["s0", "s1"], "s0", residence,
-             {("s0", "a"): {"s1": 0.7, "s0": 0.3}, ("s1", "a"): {"s0": 1.0}})
+    return Smdp(["a"], ["s0", "s1"], "s0", residence,
+                {("s0", "a"): {"s1": 0.7, "s0": 0.3}, ("s1", "a"): {"s0": 1.0}})
+
+
+def test_min_max_estimate_makes_no_cdf_eval_lookups(monkeypatch):
+    """Min/max laws of exponential and uniform parts are drawn by closed forms:
+    no CDF is evaluated, while a phase-type part is still bisected."""
+    calls = []
+
+    def counted(d, ts):
+        calls.append(d)
+        return cdf_vec(d, ts)
+
+    monkeypatch.setattr(montecarlo, "cdf_vec", counted)
+    m = _min_max_model()
     before = cdf_eval.cache_info()
     result = estimate_cylinder(m, uniform_scheduler(m), ("a", "a"), 1.5, samples=2000, seed=5)
     after = cdf_eval.cache_info()
     assert after.hits + after.misses == before.hits + before.misses
+    assert calls == []
     # the value that the per-sample scalar bisection with cdf_eval returned
     assert result == (0.3815, 0.028326436452552617)
+    _quantile(MinMaxCdf("max", (PhaseType((1.0, 2.0)), Uniform(0.2, 1.5))), [0.5])
+    assert calls and all(d == PhaseType((1.0, 2.0)) for d in calls)
+
+
+def test_min_max_estimate_is_pinned():
+    """10^4 samples on the two-state min/max model give the estimate that the
+    bisection of the whole law gave."""
+    m = _min_max_model()
+    result = estimate_cylinder(m, uniform_scheduler(m), ("a", "a"), 1.5, samples=10_000, seed=5)
+    assert result == (0.3758, 0.012553968495739087)
 
 
 def test_wilson_bounds_stay_open_at_zero_and_one():
