@@ -21,7 +21,6 @@ import numpy as np
 from .composition import require_same_labels
 from .cylinders import _Walk, class_law, initial_level, level_masses
 from .distributions import (
-    Exponential,
     GridSpec,
     _cdf_equal,
     _dominance_outcome,
@@ -283,7 +282,7 @@ def _state_map(u: Smdp, v: Smdp) -> Optional[Tuple[Tuple[str, str, str], ...]]:
     """A map h of u's states reachable from u0 onto v's states that proves u
     faster than v, as ((s, h(s), dominance outcome), ...) in breadth-first
     order from h(u0) = v0; None when the search finds none within
-    _MAX_CANDIDATES candidate images.
+    _MAX_CANDIDATES tries.
 
     h must make u lump onto v: for every reachable s and label a, the mass of
     u's row (s, a) on each h-preimage of a v-state s' is at least
@@ -292,25 +291,17 @@ def _state_map(u: Smdp, v: Smdp) -> Optional[Tuple[Tuple[str, str, str], ...]]:
     the pair's `_dominance_outcome`, decided once per pair of laws.  Then
     sigma_v o h matches every adversary sigma_v of v at every word and time:
     u projected through h moves at least as much mass as v, and each sojourn
-    is stochastically shorter.  An exact lumping implies structural
-    bisimilarity, so the candidate images of s are the v-states that
-    `bisimilar` (which compares masses in 1e-9 quanta) relates to it once
-    every residence is set to exp(1).
+    is stochastically shorter.  u may carry more mass than v, so no
+    structural relation narrows the images: every v-state is a candidate
+    image of every state but u0, tried in v's order.
     """
-    unit = Exponential(1.0)
-    shapes = [Smdp(m.labels, m.states, m.initial, {s: unit for s in m.states}, m.transitions)
-              for m in (u, v)]
-    images: Dict[str, List[str]] = {}
-    for su, sv in bisimilar(*shapes).pairs:
-        images.setdefault(su, []).append(sv)
     order, seen = [u.initial], {u.initial}  # breadth first from u0, which may only map to v0
     for s in order:  # grows while it is walked
         fresh = [s2 for s2 in u.adjacent(s) if s2 not in seen]
         seen.update(fresh)
         order += fresh
     position = {s: i for i, s in enumerate(order)}
-    choices = [[v.initial] if v.initial in images.get(u.initial, ()) else []]
-    choices += [sorted(images.get(s, ()), key=v.state_index) for s in order[1:]]
+    choices = [[v.initial]] + [v.states] * (len(order) - 1)
     ready: List[List[str]] = [[] for _ in order]  # states whose rows are mapped once order[i] is
     for s in order:
         ready[max([position[s]] + [position[s2] for s2 in u.adjacent(s)])].append(s)

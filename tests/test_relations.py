@@ -539,7 +539,8 @@ def _split_faster(rng, v):
 def test_state_maps_are_sound_and_the_loop_agrees():
     """On seeded pairs built to lump, the search finds a map, every map passes an
     independent check, and the adversary loop, called directly on an untruncated
-    lattice, refutes none of the pairs."""
+    lattice and 40 times, refutes none of the pairs.  On odd seeds v's rows are
+    scaled by a factor in (0.5, 1), so u's lumped masses exceed v's."""
     outcomes, merged = Counter(), 0
     for seed in range(40):
         rng = random.Random(2600 + seed)
@@ -549,14 +550,47 @@ def test_state_maps_are_sound_and_the_loop_agrees():
                       if rng.random() < 0.4 else d) for s, d in v.residence.items()},
                  v.transitions)
         u = _split_faster(rng, v)
+        if seed % 2:  # u carries more mass: v deadlocks where u does not
+            f = rng.uniform(0.5, 1.0)
+            v = Smdp(v.labels, v.states, v.initial, v.residence,
+                     {k: {t: p * f for t, p in row.items()} for k, row in v.transitions.items()})
         verdict = faster_than_bounded(u, v, 3, search=SchedulerSearchSpec(step=0.5))
         assert verdict.proof is not None, seed
         _check_state_map(u, v, verdict.proof)
         outcomes.update(outcome for _, _, outcome in verdict.proof)
         merged += len({t for _, t, _ in verdict.proof}) < len(verdict.proof)
-        loop = _refute(u, v, 3, GridSpec(), SchedulerSearchSpec(step=0.5))
+        loop = _refute(u, v, 3, GridSpec(points=40), SchedulerSearchSpec(step=0.5))
         assert not loop.candidates_truncated and loop.outcome == "NotRefuted", seed
     assert outcomes["HoldsAnalytic"] > 0 and outcomes["HoldsOnGrid"] > 0 and merged > 0, (outcomes, merged)
+
+
+def _two_state(prefix, rates, rows):
+    """A two-state, two-label model with exponential residences; rows gives the
+    masses on (state 0, state 1) of rows (0, a), (0, b), (1, a) and (1, b)."""
+    names = [f"{prefix}0", f"{prefix}1"]
+    keys = [(s, a) for s in names for a in ("a", "b")]
+    return Smdp(["a", "b"], names, names[0], {s: Exponential(r) for s, r in zip(names, rates)},
+                {k: dict(zip(names, row)) for k, row in zip(keys, rows)})
+
+
+@pytest.mark.parametrize("seed, index, u, v", [
+    (7, 83, _two_state("u", (2.5, 2.3), ((0.5, 0.5), (0.4, 0.4), (0.5, 0.5), (0.4, 0.4))),
+     _two_state("v", (1.6, 2.3), ((0.42, 0.18), (0.3, 0.3), (0.3, 0.3), (0.3, 0.3)))),
+    (5, 53, _two_state("u", (0.6, 2.8), ((0.4, 0.4), (0.3, 0.7), (0.7, 0.3), (0.7, 0.3))),
+     _two_state("v", (0.4, 1.9), ((0.4, 0.4), (0.3, 0.7), (0.56, 0.24), (0.3, 0.3)))),
+    (30, 8, _two_state("u", (1.4, 2.9), ((0.42, 0.18), (0.7, 0.3), (0.7, 0.3), (0.56, 0.24))),
+     _two_state("v", (0.8, 1.5), ((0.42, 0.18), (0.56, 0.24), (0.3, 0.3), (0.56, 0.24)))),
+], ids=["seed7-83", "seed5-53", "seed30-8"])
+def test_state_map_where_u_carries_more_mass(seed, index, u, v):
+    """ft-sweep "unrelated" pairs (seed, instance) whose fast rows carry more
+    mass than the slow ones (1.0 and 0.8 against 0.6 at seed 7, instance 83):
+    the identity map lumps u onto v, and every residence dominates its image's."""
+    rng = random.Random(seed * 1_000_003 + index)  # perfbench's workloads._rng
+    assert [parse_model(text) for text in _perfbench_gen().ft_pair(rng, "unrelated", 2)] == [u, v]
+    verdict = faster_than_bounded(u, v, 4, search=SchedulerSearchSpec(step=0.5))
+    assert verdict.outcome == "NotRefuted"
+    assert verdict.proof == (("u0", "v0", "HoldsAnalytic"), ("u1", "v1", "HoldsAnalytic"))
+    _check_state_map(u, v, verdict.proof)
 
 
 def test_state_map_is_none_without_a_lumping():
