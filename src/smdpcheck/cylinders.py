@@ -131,10 +131,12 @@ def prob_rect_cylinder(m: Smdp, sch: Scheduler, s: str, c: RectCylinder) -> floa
     state times the scheduled transition mass into the allowed states.
     """
     _check_rect_refs(m, c)
-    return _rect_rec(m, sch, s, c.steps, 0)
+    return _rect_rec(m, sch, s, c.steps, 0, {})
 
 
-def _rect_rec(m, sch, s, steps, k):
+def _rect_rec(m, sch, s, steps, k, memo):
+    """The probability of steps[k:] from state s.  `memo` holds the later steps'
+    values by (state, step), which paths that meet at a state share."""
     step = steps[k]
     res = m.residence_of(s)
     res_mass = _tree_sum(
@@ -151,8 +153,10 @@ def _rect_rec(m, sch, s, steps, k):
             p = row[s2]
             if p <= 0.0 or s2 not in step.states:
                 continue
-            rest = 1.0 if k + 1 == len(steps) else _rect_rec(m, sch, s2, steps, k + 1)
-            parts.append(w * p * rest)
+            key = (s2, k + 1)
+            if key not in memo:
+                memo[key] = 1.0 if k + 1 == len(steps) else _rect_rec(m, sch, s2, steps, k + 1, memo)
+            parts.append(w * p * memo[key])
     return res_mass * _tree_sum(parts)
 
 
@@ -207,19 +211,16 @@ def level_masses(level: Dict[tuple, float]) -> Dict[tuple, float]:
 
 def class_law(m: Smdp, counts: tuple, laws: dict) -> Distribution:
     """The law of a path class: the canonical product of the residences its
-    visit counts imply, built once per counts.  `laws`, shared by calls on the
-    same model while the model lives, holds the laws by counts and by the
-    residence multiset those imply, each residence known by its identity:
-    states that share a residence object share a law, and == laws with other
-    bits (Exponential(1) and Exponential(1.0)) do not."""
-    law = laws.get(counts)
+    visit counts imply.  `laws`, shared by calls on the same model while the
+    model lives, holds the laws by the residence multiset, each residence
+    known by its identity: states that share a residence object share a law,
+    and == laws with other bits (Exponential(1) and Exponential(1.0)) do not."""
+    n_l = len(m.labels)
+    parts = [m.residence[m.states[pos // n_l]] for pos, k in enumerate(counts) if k for _ in range(k)]
+    key = tuple(sorted(map(id, parts)))
+    law = laws.get(key)
     if law is None:
-        n_l = len(m.labels)
-        parts = [m.residence[m.states[pos // n_l]] for pos, k in enumerate(counts) if k for _ in range(k)]
-        key = ("residences", *sorted(map(id, parts)))  # by identity; the str keeps it apart from counts
-        if key not in laws:
-            laws[key] = _canonical_product(parts)
-        law = laws[counts] = laws[key]
+        law = laws[key] = _canonical_product(parts)
     return law
 
 

@@ -273,6 +273,8 @@ class _PhaseRows(_Lru):
         return surv, col
 
 
+# The budget counts row data alone; with each entry's ndarray, tuple and dict
+# overhead a full cache holds about twice that.
 _phase_rows = _PhaseRows(budget=1 << 22)  # 4 MiB
 # Keyed by (lam*t, eps).  The first 30 deep-paths instances of seed 7 ask
 # for 2,209 distinct lam*t in 2,220 calls (one per distinct lam*t of a
@@ -730,8 +732,6 @@ def convolve_power(d: Distribution, n: int) -> Distribution:
     """n-fold convolution; n = 0 is the neutral element (point mass at 0)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return Dirac(0.0)
     return _canonical_product([d] * n)
 
 
@@ -750,8 +750,9 @@ class CompositionOperator:
 def compose_residence(op: str, d1: Distribution, d2: Distribution) -> Distribution:
     """Combines two residence-time distributions under a composition operator.
 
-    Exponential pairs stay exponential (min/max of rates, or their product);
-    other pairs under min/max become a pointwise-min/max CDF wrapper.
+    Exponential pairs compose under product to the product of their rates.
+    Under min/max, a pair ordered by an analytic dominance rule collapses to
+    one of its operands; any other pair becomes a pointwise-min/max CDF wrapper.
     """
     if op == CompositionOperator.PRODUCT_RATE:
         if isinstance(d1, Exponential) and isinstance(d2, Exponential):
@@ -763,13 +764,6 @@ def compose_residence(op: str, d1: Distribution, d2: Distribution) -> Distributi
     a, b = sorted((d1, d2), key=sort_key)
     if a == b:
         return a
-    if isinstance(a, Exponential) and isinstance(b, Exponential):
-        # min of two exponential CDFs is the one with the smaller rate
-        rate = min(a.rate, b.rate) if op == CompositionOperator.MINIMUM else max(a.rate, b.rate)
-        return Exponential(rate)
-    if isinstance(a, Dirac) and isinstance(b, Dirac):
-        pt = max(a.point, b.point) if op == CompositionOperator.MINIMUM else min(a.point, b.point)
-        return Dirac(pt)
     # A rule that fails one way does not hold the other way (nested uniforms).
     for upper, lower in ((a, b), (b, a)):
         if _analytic_dominance_rule(upper, lower):  # F_upper >= F_lower everywhere

@@ -28,12 +28,11 @@ class NotExpressible(SmdpcheckError):
 class ModelFormatError(SmdpcheckError):
     """Syntax error in a model or scheduler file.
 
-    Carries the 1-based line and column of the offending token when known.
+    Carries the 1-based line of the offending token when known.
     """
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
         if line is not None:
-            message = f"line {line}" + (f", col {column}" if column else "") + f": {message}"
+            message = f"line {line}: {message}"
         super().__init__(message)

@@ -103,7 +103,7 @@ class Smdp:
             for s2, p in self.transitions.get((state, a), {}).items():
                 if p > 0.0:
                     out.add(s2)
-        return sorted(out, key=self._state_index.get)
+        return sorted(out, key=self.state_index)
 
 
 @dataclass(frozen=True)

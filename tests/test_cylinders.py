@@ -193,16 +193,25 @@ def test_word_terms_match_path_enumeration():
                 assert got[law] == pytest.approx(weight, rel=0, abs=1e-12), (seed, word, law)
 
 
-def test_word_classes_merge_paths():
-    """2^16 paths of a branching ring collapse to a polynomial number of classes."""
+def test_word_classes_merge_paths(monkeypatch):
+    """2^16 paths of a branching ring collapse to a polynomial number of classes.
+    At t = inf they meet at 6 states per step, and the rectangular recursion
+    measures each (state, step) once."""
     states = [f"s{i}" for i in range(6)]
     residence = {s: Exponential((1.0, 2.0, 3.0)[i % 3]) for i, s in enumerate(states)}
     transitions = {(s, "a"): {states[(i + 1) % 6]: 0.5, states[(i + 2) % 6]: 0.5}
                    for i, s in enumerate(states)}
     m = Smdp(["a"], states, "s0", residence, transitions)
-    classes = word_classes(m, "s0", ("a",) * 16)
+    word = ("a",) * 16
+    classes = word_classes(m, "s0", word)
     assert len(classes) < 2000
     assert sum(classes.values()) == pytest.approx(1.0, abs=1e-12)
+    calls = []
+    measure = cylinders.measure_interval
+    monkeypatch.setattr(cylinders, "measure_interval", lambda *args: calls.append(args) or measure(*args))
+    got = prob_cylinder_inductive(m, uniform_scheduler(m), "s0", TimeBoundedCylinder(word, math.inf))
+    assert len(calls) <= len(word) * len(states)
+    assert got == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prefix_extended_levels_match_word_classes():
@@ -404,14 +413,16 @@ def test_inductive_builds_one_kernel_per_law(monkeypatch):
 
 
 def test_cross_engine_on_corpus():
-    """paths vs inductive within 1e-5 on every corpus model."""
+    """paths vs inductive within 1e-5 on every corpus model, and on branchy
+    under a scheduler that gives s2, reached by the first a, no weight on a."""
+    cases = []
     for name in corpus.names():
-        if not name.endswith(".smdp"):
-            continue
-        m = corpus.load(name)
-        sch = uniform_scheduler(m)
-        words = [w for n in (1, 2, 3)
-                 for w in _words(m.labels, n)][:6]
+        if name.endswith(".smdp"):
+            m = corpus.load(name)
+            cases.append((name, m, uniform_scheduler(m), [w for n in (1, 2, 3) for w in _words(m.labels, n)][:6]))
+    never_a = Scheduler({"s0": {"a": 1.0}, "s1": {"a": 1.0}, "s2": {"b": 1.0}})
+    cases.append(("branchy.smdp", corpus.load("branchy.smdp"), never_a, [("a", "a", "a")]))
+    for name, m, sch, words in cases:
         for w in words:
             if trace_probability(m, sch, w) <= 0.0:
                 continue

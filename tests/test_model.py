@@ -21,6 +21,7 @@ from smdpcheck.model import (
     validate_model,
     validate_scheduler,
 )
+from smdpcheck.relations import faster_than_bounded
 
 
 def chain(names, dists, label="a"):
@@ -137,6 +138,13 @@ def test_effective_transition():
         effective_transition(u, only_a, "zz", "a", "u1")
     with pytest.raises(UnknownLabel):
         effective_transition(u, only_a, "u0", "c", "u1")
+    # a successor that is not a declared state is unknown, not an unorderable key
+    dangling = Smdp(["a"], ["u0", "u1"], "u0", {"u0": Exponential(1.0), "u1": Exponential(1.0)},
+                    {("u0", "a"): {"u1": 0.5, "zz": 0.5}})
+    with pytest.raises(UnknownState):
+        dangling.adjacent("u0")
+    with pytest.raises(UnknownState):
+        faster_than_bounded(dangling, dangling, 2)
 
 
 def test_effective_transition_mass_bound():

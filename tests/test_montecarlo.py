@@ -91,6 +91,9 @@ def test_estimate_zero_bound_and_zero_trace():
     half = corpus.load_scheduler("fig3_V_half.sched")
     est, _ = estimate_cylinder(V3, half, ("b", "a"), 10.0, samples=2000, seed=5)
     assert est == 0.0  # sigma(v2)(a) = 0 kills the continuation
+    branchy = corpus.load("branchy.smdp")
+    est, _ = estimate_cylinder(branchy, uniform_scheduler(branchy), ("b", "a"), 10.0, samples=2000, seed=5)
+    assert est == 0.0  # s2 has no row for a
 
 
 def test_estimate_reproducible_across_calls():

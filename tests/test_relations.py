@@ -600,6 +600,11 @@ def test_state_map_is_none_without_a_lumping():
     U3, V3 = corpus.load("fig3_U.smdp"), corpus.load("fig3_V.smdp")
     assert relations._state_map(U, V) is None and relations._state_map(U3, V3) is None
     assert faster_than_bounded(U, V, 3).proof is None
+    # v spells no word and u0's exp(2) does not dominate v0's exp(5): no map, no word to refute
+    still = Smdp(["a"], ["v0"], "v0", {"v0": Exponential(5.0)}, {})
+    assert relations._state_map(U, still) is None
+    verdict = faster_than_bounded(U, still, 3)
+    assert verdict.outcome == "NotRefuted" and verdict.proof is None
     assert relations._state_map(V3, U3) == (
         ("v0", "u0", "HoldsAnalytic"), ("v1", "u0", "HoldsAnalytic"), ("v2", "u0", "HoldsAnalytic"))
 
