@@ -51,8 +51,8 @@ def compose(u: Smdp, w: Smdp, op: str, project: bool = False) -> Smdp:
             row_u = u.succ(su, a)
             row_w = w.succ(sw, a)
             row: Dict[str, float] = {}
-            for tu in sorted(row_u, key=u.states.index):
-                for tw in sorted(row_w, key=w.states.index):
+            for tu in sorted(row_u, key=u.state_index):
+                for tw in sorted(row_w, key=w.state_index):
                     p = row_u[tu] * row_w[tw]
                     if p <= 0.0:
                         continue

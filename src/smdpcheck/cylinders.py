@@ -116,48 +116,51 @@ def _tree_sum(values) -> float:
     return vals[0]
 
 
-def _check_rect_refs(m: Smdp, c: RectCylinder):
-    for step in c.steps:
-        for a in step.labels:
-            m.label_index(a)
-        for s in step.states:
-            m.state_index(s)
+def _reached(m: Smdp, sch: Scheduler, s: str, steps) -> list:
+    """The states each of `steps`, (labels, allowed states) pairs, can start
+    from: s for the first, then every allowed state that a state of the step
+    before reaches by a scheduler weight and a transition that are not <= 0
+    (a NaN passes, as it does in the value loops)."""
+    reached = [{s}]
+    for labels, allowed in steps[:-1]:
+        reached.append({s2 for st in reached[-1] for a in labels if not sch.weight(st, a) <= 0.0
+                        for s2, p in m.succ(st, a).items() if not p <= 0.0 and s2 in allowed})
+    return reached
 
 
 def prob_rect_cylinder(m: Smdp, sch: Scheduler, s: str, c: RectCylinder) -> float:
     """Rectangular cylinder probability by the step recursion.
 
     Each step contributes the residence mass of its time set at the current
-    state times the scheduled transition mass into the allowed states.
+    state times the scheduled transition mass into the allowed states.  One
+    loop values each reachable (state, step) once, last step first, so paths
+    that meet at a state share the value of their rest.
     """
-    _check_rect_refs(m, c)
-    return _rect_rec(m, sch, s, c.steps, 0, {})
-
-
-def _rect_rec(m, sch, s, steps, k, memo):
-    """The probability of steps[k:] from state s.  `memo` holds the later steps'
-    values by (state, step), which paths that meet at a state share."""
-    step = steps[k]
-    res = m.residence_of(s)
-    res_mass = _tree_sum(
-        measure_interval(res, iv.lo, iv.hi, iv.closed_lo, iv.closed_hi) for iv in step.times)
-    if res_mass <= 0.0:
-        return 0.0
-    parts = []
-    for a in sorted(step.labels):
-        w = sch.weight(s, a)
-        if w <= 0.0:
-            continue
-        row = m.succ(s, a)
-        for s2 in sorted(row):
-            p = row[s2]
-            if p <= 0.0 or s2 not in step.states:
+    for step in c.steps:
+        for a in step.labels:
+            m.label_index(a)
+        for st in step.states:
+            m.state_index(st)
+    reached = _reached(m, sch, s, [(step.labels, step.states) for step in c.steps])
+    later = dict.fromkeys(c.steps[-1].states, 1.0)  # past the last step, 1 at each allowed state
+    for step, starts in zip(reversed(c.steps), reversed(reached)):
+        values = {}
+        for st in starts:
+            res = m.residence_of(st)
+            res_mass = _tree_sum(
+                measure_interval(res, iv.lo, iv.hi, iv.closed_lo, iv.closed_hi) for iv in step.times)
+            if res_mass <= 0.0:
+                values[st] = 0.0
                 continue
-            key = (s2, k + 1)
-            if key not in memo:
-                memo[key] = 1.0 if k + 1 == len(steps) else _rect_rec(m, sch, s2, steps, k + 1, memo)
-            parts.append(w * p * memo[key])
-    return res_mass * _tree_sum(parts)
+            parts = []
+            for a in sorted(step.labels):
+                w = sch.weight(st, a)
+                if not w <= 0.0:
+                    parts.extend(w * p * later[s2] for s2, p in sorted(m.succ(st, a).items())
+                                 if not p <= 0.0 and s2 in step.states)
+            values[st] = res_mass * _tree_sum(parts)
+        later = values
+    return later[s]
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +409,8 @@ def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylin
 
     xs = np.linspace(0.0, t, _grid_points(m, t) + 1)
 
-    # states needed per level
-    needed = [{s}]
-    for a in word[:-1]:
-        nxt = set()
-        for st in needed[-1]:
-            if sch.weight(st, a) > 0.0:
-                nxt.update(s2 for s2, p in m.succ(st, a).items() if p > 0.0)
-        needed.append(nxt)
+    every = set(m.states)
+    needed = _reached(m, sch, s, [((a,), every) for a in word])
 
     n = len(word)
     tables: Dict[str, _Tab] = {}

@@ -67,21 +67,20 @@ def enumerate_state_paths(m: Smdp, n: int):
     """All state paths of length n from the initial state, lexicographically.
 
     A path is a state sequence whose consecutive entries are connected by a
-    positive transition row of some label.
+    positive transition row of some label.  A stack of (index, state) entries
+    walks the path tree depth first, each state's successors pushed in reverse.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def rec(path):
+    path, stack = [], [(0, m.initial)]
+    while stack:
+        i, st = stack.pop()
+        del path[i:]
+        path.append(st)
         if len(path) == n:
             yield tuple(path)
-            return
-        for s2 in m.adjacent(path[-1]):
-            path.append(s2)
-            yield from rec(path)
-            path.pop()
-
-    yield from rec([m.initial])
+        else:
+            stack.extend((i + 1, s2) for s2 in reversed(m.adjacent(st)))
 
 
 def _layers(m: Smdp, n: int) -> List[Dict[str, tuple]]:

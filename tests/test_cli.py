@@ -150,6 +150,8 @@ def test_faster_than_exit_codes(models, capsys):
     assert code == 1
     assert report["result"]["outcome"] == "Refuted"
     assert report["result"]["witness"]["slow_scheduler"]["v0"] == {"a": 0.5, "b": 0.5}
+    code = main(["faster-than", str(models / "fig2_U.smdp")])
+    assert code == 2 and "expected two models" in capsys.readouterr().err
 
 
 def test_faster_than_reports_candidate_truncation(models, tmp_path, capsys):

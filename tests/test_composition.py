@@ -6,8 +6,9 @@ from smdpcheck import corpus
 from smdpcheck.composition import compose, composite_name
 from smdpcheck.cylinders import TimeBoundedCylinder, prob_cylinder_paths
 from smdpcheck.distributions import Exponential
-from smdpcheck.errors import LabelMismatch, UnsupportedComposition
+from smdpcheck.errors import LabelMismatch, UnknownState, UnsupportedComposition
 from smdpcheck.model import (
+    Smdp,
     dirac_scheduler,
     has_deterministic_kernel,
     uniform_scheduler,
@@ -86,6 +87,11 @@ def test_composite_is_valid_and_mass_safe(U):
     assert validate_model(both) == []
     for (s, a), row in both.transitions.items():
         assert sum(row.values()) <= 1.0 + 1e-12
+    # a successor that is not a declared state is named, not an unorderable key
+    dangling = Smdp(["a"], ["u0", "u1"], "u0", {"u0": Exponential(1.0), "u1": Exponential(1.0)},
+                    {("u0", "a"): {"u1": 0.5, "zz": 0.5}})
+    with pytest.raises(UnknownState, match="'zz'"):
+        compose(dangling, U, "min")
 
 
 def test_deterministic_kernel_preserved(U):
@@ -103,6 +109,9 @@ def test_label_mismatch_rejected(U):
     other = corpus.load("fig3_U.smdp")
     with pytest.raises(LabelMismatch):
         compose(U, other, "min")
+    only_z = Smdp(["z"], ["z0"], "z0", {"z0": Exponential(1.0)}, {("z0", "z"): {"z0": 1.0}})
+    with pytest.raises(LabelMismatch, match="intersection is empty"):
+        compose(U, only_z, "min", project=True)
 
 
 def test_project_intersects_labels(U):

@@ -195,8 +195,9 @@ def test_word_terms_match_path_enumeration():
 
 def test_word_classes_merge_paths(monkeypatch):
     """2^16 paths of a branching ring collapse to a polynomial number of classes.
-    At t = inf they meet at 6 states per step, and the rectangular recursion
-    measures each (state, step) once."""
+    At t = inf and t = 0 they meet at 6 states per step, and the rectangular
+    recursion measures each (state, step) once, with no recursion limit on the
+    word's length."""
     states = [f"s{i}" for i in range(6)]
     residence = {s: Exponential((1.0, 2.0, 3.0)[i % 3]) for i, s in enumerate(states)}
     transitions = {(s, "a"): {states[(i + 1) % 6]: 0.5, states[(i + 2) % 6]: 0.5}
@@ -209,9 +210,11 @@ def test_word_classes_merge_paths(monkeypatch):
     calls = []
     measure = cylinders.measure_interval
     monkeypatch.setattr(cylinders, "measure_interval", lambda *args: calls.append(args) or measure(*args))
-    got = prob_cylinder_inductive(m, uniform_scheduler(m), "s0", TimeBoundedCylinder(word, math.inf))
-    assert len(calls) <= len(word) * len(states)
-    assert got == pytest.approx(1.0, abs=1e-12)
+    for word, t, want in ((word, math.inf, 1.0), (("a",) * 1200, math.inf, 1.0), (("a",) * 1200, 0.0, 0.0)):
+        calls.clear()
+        got = prob_cylinder_inductive(m, uniform_scheduler(m), "s0", TimeBoundedCylinder(word, t))
+        assert len(calls) <= len(word) * len(states), (len(word), t)
+        assert got == pytest.approx(want, abs=1e-12), (len(word), t)
 
 
 def test_prefix_extended_levels_match_word_classes():

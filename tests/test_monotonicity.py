@@ -63,6 +63,8 @@ def test_enumerate_state_paths(U):
     assert list(enumerate_state_paths(U, 5)) == [("u0", "u1", "u2", "u2", "u2")]
     V3 = corpus.load("fig3_V.smdp")
     assert list(enumerate_state_paths(V3, 2)) == [("v0", "v1"), ("v0", "v2")]
+    loop = Smdp(["a"], ["l0"], "l0", {"l0": Exponential(1.0)}, {("l0", "a"): {"l0": 1.0}})
+    assert list(enumerate_state_paths(loop, 1200)) == [("l0",) * 1200]  # no recursion per step
 
 
 def test_paths_vanish_after_deadlock():

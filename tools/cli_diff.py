@@ -86,6 +86,12 @@ CASES = [
     ["prob", "--model", U, "--word", "aa", "--t", "inf"],
     ["simulate", "--model", U, "--word", "aa", "--t", "inf", "--samples", "2000"],
     ["prob", "--model", "branchy.smdp", "--word", "aa", "--t", "1e308", "--engine", "inductive"],
+    ["prob", "--model", "branchy.smdp", "--word", "abbb", "--t", "0", "--engine", "inductive"],
+    ["prob", "--model", "branchy.smdp", "--word", "abbb", "--t", "inf", "--engine", "inductive"],
+    ["prob", "--model", "fig3_V.smdp", "--scheduler", "fig3_V_half.sched", "--word", "aaaa", "--t", "0",
+     "--engine", "inductive"],
+    ["prob", "--model", "fig3_V.smdp", "--scheduler", "fig3_V_half.sched", "--word", "aaaa", "--t", "inf",
+     "--engine", "inductive"],
     ["validate", "."],
     ["compose", "--left", U, "--right", W, "--op", "min", "--out", "."],
     MONO + ["--emit-smt", U],
