@@ -17,6 +17,7 @@ import numpy as np
 from .distributions import (
     Dirac,
     Distribution,
+    Exponential,
     Shifted,
     _canonical_product,
     _gauss_legendre,
@@ -304,7 +305,9 @@ def _kernel(d: Distribution, xs: np.ndarray) -> tuple:
     K_m = a_m + b_{m-1}) less a_j G_0.  A_i takes _CELL_POINTS Gauss-Legendre
     nodes on F's continuous part plus each atom x's exact share of the cell,
     clip((x_{i+1} - x) / h, 0, 1), so an atom of d costs no quadrature error.
-    Returns (a padded with a_N = 0, the real FFT of K, the transform length).
+    Exponential laws do not come here: _exp_rows applies their K by its
+    closed form.  Returns (a padded with a_N = 0, the real FFT of K, the
+    transform length).
     """
     n = len(xs)
     h = float(xs[-1]) / (n - 1)
@@ -317,6 +320,31 @@ def _kernel(d: Distribution, xs: np.ndarray) -> tuple:
     kernel = a + np.concatenate((F[:1], F[1:] - means))
     size = _fft_len(2 * n - 1)
     return a, np.fft.rfft(kernel, size), size
+
+
+def _exp_rows(G: np.ndarray, x: float) -> np.ndarray:
+    """_kernel's rule for Exponential(rate) on the rows of G, x = rate * h.
+
+    With q = e^-x and w = 1 - q, F's cell means are exact and the kernel is
+    geometric: K_0 = alpha = 1 - w/x, K_m = q^(m-1) w^2/x and a_j = alpha q^j,
+    so each row is H_j = alpha G_j + (w^2/x) z_(j-1) - alpha q^j G_0 with
+    z_j = q z_(j-1) + G_j.  A doubling scan computes z: pass k adds q^k times
+    z shifted by k, for k = 1, 2, 4, ..., so each z_j is a sum of nonnegative
+    terms rounded in at most log2(n) passes; it stops once q^k is 0.0, when a
+    pass would add only zeros.  alpha takes its series where 1 - w/x
+    cancels, and w^2/x is w * (w/x), so x = 0 gives 0 and a subnormal x
+    loses no bits.
+    """
+    q, w = math.exp(-x), -math.expm1(-x)
+    ratio = w / x if x > 0.0 else 1.0
+    alpha = x * (1 / 2 - x * (1 / 6 - x * (1 / 24 - x * (1 / 120 - x / 720)))) if x < 1e-3 else 1.0 - ratio
+    z, n, k = G.copy(), G.shape[1], 1
+    while k < n and (qk := q ** k) > 0.0:
+        z[:, k:] += qk * z[:, :-k]
+        k *= 2
+    rows = alpha * G - (alpha * q ** np.arange(n)) * G[:, :1]
+    rows[:, 1:] += (w * ratio) * z[:, :-1]
+    return rows
 
 
 class _Tab:
@@ -352,8 +380,10 @@ def _residence_split(d: Distribution, mass: float, xs: np.ndarray) -> _Tab:
 
 
 def _conv_tabs(d: Distribution, tabs: list, xs: np.ndarray, spectra: dict) -> list:
-    """(d * tab) on the grid for each tab; residence atoms shift, other laws
-    go through their product-integration kernel, one batched FFT product."""
+    """(d * tab) on the grid for each tab; residence atoms shift, an
+    exponential goes through its kernel's geometric recursion (_exp_rows),
+    and any other law through its product-integration kernel (_kernel, built
+    once per law in `spectra`) and one batched FFT product."""
     if isinstance(d, (Dirac, Shifted)):
         shift = d.point if isinstance(d, Dirac) else d.shift
         inner = tabs if isinstance(d, Dirac) else _conv_tabs(d.base, tabs, xs, spectra)
@@ -361,11 +391,14 @@ def _conv_tabs(d: Distribution, tabs: list, xs: np.ndarray, spectra: dict) -> li
                      {key: m for pts, m in tab.atoms.items()
                       if math.fsum(key := tuple(sorted((*pts, shift)))) <= xs[-1]})
                 for tab in inner]
-    if d not in spectra:
-        spectra[d] = _kernel(d, xs)
-    a, spec, size = spectra[d]
     G = np.array([tab.smooth for tab in tabs])
-    rows = np.fft.irfft(spec * np.fft.rfft(G, size), size)[:, :len(xs)] - a * G[:, :1]
+    if isinstance(d, Exponential):
+        rows = _exp_rows(G, d.rate * (float(xs[-1]) / (len(xs) - 1)))
+    else:
+        if d not in spectra:
+            spectra[d] = _kernel(d, xs)
+        a, spec, size = spectra[d]
+        rows = np.fft.irfft(spec * np.fft.rfft(G, size), size)[:, :len(xs)] - a * G[:, :1]
     jumps = _jumps(d)
     out = []
     for smooth, tab in zip(np.clip(rows, 0.0, 1.0), tabs):
@@ -391,12 +424,15 @@ def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylin
     """Tabulates the step recursion for the word on a shared time grid.
 
     Each level convolves the current residence law with the tabulated
-    continuation sub-CDF by product integration, which reads only the law's
-    CDF: one kernel and one FFT per residence law and call, and one batched
-    FFT product for the states of a level that share that law.  Atoms stay
-    symbolic.  _grid_points sizes the grid.  At t = 0 and t = inf the cylinder
-    is the rectangular one whose every step's residence lies in [0, t], and
-    `prob_rect_cylinder` computes it with no grid.
+    continuation sub-CDFs of the states that share it, by product
+    integration, which reads only the law's CDF: an exponential law by its
+    kernel's geometric recursion (_exp_rows), with no kernel table and no
+    FFT; any other continuous law by one kernel and one FFT per law and call
+    and one batched FFT product per level.  Atoms stay symbolic, and the
+    value is clipped to [0, 1], a NaN kept.  _grid_points sizes the grid.
+    At t = 0 and t = inf the cylinder is the rectangular one whose every
+    step's residence lies in [0, t], and `prob_rect_cylinder` computes it
+    with no grid.
     """
     word = c.word
     t = c.bound
@@ -440,5 +476,5 @@ def prob_cylinder_inductive(m: Smdp, sch: Scheduler, s: str, c: TimeBoundedCylin
             nxt_tables.update(zip([st for st, _ in group],
                                   _conv_tabs(d, [tab for _, tab in group], xs, spectra)))
         tables = nxt_tables
-    return float(min(1.0, max(0.0, tables[s].value_at_end(t))))
+    return float(np.clip(tables[s].value_at_end(t), 0.0, 1.0))
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from smdpcheck import corpus, cylinders
@@ -383,12 +384,13 @@ def test_inductive_matches_product_integration_reference(monkeypatch):
 
 
 def test_inductive_builds_one_kernel_per_law(monkeypatch):
-    """A deep-paths-like model (exp(r), exp(3r), Dirac(1/r) over 8 states, a
-    10-letter word): one product-integration kernel per continuous law and
-    grid in a call, where one per level would build 9; Dirac residences
-    shift and build none."""
+    """A deep-paths-like model (two continuous laws and Dirac(1/r) over 8
+    states, a 10-letter word).  With exp(r) and exp(3r), the exponential
+    levels go through their kernel's geometric recursion: no kernel and no
+    np.fft call.  With uniform(0, 2/r) in place of exp(r): one
+    product-integration kernel per non-exponential law and grid in a call,
+    where one per level would build 9.  Dirac residences shift and build none."""
     r = 0.8
-    palette = (Exponential(r), Exponential(3 * r), Dirac(round(1 / r, 3)))
     rng = random.Random(8200)
     names = [f"s{i}" for i in range(8)]
     trans = {}
@@ -396,23 +398,82 @@ def test_inductive_builds_one_kernel_per_law(monkeypatch):
         t1, t2 = rng.sample(names, 2)
         p = rng.choice((0.3, 0.5, 0.7))
         trans[(s, "a")] = {t1: p, t2: round(1.0 - p, 6)}
-    m = Smdp(["a"], names, "s0", {s: palette[i % 3] for i, s in enumerate(names)}, trans)
-    calls = []
+    kernels, ffts = [], []
     kernel = cylinders._kernel
 
     def counting_kernel(d, xs):
-        calls.append((d, len(xs)))
+        kernels.append((d, len(xs)))
         return kernel(d, xs)
 
+    def counting(name, f):
+        def call(*args, **kwargs):
+            ffts.append(name)
+            return f(*args, **kwargs)
+        return call
+
     monkeypatch.setattr(cylinders, "_kernel", counting_kernel)
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     c = TimeBoundedCylinder(("a",) * 10, 10 * (1 / r + 1 / (3 * r) + 1 / r) / 3)
-    for grid_points in (2048, 4096):
-        calls.clear()
-        monkeypatch.setattr(cylinders, "_grid_points", lambda m, t: grid_points)
-        p = prob_cylinder_inductive(m, uniform_scheduler(m), "s0", c)
-        assert 0.0 < p < 1.0
-        # the exp(3r) states are reached only at the last level, which takes no kernel
-        assert calls == [(Exponential(r), grid_points + 1)], calls
+    for first, want in ((Exponential(r), False), (Uniform(0.0, 2 / r), True)):
+        m = Smdp(["a"], names, "s0", {s: (first, Exponential(3 * r), Dirac(round(1 / r, 3)))[i % 3]
+                                      for i, s in enumerate(names)}, trans)
+        for grid_points in (2048, 4096):
+            kernels.clear()
+            ffts.clear()
+            monkeypatch.setattr(cylinders, "_grid_points", lambda m, t: grid_points)
+            p = prob_cylinder_inductive(m, uniform_scheduler(m), "s0", c)
+            assert 0.0 < p < 1.0
+            # exponential and Dirac levels build no kernel and make no FFT call
+            assert kernels == [(first, grid_points + 1)] * want, kernels
+            assert bool(ffts) == want, ffts
+
+
+def _closed_form_exp_rows(G, x):
+    """Product integration of the rows of G against Exponential(rate), x =
+    rate * h, as one direct np.convolve per row: F_i = 1 - e^(-x i), its cell
+    means A_i = 1 - e^(-x i) (1 - e^-x) / x, a_i = A_i - F_i, b_i = F_(i+1) - A_i."""
+    n = G.shape[1]
+    ratio = -math.expm1(-x) / x if x > 0.0 else 1.0
+    F = -np.expm1(-x * np.arange(n + 1))
+    A = 1.0 - np.exp(-x * np.arange(n)) * ratio
+    a, b = A - F[:-1], F[1:] - A
+    K = a.copy()
+    K[1:] += b[:-1]
+    return np.array([np.convolve(g, K)[:n] - a * g[0] for g in G])
+
+
+def test_exp_rows_match_the_closed_form_kernel():
+    """The geometric recursion of an exponential's kernel against the same rule
+    as a direct np.convolve with the closed-form kernel, to 1e-12, for rate * h
+    from 0 (a grid step that underflowed) and subnormal up to 800 (q = e^-x is
+    0.0 past about 745), on grids of 2 to 16,385 points; and against _kernel's
+    8-node Gauss-Legendre cell means and FFT product to 1e-12 where rate * h <= 5.
+    Past that the quadrature of a cell 50 or more rate-lengths wide is off by
+    up to 1e-3, so the two rules part there."""
+    rng = np.random.default_rng(8300)
+    xs_h = (0.0, 5e-324, 1e-300, 1e-8, 9.99e-4, 1e-3, 0.3, 1.0, 5.0, 50.0, 745.0, 746.0, 800.0)
+    for n in (2, 3, 4, 17, 1000, 16385):
+        G = np.cumsum(rng.random((3, n)), axis=1)
+        G *= rng.uniform(0.2, 1.0, (3, 1)) / G[:, -1:]
+        grid = np.linspace(0.0, 1.0, n)
+        for x in xs_h if n < 10_000 else xs_h[::3]:
+            rate = x * (n - 1)
+            x = rate * (float(grid[-1]) / (n - 1))  # rate * h, as _conv_tabs forms it
+            got = cylinders._exp_rows(G, x)
+            assert np.max(np.abs(got - _closed_form_exp_rows(G, x))) <= 1e-12, (n, x)
+            if 0.0 < x <= 5.0:
+                a, spec, size = cylinders._kernel(Exponential(rate), grid)
+                fft = np.fft.irfft(spec * np.fft.rfft(G, size), size)[:, :n] - a * G[:, :1]
+                assert np.max(np.abs(got - fft)) <= 1e-12, (n, x)
+
+
+def test_inductive_keeps_a_nan_weight_nan(fig2_U):
+    """A NaN scheduler weight (the CLI rejects one) gives nan at a finite bound,
+    as at t = inf, not a value clipped into [0, 1]."""
+    sch = Scheduler({"u0": {"a": math.nan}, "u1": {"a": 1.0}, "u2": {"a": 1.0}})
+    for t in (2.0, math.inf):
+        assert math.isnan(prob_cylinder_inductive(fig2_U, sch, "u0", TimeBoundedCylinder(("a", "a"), t))), t
 
 
 def test_cross_engine_on_corpus():

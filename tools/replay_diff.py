@@ -11,11 +11,11 @@ both trees replay the first N instances of the seeded op stream of
 `perfbench/run.py` does.  A result is taken apart into leaves, each with
 its path and its exact text: floats by `repr`, schedulers by their weights,
 models by their residences and transitions.  Per seed, the report gives the
-number of results that differ, by op key, and the largest float move: a
-change of a float leaf that is not a time or a scheduler weight.  It lists
-every other difference, such as an outcome, a witness word or time, a
-scheduler or a leaf present on one side only, and every op whose answer is
-wrong on either side.  The exit status is 1 when any result differs or any
+number of results that differ, by op key, and each key's largest float
+move: a change of a float leaf that is not a time or a scheduler weight.
+It lists every other difference, such as an outcome, a witness word or
+time, a scheduler or a leaf present on one side only, and every op whose
+answer is wrong on either side.  The exit status is 1 when any result differs or any
 answer is wrong, else 0.  The report gives no times.
 """
 
@@ -164,7 +164,7 @@ def compare(workload: str, seed: int, n: int, base: Path) -> int:
     if len(results["base"]) != len(results["new"]):
         print(f"seed {seed}: {len(results['base'])} results on base, {len(results['new'])} on new")
         faults += 1
-    by_key, largest = {}, (0.0, None)
+    by_key, largest = {}, {}  # op key -> (largest float move, where)
     for (ident, key, old), (ident_new, key_new, now) in zip(results["base"], results["new"]):
         if (ident, key) != (ident_new, key_new):
             print(f"seed {seed}: the op streams part at {ident}/{key} against {ident_new}/{key_new}")
@@ -178,8 +178,8 @@ def compare(workload: str, seed: int, n: int, base: Path) -> int:
                   f"{now if isinstance(now, str) else 'ran'}")
             continue
         move, where, other = differences(old, now)
-        if move >= largest[0] and where is not None:
-            largest = move, f"{ident}/{key} {where}"
+        if where is not None and move >= largest.get(key, (0.0,))[0]:
+            largest[key] = move, f"{ident}/{key} {where}".rstrip()
         for text in other:
             print(f"seed {seed}: {ident}/{key} {text}")
     faults += sum(by_key.values())
@@ -187,7 +187,8 @@ def compare(workload: str, seed: int, n: int, base: Path) -> int:
     print(f"seed {seed}: {len(results['new'])} ops in {n} instances, "
           f"{sum(by_key.values())} differ"
           + (" (" + ", ".join(f"{k} {c}" for k, c in sorted(by_key.items())) + ")" if by_key else "")
-          + (f", largest float move {largest[0]:.3g} at {largest[1]}" if largest[1] else "")
+          + "".join(f", largest float move of {key} {move:.3g} at {where}"
+                    for key, (move, where) in sorted(largest.items()))
           + f", {wrong} wrong")
     return faults
 
